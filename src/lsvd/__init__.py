@@ -42,6 +42,7 @@ from .errors import (
 from .lindblad import (
     Channel,
     LindbladModel,
+    PopulationTrace,
     build_superoperator,
     check_density_matrix,
     classical_evolve,
@@ -69,12 +70,11 @@ from .models import (
     theta_sweep,
     yields,
 )
-from .numerics import DEFAULT_TOL, eig_hermitian, expm, kron, svd
-from .pipeline import quantum_evolve, qubit_counts, readout, time_points
+from .numerics import DEFAULT_TOL, eig_hermitian, expm, svd
+from .pipeline import quantum_evolve, qubit_counts
 from .sampler import (
     DEFAULT_SHOTS,
     RNG_ALGORITHM,
-    PopulationTrace,
     ShotResult,
     estimate_populations,
     sample,

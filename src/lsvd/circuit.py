@@ -43,15 +43,6 @@ _NUM_PROBES = 2
 
 
 @dataclass(frozen=True)
-class CircuitOp:
-    """One op of the program: its name, target span, and unitary matrix."""
-
-    name: str
-    target: str  # "system" | "ancilla" | "register"
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class SVDCircuit:
     """The five-op program for one propagator, plus its dilation scale."""
 
@@ -66,17 +57,6 @@ class SVDCircuit:
     def n(self) -> int:
         """System register dimension 2^k."""
         return 1 << self.k
-
-    @property
-    def ops(self) -> tuple[CircuitOp, ...]:
-        """The ordered op sequence as explicit unitaries."""
-        return (
-            CircuitOp("v_dagger", "system", self.vdag),
-            CircuitOp("hadamard", "ancilla", _HADAMARD.copy()),
-            CircuitOp("dilated_diagonal", "register", self.dilated.matrix),
-            CircuitOp("hadamard", "ancilla", _HADAMARD.copy()),
-            CircuitOp("u", "system", self.u),
-        )
 
 
 def apply_circuit(circuit: SVDCircuit, state) -> np.ndarray:

@@ -68,11 +68,6 @@ class DilatedUnitary:
         """The 2n diagonal entries, success branch first."""
         return np.concatenate([self.sigma_plus, self.sigma_minus])
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense 2n x 2n form (off-diagonal entries exactly zero)."""
-        return np.diag(self.diagonal)
-
 
 def pad_to_power_of_two(m) -> np.ndarray:
     """Embed a square matrix as m ⊕ I in the next power-of-two dimension."""

@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import LengthMismatchError, LsvdError
 from .numerics import DEFAULT_TOL, as_matrix, eig_hermitian, expm
-from .sampler import PopulationTrace
 
 SPEED_OF_LIGHT_CM_PER_S = 2.99792458e10
 
@@ -107,6 +106,26 @@ class LindbladModel:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
+
+
+@dataclass
+class PopulationTrace:
+    """Time series of level populations.
+
+    ``populations`` has shape ``(len(times), r)``; ``success_prob`` holds
+    the ancilla-0 weight per time point (the postselected fraction in
+    sampled mode, 1.0 for the classical oracle).  ``mode`` is one of
+    ``"classical"``, ``"exact"`` or ``"sampled"``.  ``scales`` records the
+    dilation scale factor per time point for circuit-based modes.
+    """
+
+    times: np.ndarray
+    populations: np.ndarray
+    success_prob: np.ndarray
+    mode: str
+    labels: tuple[str, ...] | None = None
+    scales: np.ndarray | None = None
+    states: list[np.ndarray] | None = field(default=None, repr=False)
 
 
 def vectorize(rho) -> np.ndarray:
@@ -226,7 +245,7 @@ def propagator(superop, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def _validated_times(times) -> np.ndarray:
-    arr = np.asarray(times, dtype=float).ravel()
+    arr = np.array(times, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("times must be non-empty")
     if arr[0] < 0:

@@ -41,11 +41,12 @@ from .errors import WrongModelError
 from .lindblad import (
     Channel,
     LindbladModel,
+    PopulationTrace,
     save_model,
     wavenumber_to_angular_frequency,
 )
 from .pipeline import map_ordered, quantum_evolve
-from .sampler import DEFAULT_SHOTS, PopulationTrace, substream_seed
+from .sampler import DEFAULT_SHOTS, substream_seed
 
 # --- exciton-network defaults (rates in fs^-1; stand-ins, see module docstring)
 FMO_DEFAULT_GAMMA_DEPH = 1.0e-2  # (100 fs)^-1 site dephasing

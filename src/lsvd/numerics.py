@@ -1,10 +1,10 @@
 """Dense complex linear-algebra kernels used by every other module.
 
 All functions accept anything ``numpy.asarray`` can turn into a 2-D array
-and work internally on ``complex128``.  ``kron``, ``svd`` and
-``eig_hermitian`` delegate to numpy's LAPACK-backed routines but enforce
-the accuracy contracts documented on each function, raising when a
-contract is missed instead of returning silently degraded factors.
+and work internally on ``complex128``.  ``svd`` and ``eig_hermitian``
+delegate to numpy's LAPACK-backed routines but enforce the accuracy
+contracts documented on each function, raising when a contract is missed
+instead of returning silently degraded factors.
 ``expm`` is a scaling-and-squaring Taylor evaluation whose truncation is
 driven by the requested tolerance.
 
@@ -51,14 +51,6 @@ def as_matrix(a, *, name: str = "matrix") -> ComplexMatrix:
 def _require_square(m: ComplexMatrix, name: str = "matrix") -> None:
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"{name} must be square, got shape {m.shape}")
-
-
-def kron(a, b) -> ComplexMatrix:
-    """Kronecker product ``a ⊗ b``.
-
-    Entry ``((i*b.rows + k), (j*b.cols + l))`` equals ``a[i, j] * b[k, l]``.
-    """
-    return np.kron(as_matrix(a, name="a"), as_matrix(b, name="b"))
 
 
 def expm(a, tol: float = DEFAULT_TOL) -> ComplexMatrix:

@@ -1,26 +1,28 @@
-"""End-to-end drivers tying generator, propagator, dilation, circuit and
+"""End-to-end driver tying generator, propagator, dilation, circuit and
 readout together.
 
 Every output time gets its own freshly decomposed circuit (the propagator
 exp(L t) is never split into repeated steps, so postselection statistics
-are never compounded).  Time points are independent work items; set the
-``LSVD_THREADS`` environment variable to fan them out across a thread
-pool.  Results are merged in time order and sampling substreams are keyed
-by point index, so output is identical at any parallelism level.
+are never compounded).  Each time point is folded into its table row as
+soon as its circuit has run, so only the points in flight hold a circuit.
+Time points are independent work items; set the ``LSVD_THREADS``
+environment variable to fan them out across a thread pool.  Results are
+merged in time order and sampling substreams are keyed by point index, so
+output is identical at any parallelism level.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import SVDCircuit, apply_circuit, build_svd_circuit
+from .circuit import apply_circuit, build_svd_circuit, run_exact
 from .dilation import decompose, pad_to_power_of_two
 from .lindblad import (
     LindbladModel,
+    PopulationTrace,
     _validated_times,
     build_superoperator,
     devectorize,
@@ -28,13 +30,7 @@ from .lindblad import (
     vectorize,
 )
 from .numerics import DEFAULT_TOL, as_matrix
-from .sampler import (
-    DEFAULT_SHOTS,
-    PopulationTrace,
-    estimate_populations,
-    sample,
-    substream_seed,
-)
+from .sampler import DEFAULT_SHOTS, estimate_populations, sample, substream_seed
 
 THREADS_ENV_VAR = "LSVD_THREADS"
 
@@ -67,101 +63,6 @@ def qubit_counts(dim: int) -> tuple[int, int]:
     return k, k + 1
 
 
-@dataclass(frozen=True)
-class TimePoint:
-    """One output time: its circuit and the register state after the ops."""
-
-    time: float
-    circuit: SVDCircuit
-    input_norm: float
-    final_state: np.ndarray
-
-
-def time_points(
-    model: LindbladModel,
-    rho0,
-    times,
-    tol: float = DEFAULT_TOL,
-) -> list[TimePoint]:
-    """Build and run one circuit per output time on the vectorized input.
-
-    The system register is initialized to vec(rho0)/||vec(rho0)|| zero-padded
-    to the 2^k system dimension, with the ancilla in |0>.
-    """
-    grid = _validated_times(times)
-    rho_init = as_matrix(rho0, name="rho0")
-    r = model.dim
-    if rho_init.shape != (r, r):
-        raise ValueError(f"rho0 has shape {rho_init.shape}, expected ({r}, {r})")
-    superop = build_superoperator(model)
-    v0 = vectorize(rho_init)
-    input_norm = float(np.linalg.norm(v0))
-    if input_norm == 0.0:
-        raise ValueError("rho0 must be non-zero")
-
-    def one(t: float) -> TimePoint:
-        factors = decompose(pad_to_power_of_two(propagator(superop, t, tol)), tol)
-        circ = build_svd_circuit(factors)
-        state = np.zeros(2 * circ.n, dtype=np.complex128)
-        state[: r * r] = v0 / input_norm
-        return TimePoint(
-            time=float(t),
-            circuit=circ,
-            input_norm=input_norm,
-            final_state=apply_circuit(circ, state),
-        )
-
-    return map_ordered(one, grid)
-
-
-def _exact_point(point: TimePoint, r: int) -> tuple[np.ndarray, float]:
-    n = point.circuit.n
-    conditioned = point.final_state[:n]
-    success = float(np.real(np.vdot(conditioned, conditioned)))
-    vec_t = conditioned[: r * r] * (point.circuit.scale * point.input_norm)
-    populations = np.real(np.diag(devectorize(vec_t, r)))
-    return populations, success
-
-
-def readout(
-    points: list[TimePoint],
-    r: int,
-    mode: str = "exact",
-    shots: int = DEFAULT_SHOTS,
-    seed: int = 0,
-    labels: tuple[str, ...] | None = None,
-) -> PopulationTrace:
-    """Turn per-time register states into a population trace.
-
-    ``mode="exact"`` reads the conditioned amplitudes directly and rescales
-    by the dilation scale, reproducing the classical result to rounding.
-    ``mode="sampled"`` measures ``shots`` times per point (substream seed =
-    ``seed XOR point_index``), postselects on the ancilla and estimates
-    populations from the surviving counts.
-    """
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    populations = np.empty((len(points), r), dtype=float)
-    success = np.empty(len(points), dtype=float)
-    scales = np.empty(len(points), dtype=float)
-    for i, point in enumerate(points):
-        scales[i] = point.circuit.scale
-        if mode == "exact":
-            populations[i], success[i] = _exact_point(point, r)
-        else:
-            result = sample(point.final_state, shots, substream_seed(seed, i))
-            populations[i] = estimate_populations(result, r, point.circuit.k)
-            success[i] = result.postselected_shots / result.shots
-    return PopulationTrace(
-        times=np.asarray([p.time for p in points], dtype=float),
-        populations=populations,
-        success_prob=success,
-        mode=mode,
-        labels=labels,
-        scales=scales,
-    )
-
-
 def quantum_evolve(
     model: LindbladModel,
     rho0,
@@ -173,8 +74,49 @@ def quantum_evolve(
 ) -> PopulationTrace:
     """Propagate through the circuit pipeline and read out populations.
 
-    One circuit per output time; see :func:`time_points` for the register
-    preparation and :func:`readout` for the two readout modes.
+    One circuit per output time.  The system register is initialized to
+    vec(rho0)/||vec(rho0)|| zero-padded to the 2^k system dimension, with
+    the ancilla in |0>.  ``mode="exact"`` reads the conditioned amplitudes
+    directly and rescales by the dilation scale, reproducing the classical
+    result to rounding.  ``mode="sampled"`` measures ``shots`` times per
+    point (substream seed = ``seed XOR point_index``), postselects on the
+    ancilla and estimates populations from the surviving counts.
     """
-    points = time_points(model, rho0, times, tol)
-    return readout(points, model.dim, mode, shots, seed, labels=model.labels)
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    if mode == "sampled" and shots < 1:
+        raise ValueError("shots must be >= 1")
+    grid = _validated_times(times)
+    rho_init = as_matrix(rho0, name="rho0")
+    r = model.dim
+    if rho_init.shape != (r, r):
+        raise ValueError(f"rho0 has shape {rho_init.shape}, expected ({r}, {r})")
+    superop = build_superoperator(model)
+    v0 = vectorize(rho_init)
+    input_norm = float(np.linalg.norm(v0))
+    if input_norm == 0.0:
+        raise ValueError("rho0 must be non-zero")
+
+    def one(item) -> tuple[np.ndarray, float, float]:
+        index, t = item
+        factors = decompose(pad_to_power_of_two(propagator(superop, t, tol)), tol)
+        circ = build_svd_circuit(factors)
+        state = np.zeros(2 * circ.n, dtype=np.complex128)
+        state[: r * r] = v0 / input_norm
+        if mode == "exact":
+            conditioned, success = run_exact(circ, state)
+            vec_t = conditioned[: r * r] * (circ.scale * input_norm)
+            return np.real(np.diag(devectorize(vec_t, r))), success, circ.scale
+        result = sample(apply_circuit(circ, state), shots, substream_seed(seed, index))
+        populations = estimate_populations(result, r, circ.k)
+        return populations, result.postselected_shots / result.shots, circ.scale
+
+    populations, success, scales = zip(*map_ordered(one, enumerate(grid)))
+    return PopulationTrace(
+        times=grid,
+        populations=np.array(populations, dtype=float),
+        success_prob=np.array(success, dtype=float),
+        mode=mode,
+        labels=model.labels,
+        scales=np.array(scales, dtype=float),
+    )

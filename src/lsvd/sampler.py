@@ -26,6 +26,10 @@ in ``ShotResult.counts`` for diagnostics but play no role in the
 estimator.  Because the estimate is normalized, it is invariant under the
 dilation scale factor.
 
+The functions here take a bare statevector and its counts and know nothing
+of models or time grids; the pipeline folds their estimates into a
+population trace.
+
 Reproducibility: sampling uses numpy's counter-based Philox bit generator
 ("philox4x64").  Independent points of a run draw from substreams keyed by
 ``seed XOR point_index``, so results do not depend on execution order.
@@ -33,7 +37,7 @@ Reproducibility: sampling uses numpy's counter-based Philox bit generator
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,26 +72,6 @@ class ShotResult:
     counts: dict[int, int]
     postselected_shots: int
     seed: int
-
-
-@dataclass
-class PopulationTrace:
-    """Time series of level populations.
-
-    ``populations`` has shape ``(len(times), r)``; ``success_prob`` holds
-    the ancilla-0 weight per time point (the postselected fraction in
-    sampled mode, 1.0 for the classical oracle).  ``mode`` is one of
-    ``"classical"``, ``"exact"`` or ``"sampled"``.  ``scales`` records the
-    dilation scale factor per time point for circuit-based modes.
-    """
-
-    times: np.ndarray
-    populations: np.ndarray
-    success_prob: np.ndarray
-    mode: str
-    labels: tuple[str, ...] | None = None
-    scales: np.ndarray | None = None
-    states: list[np.ndarray] | None = field(default=None, repr=False)
 
 
 def sample(final_state, shots: int, seed: int) -> ShotResult:

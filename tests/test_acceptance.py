@@ -23,7 +23,7 @@ from lsvd.models import (
     theta_sweep,
     yields,
 )
-from lsvd.pipeline import qubit_counts, readout, time_points
+from lsvd.pipeline import quantum_evolve, qubit_counts
 
 from conftest import random_model
 
@@ -44,15 +44,8 @@ def runs():
     for name, grid in GRIDS.items():
         model, rho0 = builtin_model(name)
         oracle = classical_evolve(model, rho0, grid, store_states=True)
-        points = time_points(model, rho0, grid)
-        exact = readout(points, model.dim, mode="exact", labels=model.labels)
-        out[name] = {
-            "model": model,
-            "rho0": rho0,
-            "oracle": oracle,
-            "exact": exact,
-            "points": points,
-        }
+        exact = quantum_evolve(model, rho0, grid, mode="exact")
+        out[name] = {"model": model, "rho0": rho0, "oracle": oracle, "exact": exact}
     return out
 
 
@@ -75,7 +68,9 @@ def test_criterion_2_sampled_fidelity(runs):
     oracle = data["oracle"].populations
     grid_max = {}
     for shots in (2**15, 2**17, 2**19):
-        sampled = readout(data["points"], 5, mode="sampled", shots=shots, seed=0)
+        sampled = quantum_evolve(
+            data["model"], data["rho0"], FMO_GRID, mode="sampled", shots=shots, seed=0
+        )
         grid_max[shots] = float(np.max(np.abs(sampled.populations - oracle)))
     errors = [grid_max[2**15], grid_max[2**17], grid_max[2**19]]
     inversions = sum(1 for a, b in zip(errors, errors[1:]) if b > a)

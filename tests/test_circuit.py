@@ -59,15 +59,23 @@ class TestBuild:
 
     def test_op_sequence_and_unitarity(self, rng):
         circuit = circuit_for(random_complex(rng, 8))
-        names = [op.name for op in circuit.ops]
-        assert names == ["v_dagger", "hadamard", "dilated_diagonal", "hadamard", "u"]
-        targets = [op.target for op in circuit.ops]
-        assert targets == ["system", "ancilla", "register", "ancilla", "system"]
-        for op in circuit.ops:
-            m = op.matrix
-            np.testing.assert_allclose(
-                m.conj().T @ m, np.eye(m.shape[0]), atol=1e-10
-            )
+        n = circuit.n
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        ops = [
+            np.kron(np.eye(2), circuit.vdag),
+            np.kron(hadamard, np.eye(n)),
+            np.diag(circuit.dilated.diagonal),
+            np.kron(hadamard, np.eye(n)),
+            np.kron(np.eye(2), circuit.u),
+        ]
+        composed = np.eye(2 * n, dtype=complex)
+        for m in ops:
+            np.testing.assert_allclose(m.conj().T @ m, np.eye(2 * n), atol=1e-10)
+            composed = m @ composed
+        applied = np.column_stack(
+            [apply_circuit(circuit, column) for column in np.eye(2 * n)]
+        )
+        np.testing.assert_allclose(applied, composed, atol=1e-12)
 
     def test_corrupt_factors_rejected(self, rng):
         bad = SVDFactors(

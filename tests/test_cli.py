@@ -52,9 +52,7 @@ class TestFmoCommand:
 class TestRpmCommand:
     def test_sweep_default_grid_has_201_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert (
-            run("rpm", "--sweep-theta", "--theta-step", "9", "--out", str(out)) == 0
-        )
+        assert run("sweep", "--theta-step", "9", "--out", str(out)) == 0
         header, rows = read_csv(out)
         assert header == ["theta_deg", "phi_S", "phi_T", "success_prob"]
         assert len(rows) == 21
@@ -122,7 +120,9 @@ class TestValidateCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert run("validate", str(path)) == 2
-        assert "FAIL hamiltonian_hermitian" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL model" in out
+        assert "not Hermitian" in out
 
     def test_negative_rate_names_channel(self, tmp_path, capsys):
         model, _ = builtin_model("fmo3")
@@ -132,7 +132,8 @@ class TestValidateCommand:
         path.write_text(json.dumps(data))
         assert run("validate", str(path)) == 2
         out = capsys.readouterr().out
-        assert "FAIL channel_rates_nonnegative" in out
+        assert "FAIL model" in out
+        assert "negative rate" in out
         assert "channel 2" in out
 
     def test_unreadable_file(self, tmp_path):
@@ -174,6 +175,7 @@ class TestOutputContracts:
         assert run("fmo", "--mode", "nonsense") == 2
         assert run("fmo", "--dt", "-1") == 2
         assert run("evolve") == 2
+        assert run("rpm", "--sweep-theta") == 2
 
     def test_missing_model_file_exit_2(self):
         assert run("evolve", "--model", "/nonexistent/model.json") == 2

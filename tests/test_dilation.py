@@ -91,7 +91,7 @@ class TestDecompose:
 class TestDilate:
     def test_unit_sigma_gives_identity(self):
         dilated = dilate(trivial_factors(np.ones(4)))
-        np.testing.assert_allclose(dilated.matrix, np.eye(8), atol=1e-15)
+        np.testing.assert_allclose(np.diag(dilated.diagonal), np.eye(8), atol=1e-15)
 
     def test_zero_sigma_gives_plus_minus_i(self):
         dilated = dilate(trivial_factors([0.0]))
@@ -118,10 +118,12 @@ class TestDilate:
 
     def test_block_diagonal_layout(self):
         dilated = dilate(trivial_factors([1.0, 0.6]))
-        matrix = dilated.matrix
-        assert matrix.shape == (4, 4)
-        np.testing.assert_array_equal(matrix - np.diag(np.diag(matrix)), np.zeros((4, 4)))
-        np.testing.assert_allclose(np.diag(matrix)[:2] + np.diag(matrix)[2:], 2 * np.array([1.0, 0.6]))
+        diagonal = dilated.diagonal
+        assert diagonal.shape == (4,)
+        np.testing.assert_array_equal(diagonal[:2], dilated.sigma_plus)
+        np.testing.assert_array_equal(diagonal[2:], dilated.sigma_minus)
+        np.testing.assert_allclose(diagonal[:2] + diagonal[2:], 2 * np.array([1.0, 0.6]))
+        matrix = np.diag(diagonal)
         np.testing.assert_allclose(matrix.conj().T @ matrix, np.eye(4), atol=1e-14)
 
     def test_slack_clamped(self):

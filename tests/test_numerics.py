@@ -8,40 +8,11 @@ from lsvd.errors import (
     NotHermitianError,
     ToleranceUnachievableError,
 )
-from lsvd.numerics import DEFAULT_TOL, eig_hermitian, expm, kron, svd
+from lsvd.numerics import DEFAULT_TOL, eig_hermitian, expm, svd
 
 from conftest import random_complex, random_hermitian, random_unitary
 
 I2 = np.eye(2)
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(kron(I2, I2), np.eye(4))
-
-    def test_definition_by_hand(self):
-        a = np.array([[0, 1], [0, 0]], dtype=complex)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 2] = 1.0
-        expected[1, 3] = 1.0
-        np.testing.assert_array_equal(kron(a, I2), expected)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_mixed_product_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c, d = (random_complex(rng, 2) for _ in range(4))
-        np.testing.assert_allclose(
-            kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12
-        )
-
-    def test_bilinearity(self, rng):
-        a, b, c = (random_complex(rng, 3) for _ in range(3))
-        np.testing.assert_allclose(
-            kron(2.0 * a + b, c), 2.0 * kron(a, c) + kron(b, c), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            kron(c, 2.0 * a + b), 2.0 * kron(c, a) + kron(c, b), atol=1e-12
-        )
 
 
 class TestExpm:
