@@ -38,6 +38,7 @@ from .models import (
     THETA_DEFAULT_STEP_DEG,
     FMOParams,
     RPMParams,
+    default_theta_grid,
     fmo_model,
     rpm_model,
     theta_sweep,
@@ -245,10 +246,7 @@ def _rpm_param_dict(params: RPMParams) -> dict:
 
 
 def _run_sweep(args) -> int:
-    if args.theta_step <= 0:
-        raise ValueError("--theta-step must be positive")
     base = _rpm_params(args)
-    thetas = np.deg2rad(np.arange(0.0, 180.0 + args.theta_step / 2.0, args.theta_step))
     config = RunConfig(
         command="sweep",
         model_source="rpm",
@@ -263,7 +261,7 @@ def _run_sweep(args) -> int:
     )
     result = theta_sweep(
         base,
-        thetas=thetas,
+        thetas=default_theta_grid(args.theta_step),
         t_end=args.t_end,
         mode=args.mode,
         shots=args.shots,

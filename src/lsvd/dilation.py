@@ -4,7 +4,8 @@ A Liouville-space propagator is generally non-unitary, so it cannot be a
 gate by itself.  This module prepares it in three steps:
 
 1. ``pad_to_power_of_two`` embeds the r² x r² matrix as a direct sum with
-   an identity block, reaching the nearest power-of-two dimension n = 2^k.
+   an identity block, reaching the nearest power-of-two dimension n = 2^k
+   (at least 2, so the system register always has a qubit).
    Identity (not zero) padding keeps the padded directions invariant and
    decoupled and pins their singular values at exactly one, so the scale
    factor below is always set by the physics, never by the embedding.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SigmaOutOfRangeError
-from .numerics import DEFAULT_TOL, as_matrix, svd
+from .numerics import as_matrix, svd
 
 #: Allowed numerical dust outside [0, 1] before a singular value is rejected.
 SIGMA_SLACK = 1e-12
@@ -69,13 +70,19 @@ class DilatedUnitary:
         return np.concatenate([self.sigma_plus, self.sigma_minus])
 
 
+def padded_dimension(dim: int) -> int:
+    """n = max(2, smallest power of two >= dim): the padded size of a
+    dim x dim propagator."""
+    return max(2, 1 << (dim - 1).bit_length())
+
+
 def pad_to_power_of_two(m) -> np.ndarray:
-    """Embed a square matrix as m ⊕ I in the next power-of-two dimension."""
+    """Embed a square matrix as m ⊕ I in dimension ``padded_dimension``."""
     mat = as_matrix(m)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     dim = mat.shape[0]
-    n = 1 << max(0, (dim - 1).bit_length())
+    n = padded_dimension(dim)
     if n == dim:
         return mat.copy()
     out = np.eye(n, dtype=np.complex128)
@@ -83,13 +90,13 @@ def pad_to_power_of_two(m) -> np.ndarray:
     return out
 
 
-def decompose(m_padded, tol: float = DEFAULT_TOL) -> SVDFactors:
+def decompose(m_padded) -> SVDFactors:
     """SVD a padded propagator and rescale singular values into [0, 1]."""
     mat = as_matrix(m_padded)
     n = mat.shape[0]
     if mat.shape[0] != mat.shape[1] or n < 1 or n & (n - 1):
         raise ValueError(f"expected a square power-of-two matrix, got shape {mat.shape}")
-    u, raw, vdag = svd(mat, tol)
+    u, raw, vdag = svd(mat)
     scale = float(max(1.0, raw[0])) if raw.size else 1.0
     return SVDFactors(u=u, sigma=raw / scale, vdag=vdag, scale=scale, n=n)
 

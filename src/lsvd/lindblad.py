@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LengthMismatchError, LsvdError
-from .numerics import DEFAULT_TOL, as_matrix, eig_hermitian, expm
+from .numerics import as_matrix, eig_hermitian, expm
 
 SPEED_OF_LIGHT_CM_PER_S = 2.99792458e10
 
@@ -139,19 +139,12 @@ def vectorize(rho) -> np.ndarray:
     return m.flatten(order="F")
 
 
-def devectorize(v, r: int, check: bool = False) -> np.ndarray:
-    """Inverse of :func:`vectorize`.
-
-    With ``check=True`` the result is run through
-    :func:`check_density_matrix` (warning mode).
-    """
+def devectorize(v, r: int) -> np.ndarray:
+    """Inverse of :func:`vectorize`."""
     vec = np.asarray(v, dtype=np.complex128).ravel()
     if vec.size != r * r:
         raise LengthMismatchError(f"vector of length {vec.size} cannot fill a {r}x{r} matrix")
-    rho = vec.reshape((r, r), order="F").copy()
-    if check:
-        check_density_matrix(rho)
-    return rho
+    return vec.reshape((r, r), order="F").copy()
 
 
 def check_density_matrix(
@@ -236,12 +229,12 @@ def trace_preservation_defect(superop: np.ndarray, r: int) -> float:
     return float(np.linalg.norm(left) / scale)
 
 
-def propagator(superop, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+def propagator(superop, t: float) -> np.ndarray:
     """exp(L t) for a non-negative time ``t`` in the model's time unit."""
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
     m = as_matrix(superop, name="superoperator")
-    return expm(m * float(t), tol)
+    return expm(m * float(t))
 
 
 def _validated_times(times) -> np.ndarray:
@@ -261,7 +254,6 @@ def classical_evolve(
     times,
     *,
     store_states: bool = False,
-    tol: float = DEFAULT_TOL,
 ) -> PopulationTrace:
     """Propagate ``rho0`` through Liouville space and record populations.
 
@@ -282,7 +274,7 @@ def classical_evolve(
     populations = np.empty((grid.size, r), dtype=float)
     states: list[np.ndarray] | None = [] if store_states else None
     for i, t in enumerate(grid):
-        rho_t = devectorize(propagator(superop, t, tol) @ v0, r)
+        rho_t = devectorize(propagator(superop, t) @ v0, r)
         trace_defect = abs(np.trace(rho_t) - 1.0)
         if trace_defect > 1e-8:
             raise LsvdError(

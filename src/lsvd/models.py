@@ -45,7 +45,7 @@ from .lindblad import (
     save_model,
     wavenumber_to_angular_frequency,
 )
-from .pipeline import map_ordered, quantum_evolve
+from .pipeline import quantum_evolve
 from .sampler import DEFAULT_SHOTS, substream_seed
 
 # --- exciton-network defaults (rates in fs^-1; stand-ins, see module docstring)
@@ -250,9 +250,7 @@ RPM_LEVELS = 10
 RPM_LABELS = ("uuu", "uud", "udu", "udd", "duu", "dud", "ddu", "ddd", "S", "T")
 
 
-def rpm_model(
-    params: RPMParams, include_dissipators: bool | None = None
-) -> tuple[LindbladModel, np.ndarray]:
+def rpm_model(params: RPMParams) -> tuple[LindbladModel, np.ndarray]:
     """Build the 10-level radical-pair model and its initial state.
 
     The spin block (indices 0-7, ordered nucleus ⊗ electron1 ⊗ electron2)
@@ -260,14 +258,12 @@ def rpm_model(
     B = b0 (cos phi sin theta, sin phi sin theta, cos theta); the shelves
     are Hamiltonian-free.  Eight shelving channels project each
     |nucleus, pair-state> configuration onto its shelf at equal rate
-    gamma_shelf.  With dissipators enabled (default: whenever
-    gamma_diss > 0), six additional channels apply each Pauli to each
-    electron, zero-padded to the shelf dimensions, at rate gamma_diss.
+    gamma_shelf.  When gamma_diss > 0, six additional channels apply each
+    Pauli to each electron, zero-padded to the shelf dimensions, at rate
+    gamma_diss.
     The initial state is a pure electron singlet with a maximally mixed
     nucleus.
     """
-    if include_dissipators is None:
-        include_dissipators = params.gamma_diss > 0.0
     r = RPM_LEVELS
     to_ms = 1e-3  # rad/s -> rad/ms and s^-1 -> ms^-1
 
@@ -310,7 +306,7 @@ def rpm_model(
                 f"shelf_{RPM_LABELS[shelf]}_{nuc_key}{pair_key}",
             )
         )
-    if include_dissipators:
+    if params.gamma_diss > 0.0:
         for axis in _AXES:
             for electron in ("e1", "e2"):
                 op = np.zeros((r, r), dtype=np.complex128)
@@ -371,20 +367,18 @@ def theta_sweep(
     mode: str = "exact",
     shots: int = DEFAULT_SHOTS,
     seed: int = 0,
-    include_dissipators: bool | None = None,
 ) -> ThetaSweepResult:
     """Run the full pipeline at each orientation and collect shelf yields.
 
-    Each orientation is an independent work item with sampling substream
-    ``seed XOR orientation_index``; results merge in grid order.
+    Every orientation is checked against the ``RPMParams`` theta bounds
+    before the first one runs.  Orientations run serially in grid order,
+    each with sampling substream ``seed XOR orientation_index``.
     """
     grid = default_theta_grid() if thetas is None else np.asarray(thetas, dtype=float).ravel()
-    if np.any(grid < -1e-12) or np.any(grid > np.pi + 1e-9):
-        raise ValueError("theta values must lie in [0, pi]")
+    oriented = [replace(base, theta=float(theta)) for theta in grid]
 
-    def one(item: tuple[int, float]):
-        index, theta = item
-        model, rho0 = rpm_model(replace(base, theta=float(theta)), include_dissipators)
+    def one(index: int, params: RPMParams):
+        model, rho0 = rpm_model(params)
         trace = quantum_evolve(
             model,
             rho0,
@@ -396,7 +390,7 @@ def theta_sweep(
         phi_s, phi_t = yields(trace)
         return phi_s[0], phi_t[0], trace.success_prob[0], trace.scales[0]
 
-    rows = map_ordered(one, list(enumerate(grid)))
+    rows = [one(index, params) for index, params in enumerate(oriented)]
     return ThetaSweepResult(
         thetas=grid,
         phi_s=np.array([row[0] for row in rows]),

@@ -4,22 +4,17 @@ readout together.
 Every output time gets its own freshly decomposed circuit (the propagator
 exp(L t) is never split into repeated steps, so postselection statistics
 are never compounded).  Each time point is folded into its table row as
-soon as its circuit has run, so only the points in flight hold a circuit.
-Time points are independent work items; set the ``LSVD_THREADS``
-environment variable to fan them out across a thread pool.  Results are
-merged in time order and sampling substreams are keyed by point index, so
-output is identical at any parallelism level.
+soon as its circuit has run, so only one circuit is held at a time.
+Points run serially in time order; sampling substreams are keyed by point
+index.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .circuit import apply_circuit, build_svd_circuit, run_exact
-from .dilation import decompose, pad_to_power_of_two
+from .dilation import decompose, pad_to_power_of_two, padded_dimension
 from .lindblad import (
     LindbladModel,
     PopulationTrace,
@@ -29,37 +24,12 @@ from .lindblad import (
     propagator,
     vectorize,
 )
-from .numerics import DEFAULT_TOL, as_matrix
+from .numerics import as_matrix
 from .sampler import DEFAULT_SHOTS, estimate_populations, sample, substream_seed
-
-THREADS_ENV_VAR = "LSVD_THREADS"
-
-
-def worker_count() -> int:
-    """Worker cap from the LSVD_THREADS environment variable (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def map_ordered(fn, items):
-    """Map ``fn`` over ``items`` preserving order, threaded if configured."""
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
 
 def qubit_counts(dim: int) -> tuple[int, int]:
     """(system qubits k, total qubits d) for an r-level model: n = 2^k >= r²."""
-    liouville = dim * dim
-    k = max(1, (liouville - 1).bit_length())
+    k = padded_dimension(dim * dim).bit_length() - 1
     return k, k + 1
 
 
@@ -70,7 +40,6 @@ def quantum_evolve(
     mode: str = "exact",
     shots: int = DEFAULT_SHOTS,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> PopulationTrace:
     """Propagate through the circuit pipeline and read out populations.
 
@@ -99,7 +68,7 @@ def quantum_evolve(
 
     def one(item) -> tuple[np.ndarray, float, float]:
         index, t = item
-        factors = decompose(pad_to_power_of_two(propagator(superop, t, tol)), tol)
+        factors = decompose(pad_to_power_of_two(propagator(superop, t)))
         circ = build_svd_circuit(factors)
         state = np.zeros(2 * circ.n, dtype=np.complex128)
         state[: r * r] = v0 / input_norm
@@ -111,7 +80,7 @@ def quantum_evolve(
         populations = estimate_populations(result, r, circ.k)
         return populations, result.postselected_shots / result.shots, circ.scale
 
-    populations, success, scales = zip(*map_ordered(one, enumerate(grid)))
+    populations, success, scales = zip(*map(one, enumerate(grid)))
     return PopulationTrace(
         times=grid,
         populations=np.array(populations, dtype=float),

@@ -162,20 +162,12 @@ class TestOutputContracts:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert paths[0].read_bytes() != paths[2].read_bytes()
 
-    def test_threaded_run_is_byte_identical(self, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        args = ["fmo", "--t-end", "100", "--mode", "sampled", "--shots", "2048", "--seed", "3"]
-        assert run(*args, "--out", str(serial)) == 0
-        monkeypatch.setenv("LSVD_THREADS", "4")
-        assert run(*args, "--out", str(threaded)) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_bad_flags_exit_2(self):
         assert run("fmo", "--mode", "nonsense") == 2
         assert run("fmo", "--dt", "-1") == 2
         assert run("evolve") == 2
         assert run("rpm", "--sweep-theta") == 2
+        assert run("sweep", "--theta-step", "0") == 2
 
     def test_missing_model_file_exit_2(self):
         assert run("evolve", "--model", "/nonexistent/model.json") == 2

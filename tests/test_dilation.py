@@ -50,6 +50,10 @@ class TestPad:
         w[6] = 1.0
         np.testing.assert_array_equal(padded @ w, w)
 
+    def test_1x1_pads_to_2x2(self):
+        padded = pad_to_power_of_two([[0.5]])
+        np.testing.assert_array_equal(padded, np.diag([0.5, 1.0]))
+
     def test_rectangular_rejected(self):
         with pytest.raises(ValueError):
             pad_to_power_of_two(np.zeros((2, 3)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lsvd.models
 from lsvd.errors import WrongModelError
 from lsvd.lindblad import (
     classical_evolve,
@@ -218,9 +219,14 @@ class TestThetaSweep:
         np.testing.assert_allclose(sampled.phi_s, exact.phi_s, atol=0.02)
         np.testing.assert_allclose(sampled.phi_t, exact.phi_t, atol=0.02)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            theta_sweep(RPMParams.default(), thetas=[4.0])
+    def test_out_of_range_rejected(self, monkeypatch):
+        def no_pipeline(*args, **kwargs):
+            raise AssertionError("an orientation ran before the grid was checked")
+
+        monkeypatch.setattr(lsvd.models, "quantum_evolve", no_pipeline)
+        for thetas in ([4.0], [0.0, np.pi + 1e-10], [0.0, -1e-13]):
+            with pytest.raises(ValueError, match="theta must lie"):
+                theta_sweep(RPMParams.default(), thetas=thetas)
 
 
 class TestBuiltinModels:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import lsvd.pipeline
+from lsvd.lindblad import LindbladModel, classical_evolve
 from lsvd.models import builtin_model
-from lsvd.pipeline import quantum_evolve
+from lsvd.pipeline import quantum_evolve, qubit_counts
 
 
 def _no_propagator(*args, **kwargs):
@@ -28,9 +29,19 @@ class TestInputChecks:
             quantum_evolve(model, rho0, np.arange(401) * 5.0, **kwargs)
 
 
+class TestOneLevelModel:
+    def test_exact_trace_matches_oracle(self):
+        model = LindbladModel(hamiltonian=[[0.3]], channels=())
+        assert qubit_counts(model.dim) == (1, 2)
+        times = np.arange(5) * 0.5
+        quantum = quantum_evolve(model, [[1.0]], times)
+        oracle = classical_evolve(model, [[1.0]], times)
+        np.testing.assert_allclose(quantum.populations, oracle.populations, atol=1e-12)
+        np.testing.assert_allclose(quantum.success_prob, 1.0, atol=1e-12)
+
+
 class TestMemory:
-    def test_peak_does_not_grow_with_grid_length(self, monkeypatch):
-        monkeypatch.delenv("LSVD_THREADS", raising=False)
+    def test_peak_does_not_grow_with_grid_length(self):
         model, rho0 = builtin_model("fmo7")  # n = 128
 
         def peak_bytes(points):
