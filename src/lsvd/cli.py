@@ -141,7 +141,10 @@ def _metadata(config: RunConfig, model: LindbladModel, columns, extra: dict) -> 
         "rng": {
             "algorithm": RNG_ALGORITHM,
             "seed": config.seed,
-            "substream_rule": "seed XOR point-index",
+            "substream_rule": (
+                "SeedSequence([seed mod 2^64, point-index])"
+                ".generate_state(1, uint64)[0]"
+            ),
         },
         "dilation": {
             "scale_rule": (

@@ -371,8 +371,10 @@ def theta_sweep(
     """Run the full pipeline at each orientation and collect shelf yields.
 
     Every orientation is checked against the ``RPMParams`` theta bounds
-    before the first one runs.  Orientations run serially in grid order,
-    each with sampling substream ``seed XOR orientation_index``.
+    before the first one runs.  Orientations run serially in grid order.
+    Orientation ``j`` runs its single time point with the run seed
+    ``substream_seed(seed, j)``, so its sampling substream is
+    ``substream_seed(substream_seed(seed, j), 0)``.
     """
     grid = default_theta_grid() if thetas is None else np.asarray(thetas, dtype=float).ravel()
     oriented = [replace(base, theta=float(theta)) for theta in grid]

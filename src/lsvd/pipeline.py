@@ -1,11 +1,13 @@
 """End-to-end driver tying generator, propagator, dilation, circuit and
 readout together.
 
-Every output time gets its own freshly decomposed circuit (the propagator
-exp(L t) is never split into repeated steps, so postselection statistics
-are never compounded).  Each time point is folded into its table row as
-soon as its circuit has run, so only one circuit is held at a time.
-Points run serially in time order; sampling substreams are keyed by point
+The classical propagator matrices are chained along the ascending grid:
+exp(L t_k) = exp(L (t_k - t_{k-1})) exp(L t_{k-1}), with one ``expm`` per
+distinct time gap.  Each output time still gets its own freshly decomposed
+circuit implementing the full exp(L t_k), so postselection statistics are
+never compounded.  Each time point is folded into its table row as soon as
+its circuit has run, so only one circuit is held at a time.  Points run
+serially in time order; sampling substreams are keyed by seed and point
 index.
 """
 
@@ -33,6 +35,30 @@ def qubit_counts(dim: int) -> tuple[int, int]:
     return k, k + 1
 
 
+def _propagators(superop: np.ndarray, grid: np.ndarray):
+    """Yield exp(L t) for each time of the ascending ``grid``, in order.
+
+    The first is evaluated fresh; every later one is ``step @ previous``
+    with ``step = exp(L gap)`` for the float gap to the previous time (exact
+    whenever neighbours lie within a factor of two), so the chain telescopes
+    to each t.  A step is kept only until the last use of its gap, so a grid
+    whose gaps all differ caches nothing.
+    """
+    gaps = np.diff(grid).tolist()
+    last_use = {gap: index for index, gap in enumerate(gaps)}
+    steps: dict[float, np.ndarray] = {}
+    current = propagator(superop, grid[0])
+    yield current
+    for index, gap in enumerate(gaps):
+        step = steps.pop(gap, None)
+        if step is None:
+            step = propagator(superop, gap)
+        if last_use[gap] > index:
+            steps[gap] = step
+        current = step @ current
+        yield current
+
+
 def quantum_evolve(
     model: LindbladModel,
     rho0,
@@ -48,8 +74,9 @@ def quantum_evolve(
     the ancilla in |0>.  ``mode="exact"`` reads the conditioned amplitudes
     directly and rescales by the dilation scale, reproducing the classical
     result to rounding.  ``mode="sampled"`` measures ``shots`` times per
-    point (substream seed = ``seed XOR point_index``), postselects on the
-    ancilla and estimates populations from the surviving counts.
+    point (substream seed = ``substream_seed(seed, point_index)``),
+    postselects on the ancilla and estimates populations from the surviving
+    counts.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
@@ -66,9 +93,8 @@ def quantum_evolve(
     if input_norm == 0.0:
         raise ValueError("rho0 must be non-zero")
 
-    def one(item) -> tuple[np.ndarray, float, float]:
-        index, t = item
-        factors = decompose(pad_to_power_of_two(propagator(superop, t)))
+    def one(index: int, prop: np.ndarray) -> tuple[np.ndarray, float, float]:
+        factors = decompose(pad_to_power_of_two(prop))
         circ = build_svd_circuit(factors)
         state = np.zeros(2 * circ.n, dtype=np.complex128)
         state[: r * r] = v0 / input_norm
@@ -80,7 +106,9 @@ def quantum_evolve(
         populations = estimate_populations(result, r, circ.k)
         return populations, result.postselected_shots / result.shots, circ.scale
 
-    populations, success, scales = zip(*map(one, enumerate(grid)))
+    populations, success, scales = zip(
+        *map(one, range(grid.size), _propagators(superop, grid))
+    )
     return PopulationTrace(
         times=grid,
         populations=np.array(populations, dtype=float),

@@ -31,8 +31,10 @@ of models or time grids; the pipeline folds their estimates into a
 population trace.
 
 Reproducibility: sampling uses numpy's counter-based Philox bit generator
-("philox4x64").  Independent points of a run draw from substreams keyed by
-``seed XOR point_index``, so results do not depend on execution order.
+("philox4x64").  Independent points of a run draw from substreams whose
+keys hash the pair (seed, point_index) through ``numpy.random.SeedSequence``
+(see ``substream_seed``), so results do not depend on execution order and
+runs with neighbouring seeds share no stream.
 """
 
 from __future__ import annotations
@@ -53,10 +55,17 @@ _MASK64 = (1 << 64) - 1
 
 
 def substream_seed(seed: int, index: int) -> int:
-    """Derive the per-point substream seed: ``seed XOR index`` (64-bit)."""
+    """Derive the 64-bit per-point substream seed from ``(seed, index)``.
+
+    The rule is ``SeedSequence([seed mod 2**64, index]).generate_state(1,
+    uint64)[0]``: a hash of the pair, so seed ``s`` at point ``i`` and seed
+    ``s'`` at point ``i'`` share a stream only if ``(s, i) == (s', i')``
+    (up to a 64-bit hash collision).
+    """
     if index < 0:
         raise ValueError("index must be non-negative")
-    return (int(seed) ^ int(index)) & _MASK64
+    entropy = [int(seed) & _MASK64, int(index)]
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)

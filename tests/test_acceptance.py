@@ -9,11 +9,12 @@ models over their default grids — are computed once per session.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lsvd.circuit import as_unitary, build_svd_circuit, estimate_resources
 from lsvd.cli import main as cli_main
 from lsvd.dilation import decompose, pad_to_power_of_two
-from lsvd.lindblad import build_superoperator, classical_evolve, propagator
+from lsvd.lindblad import build_superoperator, classical_evolve, lindblad_rhs, propagator
 from lsvd.models import (
     RPM_GAMMA_DISS_HIGH,
     RPM_GAMMA_DISS_MID,
@@ -25,7 +26,7 @@ from lsvd.models import (
 )
 from lsvd.pipeline import quantum_evolve, qubit_counts
 
-from conftest import random_model
+from conftest import random_density, random_model
 
 FMO_GRID = np.arange(0, 401) * 5.0  # 0..2000 fs, step 5 fs
 RPM_GRID = np.arange(0, 572) * 1.75e-3  # 0..~1 ms, step 1.75e-3 ms
@@ -61,6 +62,46 @@ def test_criterion_1_algebraic_exactness(runs):
         + " (tolerance 1e-8)"
     )
     report(1, overall <= 1e-8, detail)
+
+
+def test_criterion_1_independent_oracle(runs):
+    """Exact circuit vs ``scipy.linalg.expm`` of a generator checked on its own.
+
+    The generator is first compared with the matrix-form ``lindblad_rhs`` on
+    random states, since the pipeline and ``classical_evolve`` share
+    ``build_superoperator``; nothing here uses the package's ``expm``.
+    """
+    rng = np.random.default_rng(1729)
+    generator_defect = 0.0
+    worst = {}
+    for name, data in runs.items():
+        model = data["model"]
+        r = model.dim
+        superop = build_superoperator(model)
+        for _ in range(3):
+            rho = random_density(rng, r)
+            defect = np.linalg.norm(
+                superop @ rho.flatten(order="F") - lindblad_rhs(model, rho).flatten(order="F")
+            )
+            generator_defect = max(
+                generator_defect, defect / (np.linalg.norm(superop) * np.linalg.norm(rho))
+            )
+        grid = GRIDS[name]
+        picks = np.unique(np.append(np.arange(0, grid.size, 20), grid.size - 1))
+        v0 = np.asarray(data["rho0"], dtype=complex).flatten(order="F")
+        diagonal = np.arange(r) * (r + 1)
+        reference = np.array(
+            [np.real((scipy.linalg.expm(superop * grid[i]) @ v0)[diagonal]) for i in picks]
+        )
+        worst[name] = float(np.max(np.abs(data["exact"].populations[picks] - reference)))
+    ok = generator_defect <= 1e-10 and max(worst.values()) <= 1e-10
+    detail = (
+        f"generator vs lindblad_rhs {generator_defect:.1e} (<=1e-10); exact circuit vs "
+        "scipy expm, every 20th and the last point, max |Δpopulation|: "
+        + ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
+        + " (tolerance 1e-10)"
+    )
+    report(1, ok, detail)
 
 
 def test_criterion_2_sampled_fidelity(runs):

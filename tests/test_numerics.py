@@ -8,6 +8,8 @@ from lsvd.errors import (
     NotHermitianError,
     ToleranceUnachievableError,
 )
+from lsvd.lindblad import build_superoperator
+from lsvd.models import FMO_DEFAULT_T_END, RPM_DEFAULT_T_END, builtin_model
 from lsvd.numerics import DEFAULT_TOL, eig_hermitian, expm, svd
 
 from conftest import random_complex, random_hermitian, random_unitary
@@ -66,6 +68,24 @@ class TestExpm:
         with pytest.raises(ToleranceUnachievableError) as excinfo:
             expm(np.eye(2) * 1e30)
         assert excinfo.value.residual is not None
+
+    @pytest.mark.parametrize(
+        "name, t",
+        [
+            ("fmo3", FMO_DEFAULT_T_END),
+            ("fmo7", FMO_DEFAULT_T_END),
+            ("rpm", RPM_DEFAULT_T_END),
+            ("rpm-dissipative", RPM_DEFAULT_T_END),
+        ],
+    )
+    def test_documented_bound_on_bundled_models(self, name, t):
+        model, _ = builtin_model(name)
+        a = build_superoperator(model) * t
+        # s as documented: the smallest s >= 0 with ||a||_1 / 2**s <= 0.5
+        squarings = max(0, int(np.ceil(np.log2(np.linalg.norm(a, 1) / 0.5))))
+        reference = scipy.linalg.expm(a)
+        relative = np.linalg.norm(expm(a) - reference) / np.linalg.norm(reference)
+        assert relative <= max(1, squarings) * DEFAULT_TOL
 
 
 class TestSvd:

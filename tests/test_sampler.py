@@ -62,10 +62,17 @@ class TestSample:
         assert sum(result.counts.values()) == 12345
 
     def test_substream_seeds(self):
-        assert substream_seed(7, 0) == 7
-        assert substream_seed(7, 3) == 7 ^ 3
+        expected = np.random.SeedSequence([7, 3]).generate_state(1, np.uint64)[0]
+        assert substream_seed(7, 3) == int(expected)
+        assert substream_seed(-1, 0) == substream_seed(2**64 - 1, 0)
+        assert 0 <= substream_seed(-1, 5) < 2**64
         with pytest.raises(ValueError):
             substream_seed(7, -1)
+
+    def test_neighbouring_seeds_share_no_substream(self):
+        assert substream_seed(0, 1) != substream_seed(1, 0)
+        pairs = [(seed, index) for seed in range(8) for index in range(64)]
+        assert len({substream_seed(seed, index) for seed, index in pairs}) == len(pairs)
 
 
 class TestEstimatePopulations:
