@@ -19,13 +19,7 @@ from .circuit import (
     estimate_resources,
     run_exact,
 )
-from .dilation import (
-    DilatedUnitary,
-    SVDFactors,
-    decompose,
-    dilate,
-    pad_to_power_of_two,
-)
+from .dilation import DilatedUnitary, dilate, pad_to_power_of_two
 from .errors import (
     AllZeroDiagonalError,
     BlockIdentityViolationError,
@@ -34,7 +28,6 @@ from .errors import (
     LengthMismatchError,
     LsvdError,
     NonSquareError,
-    NotHermitianError,
     SigmaOutOfRangeError,
     ToleranceUnachievableError,
     WrongModelError,
@@ -44,7 +37,6 @@ from .lindblad import (
     LindbladModel,
     PopulationTrace,
     build_superoperator,
-    check_density_matrix,
     classical_evolve,
     devectorize,
     lindblad_rhs,
@@ -70,7 +62,7 @@ from .models import (
     theta_sweep,
     yields,
 )
-from .numerics import DEFAULT_TOL, eig_hermitian, expm, svd
+from .numerics import DEFAULT_TOL, expm, svd
 from .pipeline import quantum_evolve, qubit_counts
 from .sampler import (
     DEFAULT_SHOTS,

@@ -22,6 +22,12 @@ applies the five ops as exact matrix-vector products at full register
 dimension (one freshly decomposed circuit per output time); elementary
 gate synthesis is out of scope and resource needs are reported by the
 closed-form counts in :func:`estimate_resources` instead.
+
+:func:`build_svd_circuit` does the whole per-point job: it pads the
+propagator, takes its SVD once (``numerics.svd`` checks reconstruction and
+the unitarity of both factors), divides the singular values by
+max(1, sigma_max), dilates them and checks once more only what no SVD can
+vouch for: the dilated branches and the op application path.
 """
 
 from __future__ import annotations
@@ -30,13 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import DilatedUnitary, SVDFactors, dilate
+from .dilation import DilatedUnitary, dilate, pad_to_power_of_two
 from .errors import BlockIdentityViolationError, DimensionMismatchError
+from .numerics import svd
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
-_UNITARITY_TOL = 1e-10
 _BLOCK_TOL = 1e-10
 _PROBE_SEED = 0x5BD5EED
 _NUM_PROBES = 2
@@ -44,11 +50,11 @@ _NUM_PROBES = 2
 
 @dataclass(frozen=True)
 class SVDCircuit:
-    """The five-op program for one propagator, plus its dilation scale."""
+    """The five-op program for one propagator: ``u @ diag(sigma * scale) @
+    vdag`` is the padded propagator, ``sigma`` descending in [0, 1]."""
 
-    k: int
-    d: int
     u: np.ndarray
+    sigma: np.ndarray
     vdag: np.ndarray
     dilated: DilatedUnitary
     scale: float
@@ -56,7 +62,17 @@ class SVDCircuit:
     @property
     def n(self) -> int:
         """System register dimension 2^k."""
-        return 1 << self.k
+        return self.u.shape[0]
+
+    @property
+    def k(self) -> int:
+        """System qubits."""
+        return self.n.bit_length() - 1
+
+    @property
+    def d(self) -> int:
+        """Register qubits: the system plus one ancilla."""
+        return self.k + 1
 
 
 def apply_circuit(circuit: SVDCircuit, state) -> np.ndarray:
@@ -93,26 +109,21 @@ def as_unitary(circuit: SVDCircuit) -> np.ndarray:
     return composite
 
 
-def _check_block_identity(circuit: SVDCircuit, sigma: np.ndarray) -> None:
+def _check_block_identity(circuit: SVDCircuit) -> None:
     """Verify the ancilla-0 block reproduces U diag(sigma) V†.
 
-    Two deterministic pseudo-random probe states exercise the actual op
-    application path; the branch-average identity covers the diagonal
-    algebra.  Cost stays O(n²) instead of composing 2^d x 2^d matrices.
+    The unitarity of U and V† is the SVD's own contract; this adds the two
+    checks it cannot make.  The branch-average identity covers the diagonal
+    algebra, and two deterministic pseudo-random probe states exercise the
+    actual op application path.  Cost stays O(n²).
     """
+    sigma = circuit.sigma
     branch_avg = 0.5 * (circuit.dilated.sigma_plus + circuit.dilated.sigma_minus)
     if np.max(np.abs(branch_avg - sigma)) > _BLOCK_TOL:
         raise BlockIdentityViolationError(
             "branch average of the dilated diagonal does not reproduce diag(sigma)"
         )
     n = circuit.n
-    eye = np.eye(n)
-    for factor, tag in ((circuit.u, "u"), (circuit.vdag, "vdag")):
-        defect = np.linalg.norm(factor.conj().T @ factor - eye)
-        if defect > _UNITARITY_TOL:
-            raise BlockIdentityViolationError(
-                f"SVD factor {tag} is not unitary (defect {defect:.3e})"
-            )
     rng = np.random.default_rng(_PROBE_SEED)
     for _ in range(_NUM_PROBES):
         probe = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -128,25 +139,22 @@ def _check_block_identity(circuit: SVDCircuit, sigma: np.ndarray) -> None:
             )
 
 
-def build_svd_circuit(factors: SVDFactors) -> SVDCircuit:
-    """Assemble the program for one set of SVD factors.
+def build_svd_circuit(propagator) -> SVDCircuit:
+    """Assemble the program for one square propagator.
 
-    The block identity (ancilla-0 block equals the diag-sigma sandwich) is
+    The propagator is padded to n = 2^k, decomposed by ``numerics.svd``
+    (reconstruction and unitarity of both factors checked to 1e-12) and
+    its singular values divided by ``scale = max(1, sigma_max)``.  The
+    block identity (ancilla-0 block equals the diag-sigma sandwich) is
     verified to 1e-10 before the circuit is returned.
     """
-    n = factors.n
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"padded dimension must be a power of two >= 2, got {n}")
-    k = n.bit_length() - 1
+    u, raw, vdag = svd(pad_to_power_of_two(propagator))
+    scale = float(max(1.0, raw[0]))
+    sigma = raw / scale
     circuit = SVDCircuit(
-        k=k,
-        d=k + 1,
-        u=factors.u,
-        vdag=factors.vdag,
-        dilated=dilate(factors),
-        scale=factors.scale,
+        u=u, sigma=sigma, vdag=vdag, dilated=dilate(sigma), scale=scale
     )
-    _check_block_identity(circuit, np.asarray(factors.sigma, dtype=float))
+    _check_block_identity(circuit)
     return circuit
 
 
@@ -180,14 +188,6 @@ class ResourceEstimate:
     diagonal_gates: int
     unitary_gates_each: int
     total: int
-
-    def as_dict(self) -> dict:
-        return {
-            "qubits": self.qubits,
-            "diagonal_gates": self.diagonal_gates,
-            "unitary_gates_each": self.unitary_gates_each,
-            "total": self.total,
-        }
 
 
 def estimate_resources(d: int) -> ResourceEstimate:

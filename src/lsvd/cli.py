@@ -17,7 +17,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,23 +59,9 @@ class RunConfig:
     mode: str
     shots: int
     seed: int
-    out: str
-    fmt: str
+    output: str
+    format: str
     parameters: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "model_source": self.model_source,
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "mode": self.mode,
-            "shots": self.shots,
-            "seed": self.seed,
-            "output": self.out,
-            "format": self.fmt,
-            "parameters": self.parameters,
-        }
 
 
 def _load_model_file(path: str) -> LindbladModel:
@@ -88,6 +74,8 @@ def _load_model_file(path: str) -> LindbladModel:
 
 
 def _time_grid(dt: float, t_end: float) -> np.ndarray:
+    if not (np.isfinite(dt) and np.isfinite(t_end)):
+        raise ValueError("--dt and --t-end must be finite")
     if dt <= 0:
         raise ValueError("--dt must be positive")
     if t_end < dt:
@@ -127,7 +115,7 @@ def _metadata(config: RunConfig, model: LindbladModel, columns, extra: dict) -> 
     k, d = qubit_counts(model.dim)
     meta = {
         "package": {"name": "lsvd", "version": __version__},
-        "config": config.as_dict(),
+        "config": asdict(config),
         "model": {
             "dim": model.dim,
             "time_unit": model.time_unit,
@@ -137,7 +125,7 @@ def _metadata(config: RunConfig, model: LindbladModel, columns, extra: dict) -> 
             ],
         },
         "qubits": {"system": k, "total": d},
-        "resource_estimate": estimate_resources(d).as_dict(),
+        "resource_estimate": asdict(estimate_resources(d)),
         "rng": {
             "algorithm": RNG_ALGORITHM,
             "seed": config.seed,
@@ -172,7 +160,7 @@ def _emit_trace(config: RunConfig, model: LindbladModel, trace) -> tuple[str, st
     ]
     extra = {"scale_factors": [float(s) for s in trace.scales]}
     meta = _metadata(config, model, columns, extra)
-    return _write_outputs(columns, rows, meta, config.out, config.fmt)
+    return _write_outputs(columns, rows, meta, config.output, config.format)
 
 
 def _run_trace_command(args, command: str, model: LindbladModel, rho0, params: dict) -> int:
@@ -185,8 +173,8 @@ def _run_trace_command(args, command: str, model: LindbladModel, rho0, params: d
         mode=args.mode,
         shots=args.shots,
         seed=args.seed,
-        out=args.out or f"{command}_results.{args.format}",
-        fmt=args.format,
+        output=args.out or f"{command}_results.{args.format}",
+        format=args.format,
         parameters=params,
     )
     trace = quantum_evolve(
@@ -258,8 +246,8 @@ def _run_sweep(args) -> int:
         mode=args.mode,
         shots=args.shots,
         seed=args.seed,
-        out=args.out or f"rpm_sweep_results.{args.format}",
-        fmt=args.format,
+        output=args.out or f"rpm_sweep_results.{args.format}",
+        format=args.format,
         parameters={**_rpm_param_dict(base), "theta_step_deg": args.theta_step},
     )
     result = theta_sweep(
@@ -278,7 +266,7 @@ def _run_sweep(args) -> int:
     ]
     extra = {"scale_factors": [float(s) for s in result.scales], "t_end": result.t_end}
     meta = _metadata(config, model, columns, extra)
-    table, meta_path = _write_outputs(columns, rows, meta, config.out, config.fmt)
+    table, meta_path = _write_outputs(columns, rows, meta, config.output, config.format)
     print(f"wrote {result.thetas.size} rows to {table} (metadata: {meta_path})")
     return 0
 
@@ -312,8 +300,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_resources(args) -> int:
-    estimate = estimate_resources(args.qubits)
-    payload = estimate.as_dict()
+    payload = asdict(estimate_resources(args.qubits))
     out = args.out or f"resources_results.{args.format}"
     if args.format == "csv":
         columns = list(payload.keys())

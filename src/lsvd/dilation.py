@@ -1,7 +1,8 @@
-"""From propagator to circuit-ready factors.
+"""From propagator to circuit-ready pieces.
 
 A Liouville-space propagator is generally non-unitary, so it cannot be a
-gate by itself.  This module prepares it in three steps:
+gate by itself.  ``circuit.build_svd_circuit`` prepares it in three steps,
+two of which live here:
 
 1. ``pad_to_power_of_two`` embeds the r² x r² matrix as a direct sum with
    an identity block, reaching the nearest power-of-two dimension n = 2^k
@@ -9,14 +10,15 @@ gate by itself.  This module prepares it in three steps:
    Identity (not zero) padding keeps the padded directions invariant and
    decoupled and pins their singular values at exactly one, so the scale
    factor below is always set by the physics, never by the embedding.
-2. ``decompose`` takes the SVD and divides the singular values by
+2. The SVD of the padded matrix, with the singular values divided by
    s = max(1, sigma_max) so all of them land in [0, 1].  Propagators of
    non-unital dynamics routinely have sigma_max > 1; the division is
-   exactly invertible (recorded in ``SVDFactors.scale``) and drops out of
-   any normalized measurement distribution.
-3. ``dilate`` lifts the diagonal factor into the block-diagonal unitary
-   diag(Sigma_+, Sigma_-) with Sigma_± = sigma ± i sqrt(1 - sigma²).  Each
-   entry lies on the unit circle and the two branches average back to
+   exactly invertible (recorded in ``SVDCircuit.scale``) and drops out of
+   any normalized measurement distribution.  This step runs inside
+   ``build_svd_circuit``.
+3. ``dilate`` lifts the scaled singular values into the block-diagonal
+   unitary diag(Sigma_+, Sigma_-) with Sigma_± = sigma ± i sqrt(1 - sigma²).
+   Each entry lies on the unit circle and the two branches average back to
    diag(sigma) exactly — the algebraic fact the circuit's postselection
    relies on.  This form of the dilated entries is the continuous limit of
    the ratio form sigma ± i sigma sqrt((1 - sigma²)/sigma²) and stays
@@ -30,26 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SigmaOutOfRangeError
-from .numerics import as_matrix, svd
+from .numerics import as_matrix
 
 #: Allowed numerical dust outside [0, 1] before a singular value is rejected.
 SIGMA_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class SVDFactors:
-    """Scaled SVD of a padded propagator: ``u @ diag(sigma * scale) @ vdag``.
-
-    ``sigma`` is descending with every entry in [0, 1]; ``scale`` >= 1 is
-    the factor divided out of the raw singular values; ``n`` is the padded
-    (power-of-two) dimension.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    vdag: np.ndarray
-    scale: float
-    n: int
 
 
 @dataclass(frozen=True)
@@ -90,24 +76,13 @@ def pad_to_power_of_two(m) -> np.ndarray:
     return out
 
 
-def decompose(m_padded) -> SVDFactors:
-    """SVD a padded propagator and rescale singular values into [0, 1]."""
-    mat = as_matrix(m_padded)
-    n = mat.shape[0]
-    if mat.shape[0] != mat.shape[1] or n < 1 or n & (n - 1):
-        raise ValueError(f"expected a square power-of-two matrix, got shape {mat.shape}")
-    u, raw, vdag = svd(mat)
-    scale = float(max(1.0, raw[0])) if raw.size else 1.0
-    return SVDFactors(u=u, sigma=raw / scale, vdag=vdag, scale=scale, n=n)
-
-
-def dilate(factors: SVDFactors) -> DilatedUnitary:
-    """Dilate the diagonal factor of ``factors`` into a unitary.
+def dilate(sigma) -> DilatedUnitary:
+    """Dilate the scaled singular values ``sigma`` into a unitary.
 
     Values within ``SIGMA_SLACK`` of [0, 1] are clamped; anything further
     out raises ``SigmaOutOfRangeError``.
     """
-    sigma = np.asarray(factors.sigma, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma < -SIGMA_SLACK) or np.any(sigma > 1.0 + SIGMA_SLACK):
         worst = sigma[np.argmax(np.maximum(sigma - 1.0, -sigma))]
         raise SigmaOutOfRangeError(

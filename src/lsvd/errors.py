@@ -33,10 +33,6 @@ class ConvergenceFailureError(LsvdError):
         self.residual = residual
 
 
-class NotHermitianError(LsvdError):
-    """A Hermitian matrix was required."""
-
-
 class LengthMismatchError(LsvdError):
     """A vector had the wrong length for the requested reshape."""
 

@@ -25,13 +25,12 @@ cm^-1 values.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import LengthMismatchError, LsvdError
-from .numerics import as_matrix, eig_hermitian, expm
+from .numerics import as_matrix, expm
 
 SPEED_OF_LIGHT_CM_PER_S = 2.99792458e10
 
@@ -147,42 +146,6 @@ def devectorize(v, r: int) -> np.ndarray:
     return vec.reshape((r, r), order="F").copy()
 
 
-def check_density_matrix(
-    rho,
-    *,
-    strict: bool = False,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    eig_floor: float = -1e-8,
-    name: str = "density matrix",
-) -> list[str]:
-    """Check Hermiticity, unit trace and positivity of a density matrix.
-
-    Violations warn by default and raise ``ValueError`` under
-    ``strict=True``; sampled reconstructions are only near-valid, which is
-    why warning is the default.  Returns the list of violation messages.
-    """
-    m = as_matrix(rho, name=name)
-    issues: list[str] = []
-    scale = max(np.linalg.norm(m), np.finfo(float).tiny)
-    herm_defect = np.linalg.norm(m - m.conj().T) / scale
-    if herm_defect > herm_tol:
-        issues.append(f"{name} is not Hermitian (relative defect {herm_defect:.3e})")
-    trace_defect = abs(np.trace(m) - 1.0)
-    if trace_defect > trace_tol:
-        issues.append(f"{name} trace deviates from 1 by {trace_defect:.3e}")
-    hermitized = 0.5 * (m + m.conj().T)
-    eigenvalues, _ = eig_hermitian(hermitized)
-    if eigenvalues[0] < eig_floor:
-        issues.append(f"{name} has negative eigenvalue {eigenvalues[0]:.3e}")
-    if issues:
-        message = "; ".join(issues)
-        if strict:
-            raise ValueError(message)
-        warnings.warn(message, stacklevel=2)
-    return issues
-
-
 def build_superoperator(model: LindbladModel) -> np.ndarray:
     """Build the r² x r² generator of the vectorized master equation.
 
@@ -241,6 +204,8 @@ def _validated_times(times) -> np.ndarray:
     arr = np.array(times, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("times must be non-empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("times must be finite")
     if arr[0] < 0:
         raise ValueError("times must be non-negative")
     if np.any(np.diff(arr) < 0):

@@ -342,7 +342,7 @@ def yields(trace: PopulationTrace) -> tuple[np.ndarray, np.ndarray]:
 def default_theta_grid(step_deg: float = THETA_DEFAULT_STEP_DEG) -> np.ndarray:
     """Orientation grid 0..180 degrees inclusive, in radians (201 points
     at the default 0.9-degree step)."""
-    if step_deg <= 0:
+    if not step_deg > 0:
         raise ValueError("step_deg must be positive")
     return np.deg2rad(np.arange(0.0, 180.0 + step_deg / 2.0, step_deg))
 

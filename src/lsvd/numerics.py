@@ -1,10 +1,10 @@
 """Dense complex linear-algebra kernels used by every other module.
 
 All functions accept anything ``numpy.asarray`` can turn into a 2-D array
-and work internally on ``complex128``.  ``svd`` and ``eig_hermitian``
-delegate to numpy's LAPACK-backed routines but enforce the accuracy
-contracts documented on each function, raising when a contract is missed
-instead of returning silently degraded factors.
+and work internally on ``complex128``.  ``svd`` delegates to numpy's
+LAPACK-backed routine but enforces the accuracy contract documented on it,
+raising when the contract is missed instead of returning silently degraded
+factors.
 ``expm`` is a scaling-and-squaring Taylor evaluation whose truncation is
 driven by the requested tolerance.
 
@@ -20,7 +20,6 @@ from numpy.typing import NDArray
 from .errors import (
     ConvergenceFailureError,
     NonSquareError,
-    NotHermitianError,
     ToleranceUnachievableError,
 )
 
@@ -152,23 +151,3 @@ def svd(a, tol: float = DEFAULT_TOL):
             residual=worst,
         )
     return u, sigma, vdag
-
-
-def eig_hermitian(a):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues in
-    ascending order and eigenvectors as columns.  The input must satisfy
-    ``||a - a†||_F <= 1e-10 * ||a||_F`` or ``NotHermitianError`` is raised.
-    """
-    m = as_matrix(a)
-    _require_square(m)
-    scale = np.linalg.norm(m)
-    defect = np.linalg.norm(m - m.conj().T)
-    if defect > 1e-10 * max(scale, np.finfo(float).tiny):
-        raise NotHermitianError(
-            f"matrix is not Hermitian: ||a - a†||_F = {defect:.3e} "
-            f"(relative {defect / max(scale, np.finfo(float).tiny):.3e})"
-        )
-    eigenvalues, eigenvectors = np.linalg.eigh(m)
-    return eigenvalues, eigenvectors

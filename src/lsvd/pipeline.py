@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import apply_circuit, build_svd_circuit, run_exact
-from .dilation import decompose, pad_to_power_of_two, padded_dimension
+from .dilation import padded_dimension
 from .lindblad import (
     LindbladModel,
     PopulationTrace,
@@ -94,8 +94,7 @@ def quantum_evolve(
         raise ValueError("rho0 must be non-zero")
 
     def one(index: int, prop: np.ndarray) -> tuple[np.ndarray, float, float]:
-        factors = decompose(pad_to_power_of_two(prop))
-        circ = build_svd_circuit(factors)
+        circ = build_svd_circuit(prop)
         state = np.zeros(2 * circ.n, dtype=np.complex128)
         state[: r * r] = v0 / input_norm
         if mode == "exact":

@@ -13,7 +13,7 @@ import scipy.linalg
 
 from lsvd.circuit import as_unitary, build_svd_circuit, estimate_resources
 from lsvd.cli import main as cli_main
-from lsvd.dilation import decompose, pad_to_power_of_two
+from lsvd.dilation import pad_to_power_of_two
 from lsvd.lindblad import build_superoperator, classical_evolve, lindblad_rhs, propagator
 from lsvd.models import (
     RPM_GAMMA_DISS_HIGH,
@@ -138,31 +138,31 @@ def test_criterion_4_dilation_unit_suite():
         model = random_model(rng, r, n_channels=int(rng.integers(1, 4)))
         superop = build_superoperator(model)
         t = rng.uniform(0.0, 5.0 / np.linalg.norm(superop))
-        m_padded = pad_to_power_of_two(propagator(superop, t))
-        n = m_padded.shape[0]
-        factors = decompose(m_padded)
+        m = propagator(superop, t)
+        circuit = build_svd_circuit(m)
+        m_padded = pad_to_power_of_two(m)
+        n = circuit.n
         eye = np.eye(n)
         worst["unitarity"] = max(
             worst["unitarity"],
-            np.linalg.norm(factors.u.conj().T @ factors.u - eye),
-            np.linalg.norm(factors.vdag @ factors.vdag.conj().T - eye),
+            np.linalg.norm(circuit.u.conj().T @ circuit.u - eye),
+            np.linalg.norm(circuit.vdag @ circuit.vdag.conj().T - eye),
         )
-        recon = (factors.u * (factors.sigma * factors.scale)) @ factors.vdag
+        recon = (circuit.u * (circuit.sigma * circuit.scale)) @ circuit.vdag
         worst["reconstruction"] = max(
             worst["reconstruction"],
             np.linalg.norm(recon - m_padded) / np.linalg.norm(m_padded),
         )
-        circuit = build_svd_circuit(factors)
         worst["modulus"] = max(
             worst["modulus"],
             np.max(np.abs(np.abs(circuit.dilated.sigma_plus) - 1.0)),
             np.max(np.abs(np.abs(circuit.dilated.sigma_minus) - 1.0)),
         )
         branch = 0.5 * (circuit.dilated.sigma_plus + circuit.dilated.sigma_minus)
-        worst["branch"] = max(worst["branch"], np.max(np.abs(branch - factors.sigma)))
+        worst["branch"] = max(worst["branch"], np.max(np.abs(branch - circuit.sigma)))
         block = as_unitary(circuit)[:n, :n]
         worst["block"] = max(
-            worst["block"], np.linalg.norm(block - m_padded / factors.scale)
+            worst["block"], np.linalg.norm(block - m_padded / circuit.scale)
         )
     ok = (
         worst["unitarity"] <= 1e-10

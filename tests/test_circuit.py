@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lsvd.circuit
 from lsvd.circuit import (
     apply_circuit,
     as_unitary,
@@ -8,16 +9,16 @@ from lsvd.circuit import (
     estimate_resources,
     run_exact,
 )
-from lsvd.dilation import SVDFactors, decompose, pad_to_power_of_two
-from lsvd.errors import BlockIdentityViolationError, DimensionMismatchError
+from lsvd.dilation import DilatedUnitary, dilate, pad_to_power_of_two
+from lsvd.errors import (
+    BlockIdentityViolationError,
+    ConvergenceFailureError,
+    DimensionMismatchError,
+)
 from lsvd.lindblad import build_superoperator, classical_evolve, propagator, vectorize
 from lsvd.models import FMOParams, fmo_model
 
 from conftest import random_complex, random_model, random_unitary
-
-
-def circuit_for(matrix):
-    return build_svd_circuit(decompose(pad_to_power_of_two(matrix)))
 
 
 def ancilla_zero_input(system_state, n):
@@ -28,13 +29,13 @@ def ancilla_zero_input(system_state, n):
 
 class TestBuild:
     def test_identity_passthrough(self):
-        circuit = circuit_for(np.eye(4))
+        circuit = build_svd_circuit(np.eye(4))
         block = as_unitary(circuit)[:4, :4]
         np.testing.assert_allclose(block, np.eye(4), atol=1e-12)
 
     def test_random_unitary_block_and_unit_success(self, rng):
         q = random_unitary(rng, 4)
-        circuit = circuit_for(q)
+        circuit = build_svd_circuit(q)
         np.testing.assert_allclose(as_unitary(circuit)[:4, :4], q, atol=1e-10)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
@@ -42,7 +43,7 @@ class TestBuild:
         assert success == pytest.approx(1.0, abs=1e-12)
 
     def test_single_sigma_amplitudes_by_hand(self):
-        circuit = circuit_for(np.diag([0.6, 1.0]))
+        circuit = build_svd_circuit(np.diag([0.6, 1.0]))
         state = np.zeros(4, dtype=complex)
         state[0] = 1.0
         final = apply_circuit(circuit, state)
@@ -52,13 +53,13 @@ class TestBuild:
         assert final[3] == pytest.approx(0.0, abs=1e-12)
 
     def test_qubit_bookkeeping(self):
-        circuit = circuit_for(np.eye(32))
+        circuit = build_svd_circuit(np.eye(32))
         assert circuit.k == 5
         assert circuit.d == 6
         assert circuit.n == 32
 
     def test_op_sequence_and_unitarity(self, rng):
-        circuit = circuit_for(random_complex(rng, 8))
+        circuit = build_svd_circuit(random_complex(rng, 8))
         n = circuit.n
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         ops = [
@@ -77,21 +78,37 @@ class TestBuild:
         )
         np.testing.assert_allclose(applied, composed, atol=1e-12)
 
-    def test_corrupt_factors_rejected(self, rng):
-        bad = SVDFactors(
-            u=random_complex(rng, 4),  # not unitary
-            sigma=np.array([0.9, 0.5, 0.3, 0.1]),
-            vdag=np.eye(4, dtype=complex),
-            scale=1.0,
-            n=4,
-        )
-        with pytest.raises(BlockIdentityViolationError):
-            build_svd_circuit(bad)
+    def test_corrupt_factors_rejected(self, monkeypatch):
+        # a factorization that reconstructs its input exactly but whose u is
+        # not unitary must still be caught by the one SVD check
+        u = np.diag([2.0, 0.5, 1.0, 1.0]).astype(complex)
+        sigma = np.array([0.9, 0.5, 0.3, 0.1])
+        vdag = np.eye(4, dtype=complex)
+        monkeypatch.setattr(np.linalg, "svd", lambda m: (u, sigma, vdag))
+        with pytest.raises(ConvergenceFailureError):
+            build_svd_circuit(u * sigma)
+
+    def test_branch_average_violation_rejected(self, monkeypatch):
+        def off_by_1e_6(sigma):
+            dilated = dilate(sigma)
+            return DilatedUnitary(dilated.sigma_plus + 1e-6, dilated.sigma_minus + 1e-6)
+
+        monkeypatch.setattr(lsvd.circuit, "dilate", off_by_1e_6)
+        with pytest.raises(BlockIdentityViolationError, match="branch average"):
+            build_svd_circuit(np.diag([0.9, 0.5, 0.3, 0.1]))
+
+    def test_probe_violation_rejected(self, monkeypatch):
+        def off_by_1e_6(circuit, state):
+            return apply_circuit(circuit, state) + 1e-6
+
+        monkeypatch.setattr(lsvd.circuit, "apply_circuit", off_by_1e_6)
+        with pytest.raises(BlockIdentityViolationError, match="ancilla-0 block"):
+            build_svd_circuit(np.diag([0.9, 0.5, 0.3, 0.1]))
 
 
 class TestRunExact:
     def test_contraction_success_probability(self):
-        circuit = circuit_for(np.diag([0.5, 0.5, 0.5, 0.5]))
+        circuit = build_svd_circuit(np.diag([0.5, 0.5, 0.5, 0.5]))
         state = ancilla_zero_input(np.full(4, 0.5, dtype=complex), 4)
         conditioned, success = run_exact(circuit, state)
         assert success == pytest.approx(0.25, abs=1e-12)
@@ -104,7 +121,7 @@ class TestRunExact:
         superop = build_superoperator(model)
         t = rng.uniform(0.0, 5.0 / np.linalg.norm(superop))
         m_padded = pad_to_power_of_two(propagator(superop, t))
-        circuit = build_svd_circuit(decompose(m_padded))
+        circuit = build_svd_circuit(m_padded)
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
         psi /= np.linalg.norm(psi)
         conditioned, success = run_exact(circuit, ancilla_zero_input(psi, 16))
@@ -118,9 +135,9 @@ class TestRunExact:
 
     def test_success_unity_iff_unitary(self, rng):
         q = random_unitary(rng, 8)
-        circuit = circuit_for(q)
+        circuit = build_svd_circuit(q)
         assert np.all(np.abs(circuit.dilated.sigma_plus.real - 1.0) < 1e-10)
-        contraction = circuit_for(q * 0.9)
+        contraction = build_svd_circuit(q * 0.9)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi /= np.linalg.norm(psi)
         _, success = run_exact(contraction, ancilla_zero_input(psi, 8))
@@ -129,10 +146,10 @@ class TestRunExact:
     def test_success_invariant_under_extra_padding(self, rng):
         model = random_model(rng, 2, n_channels=1)
         m = propagator(build_superoperator(model), 0.7)
-        small = build_svd_circuit(decompose(pad_to_power_of_two(m)))
+        small = build_svd_circuit(m)
         big_matrix = np.eye(8, dtype=complex)
         big_matrix[:4, :4] = m
-        big = build_svd_circuit(decompose(big_matrix))
+        big = build_svd_circuit(big_matrix)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
         _, success_small = run_exact(small, ancilla_zero_input(psi, 4))
@@ -143,8 +160,7 @@ class TestRunExact:
         model, rho0 = fmo_model(FMOParams.default(3))
         superop = build_superoperator(model)
         t = 1000.0
-        m_padded = pad_to_power_of_two(propagator(superop, t))
-        circuit = build_svd_circuit(decompose(m_padded))
+        circuit = build_svd_circuit(propagator(superop, t))
         v0 = vectorize(rho0)
         state = ancilla_zero_input(v0 / np.linalg.norm(v0), 32)
         conditioned, _ = run_exact(circuit, state)
@@ -153,12 +169,12 @@ class TestRunExact:
         np.testing.assert_allclose(reconstructed, vectorize(oracle), atol=1e-10)
 
     def test_dimension_mismatch(self, rng):
-        circuit = circuit_for(np.eye(4))
+        circuit = build_svd_circuit(np.eye(4))
         with pytest.raises(DimensionMismatchError):
             run_exact(circuit, np.zeros(4))
 
     def test_unnormalized_input_rejected(self):
-        circuit = circuit_for(np.eye(4))
+        circuit = build_svd_circuit(np.eye(4))
         with pytest.raises(ValueError, match="normalized"):
             run_exact(circuit, np.full(8, 0.9, dtype=complex))
 

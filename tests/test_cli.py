@@ -168,6 +168,8 @@ class TestOutputContracts:
         assert run("evolve") == 2
         assert run("rpm", "--sweep-theta") == 2
         assert run("sweep", "--theta-step", "0") == 2
+        assert run("fmo", "--t-end", "inf") == 2
+        assert run("fmo", "--dt", "nan") == 2
 
     def test_missing_model_file_exit_2(self):
         assert run("evolve", "--model", "/nonexistent/model.json") == 2

@@ -1,29 +1,13 @@
 import numpy as np
 import pytest
 
-from lsvd.dilation import (
-    SVDFactors,
-    decompose,
-    dilate,
-    pad_to_power_of_two,
-)
+from lsvd.circuit import build_svd_circuit
+from lsvd.dilation import dilate, pad_to_power_of_two
 from lsvd.errors import SigmaOutOfRangeError
 from lsvd.lindblad import build_superoperator, propagator
 from lsvd.models import FMOParams, fmo_model
 
 from conftest import random_complex, random_unitary
-
-
-def trivial_factors(sigma):
-    sigma = np.asarray(sigma, dtype=float)
-    n = sigma.size
-    return SVDFactors(
-        u=np.eye(n, dtype=complex),
-        sigma=sigma,
-        vdag=np.eye(n, dtype=complex),
-        scale=1.0,
-        n=n,
-    )
 
 
 class TestPad:
@@ -60,50 +44,55 @@ class TestPad:
 
 
 class TestDecompose:
+    """The SVD and scaling step inside ``build_svd_circuit``."""
+
     def test_identity(self):
-        factors = decompose(np.eye(8))
-        assert factors.scale == 1.0
-        np.testing.assert_allclose(factors.sigma, np.ones(8))
+        circuit = build_svd_circuit(np.eye(8))
+        assert circuit.scale == 1.0
+        np.testing.assert_allclose(circuit.sigma, np.ones(8))
 
     def test_scaling_rule(self):
-        factors = decompose(np.diag([2.0, 0.5]))
-        assert factors.scale == 2.0
-        np.testing.assert_allclose(factors.sigma, [1.0, 0.25])
+        circuit = build_svd_circuit(np.diag([2.0, 0.5]))
+        assert circuit.scale == 2.0
+        np.testing.assert_allclose(circuit.sigma, [1.0, 0.25])
 
     def test_contractive_input_not_rescaled(self):
-        factors = decompose(np.diag([0.7, 0.2]))
-        assert factors.scale == 1.0
-        np.testing.assert_allclose(factors.sigma, [0.7, 0.2])
+        circuit = build_svd_circuit(np.diag([0.7, 0.2]))
+        assert circuit.scale == 1.0
+        np.testing.assert_allclose(circuit.sigma, [0.7, 0.2])
 
-    def test_non_power_of_two_rejected(self, rng):
-        with pytest.raises(ValueError):
-            decompose(random_complex(rng, 5))
+    def test_5x5_pads_to_8(self, rng):
+        m = random_complex(rng, 5)
+        circuit = build_svd_circuit(m)
+        assert (circuit.n, circuit.k, circuit.d) == (8, 3, 4)
+        recon = (circuit.u * (circuit.sigma * circuit.scale)) @ circuit.vdag
+        np.testing.assert_allclose(recon, pad_to_power_of_two(m), atol=1e-10)
 
     def test_fmo3_propagator_reconstruction(self):
         model, _ = fmo_model(FMOParams.default(3))
         m = pad_to_power_of_two(propagator(build_superoperator(model), 500.0))
-        factors = decompose(m)
-        recon = (factors.u * (factors.sigma * factors.scale)) @ factors.vdag
+        circuit = build_svd_circuit(m)
+        recon = (circuit.u * (circuit.sigma * circuit.scale)) @ circuit.vdag
         assert np.linalg.norm(recon - m) <= 1e-10 * np.linalg.norm(m)
 
     def test_unitary_input_keeps_unit_sigma(self, rng):
-        factors = decompose(pad_to_power_of_two(random_unitary(rng, 16)))
-        assert factors.scale == pytest.approx(1.0, abs=1e-10)
-        np.testing.assert_allclose(factors.sigma, np.ones(16), atol=1e-10)
+        circuit = build_svd_circuit(random_unitary(rng, 16))
+        assert circuit.scale == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(circuit.sigma, np.ones(16), atol=1e-10)
 
 
 class TestDilate:
     def test_unit_sigma_gives_identity(self):
-        dilated = dilate(trivial_factors(np.ones(4)))
+        dilated = dilate(np.ones(4))
         np.testing.assert_allclose(np.diag(dilated.diagonal), np.eye(8), atol=1e-15)
 
     def test_zero_sigma_gives_plus_minus_i(self):
-        dilated = dilate(trivial_factors([0.0]))
+        dilated = dilate([0.0])
         np.testing.assert_allclose(dilated.sigma_plus, [1j])
         np.testing.assert_allclose(dilated.sigma_minus, [-1j])
 
     def test_three_four_five(self):
-        dilated = dilate(trivial_factors([0.6]))
+        dilated = dilate([0.6])
         assert dilated.sigma_plus[0] == pytest.approx(0.6 + 0.8j, abs=1e-15)
         assert dilated.sigma_minus[0] == pytest.approx(0.6 - 0.8j, abs=1e-15)
         assert abs(dilated.sigma_plus[0]) == pytest.approx(1.0, abs=1e-15)
@@ -112,7 +101,7 @@ class TestDilate:
     def test_unit_modulus_and_branch_average(self, seed):
         rng = np.random.default_rng(seed)
         sigma = np.sort(rng.uniform(0.0, 1.0, size=16))[::-1]
-        dilated = dilate(trivial_factors(sigma))
+        dilated = dilate(sigma)
         np.testing.assert_allclose(np.abs(dilated.sigma_plus), np.ones(16), atol=1e-12)
         np.testing.assert_allclose(np.abs(dilated.sigma_minus), np.ones(16), atol=1e-12)
         # the postselected branch must reproduce diag(sigma) exactly
@@ -121,7 +110,7 @@ class TestDilate:
         )
 
     def test_block_diagonal_layout(self):
-        dilated = dilate(trivial_factors([1.0, 0.6]))
+        dilated = dilate([1.0, 0.6])
         diagonal = dilated.diagonal
         assert diagonal.shape == (4,)
         np.testing.assert_array_equal(diagonal[:2], dilated.sigma_plus)
@@ -131,11 +120,11 @@ class TestDilate:
         np.testing.assert_allclose(matrix.conj().T @ matrix, np.eye(4), atol=1e-14)
 
     def test_slack_clamped(self):
-        dilated = dilate(trivial_factors([1.0 + 1e-13]))
+        dilated = dilate([1.0 + 1e-13])
         assert dilated.sigma_plus[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(SigmaOutOfRangeError):
-            dilate(trivial_factors([1.5]))
+            dilate([1.5])
         with pytest.raises(SigmaOutOfRangeError):
-            dilate(trivial_factors([-0.1]))
+            dilate([-0.1])

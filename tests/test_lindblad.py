@@ -8,7 +8,6 @@ from lsvd.lindblad import (
     Channel,
     LindbladModel,
     build_superoperator,
-    check_density_matrix,
     classical_evolve,
     devectorize,
     lindblad_rhs,
@@ -67,17 +66,6 @@ class TestDevectorize:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             devectorize(np.zeros(5), 2)
-
-
-class TestCheckDensityMatrix:
-    def test_clean_state_passes(self, rng):
-        assert check_density_matrix(random_density(rng, 4)) == []
-
-    def test_strict_raises(self):
-        with pytest.raises(ValueError):
-            check_density_matrix(np.diag([2.0, 0.0]), strict=True)
-        with pytest.warns(UserWarning):
-            check_density_matrix(np.diag([2.0, 0.0]))
 
 
 class TestBuildSuperoperator:

@@ -5,16 +5,13 @@ import scipy.linalg
 from lsvd.errors import (
     ConvergenceFailureError,
     NonSquareError,
-    NotHermitianError,
     ToleranceUnachievableError,
 )
 from lsvd.lindblad import build_superoperator
 from lsvd.models import FMO_DEFAULT_T_END, RPM_DEFAULT_T_END, builtin_model
-from lsvd.numerics import DEFAULT_TOL, eig_hermitian, expm, svd
+from lsvd.numerics import DEFAULT_TOL, expm, svd
 
-from conftest import random_complex, random_hermitian, random_unitary
-
-I2 = np.eye(2)
+from conftest import random_complex, random_unitary
 
 
 class TestExpm:
@@ -121,32 +118,3 @@ class TestSvd:
         with pytest.raises(ConvergenceFailureError) as excinfo:
             svd(a, tol=1e-30)
         assert excinfo.value.residual > 1e-30
-
-
-class TestEigHermitian:
-    def test_identity(self):
-        values, _ = eig_hermitian(I2)
-        np.testing.assert_allclose(values, [1.0, 1.0])
-
-    def test_pauli_z_spectrum(self):
-        values, vectors = eig_hermitian(np.diag([1.0, -1.0]))
-        np.testing.assert_allclose(values, [-1.0, 1.0])
-        for j in range(2):
-            np.testing.assert_allclose(
-                np.diag([1.0, -1.0]) @ vectors[:, j], values[j] * vectors[:, j], atol=1e-12
-            )
-
-    @pytest.mark.parametrize("seed", [13, 14, 15])
-    def test_trace_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        h = random_hermitian(rng, 9)
-        values, vectors = eig_hermitian(h)
-        assert np.all(np.diff(values) >= 0)
-        np.testing.assert_allclose(values.sum(), np.trace(h).real, atol=1e-10)
-        np.testing.assert_allclose(
-            h @ vectors, vectors * values, atol=1e-10 * np.linalg.norm(h)
-        )
-
-    def test_not_hermitian_raises(self, rng):
-        with pytest.raises(NotHermitianError):
-            eig_hermitian(random_complex(rng, 4))

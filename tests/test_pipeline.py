@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lsvd.lindblad
 import lsvd.pipeline
 from lsvd.lindblad import LindbladModel, classical_evolve
 from lsvd.models import builtin_model
@@ -33,6 +34,17 @@ class TestInputChecks:
         model, rho0 = builtin_model("fmo3")
         with pytest.raises(ValueError, match=message):
             quantum_evolve(model, rho0, np.arange(401) * 5.0, **kwargs)
+
+    @pytest.mark.parametrize("evolve", [quantum_evolve, classical_evolve])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_time_rejected_before_any_propagator(
+        self, monkeypatch, evolve, bad
+    ):
+        monkeypatch.setattr(lsvd.pipeline, "propagator", _no_propagator)
+        monkeypatch.setattr(lsvd.lindblad, "propagator", _no_propagator)
+        model, rho0 = builtin_model("fmo3")
+        with pytest.raises(ValueError, match="times must be finite"):
+            evolve(model, rho0, [0.0, bad])
 
 
 class TestOneLevelModel:

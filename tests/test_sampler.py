@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lsvd.circuit import apply_circuit, build_svd_circuit
-from lsvd.dilation import decompose, pad_to_power_of_two
 from lsvd.errors import AllZeroDiagonalError
 from lsvd.lindblad import build_superoperator, classical_evolve, propagator, vectorize
 from lsvd.models import FMOParams, fmo_model
@@ -16,8 +15,7 @@ from lsvd.sampler import (
 
 def fmo3_final_state(t):
     model, rho0 = fmo_model(FMOParams.default(3))
-    m_padded = pad_to_power_of_two(propagator(build_superoperator(model), t))
-    circuit = build_svd_circuit(decompose(m_padded))
+    circuit = build_svd_circuit(propagator(build_superoperator(model), t))
     v0 = vectorize(rho0)
     state = np.zeros(64, dtype=complex)
     state[:25] = v0 / np.linalg.norm(v0)
@@ -113,8 +111,8 @@ class TestEstimatePopulations:
         # with sigma_max already above 1, a hand-scaled propagator changes only
         # the recorded scale, not the normalized circuit
         assert circuit.scale > 1.0
-        m_padded = pad_to_power_of_two(propagator(build_superoperator(model), 800.0))
-        inflated = build_svd_circuit(decompose(3.0 * m_padded))
+        m = propagator(build_superoperator(model), 800.0)
+        inflated = build_svd_circuit(3.0 * m)
         v0 = vectorize(rho0)
         state = np.zeros(64, dtype=complex)
         state[:25] = v0 / np.linalg.norm(v0)
