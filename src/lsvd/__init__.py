@@ -19,7 +19,7 @@ from .circuit import (
     estimate_resources,
     run_exact,
 )
-from .dilation import DilatedUnitary, dilate, pad_to_power_of_two
+from .dilation import DilatedUnitary, dilate
 from .errors import (
     AllZeroDiagonalError,
     BlockIdentityViolationError,

@@ -23,11 +23,15 @@ dimension (one freshly decomposed circuit per output time); elementary
 gate synthesis is out of scope and resource needs are reported by the
 closed-form counts in :func:`estimate_resources` instead.
 
-:func:`build_svd_circuit` does the whole per-point job: it pads the
-propagator, takes its SVD once (``numerics.svd`` checks reconstruction and
-the unitarity of both factors), divides the singular values by
-max(1, sigma_max), dilates them and checks once more only what no SVD can
-vouch for: the dilated branches and the op application path.
+:func:`build_svd_circuit` does the whole per-point job: it takes the SVD
+of the square propagator once, in the propagator's own field
+(``numerics.svd`` checks reconstruction and the unitarity of both
+factors), pads the factors to the register with identity blocks, divides
+the singular values by max(1, sigma_max), dilates them and checks once
+more only what no SVD can vouch for: the dilated branches and the op
+application path.  A real propagator gives real orthogonal factors, which
+are applied to the real and imaginary parts of the register in one real
+product.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import DilatedUnitary, dilate, pad_to_power_of_two
+from .dilation import DilatedUnitary, dilate, padded_dimension
 from .errors import BlockIdentityViolationError, DimensionMismatchError
 from .numerics import svd
 
@@ -51,7 +55,12 @@ _NUM_PROBES = 2
 @dataclass(frozen=True)
 class SVDCircuit:
     """The five-op program for one propagator: ``u @ diag(sigma * scale) @
-    vdag`` is the padded propagator, ``sigma`` descending in [0, 1]."""
+    vdag`` is the propagator padded with an identity block to n = 2^k.
+
+    ``sigma`` lies in [0, 1]: the propagator's own singular values divided
+    by ``scale``, descending, then one entry ``1/scale`` per padding row.
+    ``u`` and ``vdag`` are the propagator's SVD factors with identity
+    blocks appended, real for a real propagator."""
 
     u: np.ndarray
     sigma: np.ndarray
@@ -88,13 +97,25 @@ def apply_circuit(circuit: SVDCircuit, state) -> np.ndarray:
         raise DimensionMismatchError(
             f"state has length {amps.size}, expected {2 * n} for d={circuit.d} qubits"
         )
-    b0 = circuit.vdag @ amps[:n]
-    b1 = circuit.vdag @ amps[n:]
+    blocks = _on_system(circuit.vdag, np.column_stack([amps[:n], amps[n:]]))
+    b0, b1 = blocks[:, 0], blocks[:, 1]
     b0, b1 = (b0 + b1) * _SQRT_HALF, (b0 - b1) * _SQRT_HALF
     b0 = circuit.dilated.sigma_plus * b0
     b1 = circuit.dilated.sigma_minus * b1
     b0, b1 = (b0 + b1) * _SQRT_HALF, (b0 - b1) * _SQRT_HALF
-    return np.concatenate([circuit.u @ b0, circuit.u @ b1])
+    return _on_system(circuit.u, np.column_stack([b0, b1])).T.ravel()
+
+
+def _on_system(op: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``op @ blocks`` for C-contiguous complex ``blocks`` of shape (n, m).
+
+    A real ``op`` multiplies the real and imaginary parts together, as one
+    real product on the float64 view of ``blocks``, instead of being
+    upcast to complex on every call.
+    """
+    if np.iscomplexobj(op):
+        return op @ blocks
+    return (op @ blocks.view(np.float64)).view(np.complex128)
 
 
 def as_unitary(circuit: SVDCircuit) -> np.ndarray:
@@ -131,7 +152,8 @@ def _check_block_identity(circuit: SVDCircuit) -> None:
         state = np.zeros(2 * n, dtype=np.complex128)
         state[:n] = probe
         got = apply_circuit(circuit, state)[:n]
-        want = circuit.u @ (sigma * (circuit.vdag @ probe))
+        column = sigma[:, None] * _on_system(circuit.vdag, probe[:, None])
+        want = _on_system(circuit.u, column)[:, 0]
         if np.linalg.norm(got - want) > _BLOCK_TOL:
             raise BlockIdentityViolationError(
                 f"ancilla-0 block deviates from U diag(sigma) V† by "
@@ -142,20 +164,37 @@ def _check_block_identity(circuit: SVDCircuit) -> None:
 def build_svd_circuit(propagator) -> SVDCircuit:
     """Assemble the program for one square propagator.
 
-    The propagator is padded to n = 2^k, decomposed by ``numerics.svd``
-    (reconstruction and unitarity of both factors checked to 1e-12) and
-    its singular values divided by ``scale = max(1, sigma_max)``.  The
-    block identity (ancilla-0 block equals the diag-sigma sandwich) is
-    verified to 1e-10 before the circuit is returned.
+    The unpadded propagator is decomposed by ``numerics.svd`` in its own
+    field (reconstruction and unitarity of both factors checked to 1e-12),
+    the factors are padded to n = 2^k as ``U ⊕ I``, ``sigma ⊕ 1`` and
+    ``V† ⊕ I``, and the singular values are divided by ``scale = max(1,
+    sigma_max)``.  The block identity (ancilla-0 block equals the
+    diag-sigma sandwich) is verified to 1e-10 before the circuit is
+    returned.
     """
-    u, raw, vdag = svd(pad_to_power_of_two(propagator))
+    u, raw, vdag = svd(propagator)
+    dim = raw.size
+    n = padded_dimension(dim)
     scale = float(max(1.0, raw[0]))
-    sigma = raw / scale
+    sigma = np.concatenate([raw, np.ones(n - dim)]) / scale
     circuit = SVDCircuit(
-        u=u, sigma=sigma, vdag=vdag, dilated=dilate(sigma), scale=scale
+        u=_pad_with_identity(u, n),
+        sigma=sigma,
+        vdag=_pad_with_identity(vdag, n),
+        dilated=dilate(sigma),
+        scale=scale,
     )
     _check_block_identity(circuit)
     return circuit
+
+
+def _pad_with_identity(block: np.ndarray, n: int) -> np.ndarray:
+    """``block ⊕ I`` in dimension n, in the dtype of ``block``."""
+    if block.shape[0] == n:
+        return block
+    out = np.eye(n, dtype=block.dtype)
+    out[: block.shape[0], : block.shape[1]] = block
+    return out
 
 
 def run_exact(circuit: SVDCircuit, input_state) -> tuple[np.ndarray, float]:

@@ -237,6 +237,8 @@ def _rpm_param_dict(params: RPMParams) -> dict:
 
 
 def _run_sweep(args) -> int:
+    if not args.theta_step > 0:
+        raise ValueError("--theta-step must be positive")
     base = _rpm_params(args)
     config = RunConfig(
         command="sweep",

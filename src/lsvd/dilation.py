@@ -4,13 +4,16 @@ A Liouville-space propagator is generally non-unitary, so it cannot be a
 gate by itself.  ``circuit.build_svd_circuit`` prepares it in three steps,
 two of which live here:
 
-1. ``pad_to_power_of_two`` embeds the r² x r² matrix as a direct sum with
-   an identity block, reaching the nearest power-of-two dimension n = 2^k
-   (at least 2, so the system register always has a qubit).
-   Identity (not zero) padding keeps the padded directions invariant and
-   decoupled and pins their singular values at exactly one, so the scale
-   factor below is always set by the physics, never by the embedding.
-2. The SVD of the padded matrix, with the singular values divided by
+1. ``padded_dimension`` sets the register size: the r² x r² matrix acts
+   on the system register as a direct sum with an identity block, in the
+   nearest power-of-two dimension n = 2^k (at least 2, so the system
+   register always has a qubit).  Identity (not zero) padding keeps the
+   padded directions invariant and decoupled and pins their singular
+   values at exactly one, so the scale factor below is always set by the
+   physics, never by the embedding.  Since m ⊕ I = (U ⊕ I)(Σ ⊕ I)(V† ⊕ I)
+   whenever m = U Σ V†, the padding is applied to the factors of the
+   unpadded matrix and the n x n matrix itself is never formed.
+2. The SVD of the unpadded matrix, with the singular values divided by
    s = max(1, sigma_max) so all of them land in [0, 1].  Propagators of
    non-unital dynamics routinely have sigma_max > 1; the division is
    exactly invertible (recorded in ``SVDCircuit.scale``) and drops out of
@@ -32,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SigmaOutOfRangeError
-from .numerics import as_matrix
 
 #: Allowed numerical dust outside [0, 1] before a singular value is rejected.
 SIGMA_SLACK = 1e-12
@@ -57,23 +59,9 @@ class DilatedUnitary:
 
 
 def padded_dimension(dim: int) -> int:
-    """n = max(2, smallest power of two >= dim): the padded size of a
+    """n = max(2, smallest power of two >= dim): the register size for a
     dim x dim propagator."""
     return max(2, 1 << (dim - 1).bit_length())
-
-
-def pad_to_power_of_two(m) -> np.ndarray:
-    """Embed a square matrix as m ⊕ I in dimension ``padded_dimension``."""
-    mat = as_matrix(m)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    dim = mat.shape[0]
-    n = padded_dimension(dim)
-    if n == dim:
-        return mat.copy()
-    out = np.eye(n, dtype=np.complex128)
-    out[:dim, :dim] = mat
-    return out
 
 
 def dilate(sigma) -> DilatedUnitary:

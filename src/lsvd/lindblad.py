@@ -59,7 +59,9 @@ class LindbladModel:
     """An r-level open-system model.
 
     The Hamiltonian must be Hermitian (relative Frobenius defect below
-    1e-10), every channel operator r x r and every rate non-negative.
+    1e-10) and is stored as its Hermitian part (H + H†)/2, so the
+    generator preserves Hermiticity to rounding; every channel operator
+    must be r x r and every rate non-negative.
     Instances are immutable after construction and safe to share across
     threads.
     """
@@ -97,6 +99,7 @@ class LindbladModel:
         labels = tuple(self.labels) if self.labels else tuple(f"level{i}" for i in range(r))
         if len(labels) != r:
             raise ValueError(f"expected {r} level labels, got {len(labels)}")
+        h = 0.5 * (h + h.conj().T)
         h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "channels", tuple(channels))

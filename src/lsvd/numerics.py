@@ -1,7 +1,8 @@
-"""Dense complex linear-algebra kernels used by every other module.
+"""Dense linear-algebra kernels used by every other module.
 
 All functions accept anything ``numpy.asarray`` can turn into a 2-D array
-and work internally on ``complex128``.  ``svd`` delegates to numpy's
+and keep its field: real input is worked on, and returned, as ``float64``
+and complex input as ``complex128``.  ``svd`` delegates to numpy's
 LAPACK-backed routine but enforces the accuracy contract documented on it,
 raising when the contract is missed instead of returning silently degraded
 factors.
@@ -23,7 +24,7 @@ from .errors import (
     ToleranceUnachievableError,
 )
 
-ComplexMatrix = NDArray[np.complex128]
+Matrix = NDArray[np.float64] | NDArray[np.complex128]
 
 #: Default relative tolerance for ``expm``/``svd``.  Propagators handled by
 #: this package are at most a few hundred rows, so near-machine precision
@@ -37,24 +38,27 @@ _MAX_SQUARINGS = 60
 _MAX_TAYLOR_TERMS = 48
 
 
-def as_matrix(a, *, name: str = "matrix") -> ComplexMatrix:
-    """Coerce ``a`` to a finite 2-D complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
+def as_matrix(a, *, name: str = "matrix") -> Matrix:
+    """Coerce ``a`` to a finite 2-D array: complex128 if ``a`` is complex,
+    float64 otherwise."""
+    m = np.asarray(a)
+    m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
-def _require_square(m: ComplexMatrix, name: str = "matrix") -> None:
+def _require_square(m: Matrix, name: str = "matrix") -> None:
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"{name} must be square, got shape {m.shape}")
 
 
-def expm(a, tol: float = DEFAULT_TOL) -> ComplexMatrix:
+def expm(a, tol: float = DEFAULT_TOL) -> Matrix:
     """Matrix exponential by scaling and squaring with a Taylor core.
 
+    Real input gives a float64 result, complex input a complex128 one.
     The input is scaled by ``2**-s`` with the smallest ``s >= 0`` that
     brings its 1-norm to at most 0.5, the series is summed until the next
     term falls below ``tol/16`` relative to the partial sum, and the result
@@ -80,7 +84,7 @@ def expm(a, tol: float = DEFAULT_TOL) -> ComplexMatrix:
     n = m.shape[0]
     norm = np.linalg.norm(m, 1)
     if norm == 0.0:
-        return np.eye(n, dtype=np.complex128)
+        return np.eye(n, dtype=m.dtype)
 
     squarings = max(0, int(np.ceil(np.log2(norm / _TAYLOR_RADIUS))))
     if squarings > _MAX_SQUARINGS:
@@ -94,8 +98,8 @@ def expm(a, tol: float = DEFAULT_TOL) -> ComplexMatrix:
 
     b = m / (2.0**squarings)
     cutoff = tol / 16.0  # headroom for error growth in the squaring stage
-    result = np.eye(n, dtype=np.complex128)
-    term = np.eye(n, dtype=np.complex128)
+    result = np.eye(n, dtype=m.dtype)
+    term = np.eye(n, dtype=m.dtype)
     for k in range(1, _MAX_TAYLOR_TERMS + 1):
         term = term @ b / k
         result = result + term
@@ -118,10 +122,11 @@ def svd(a, tol: float = DEFAULT_TOL):
     """Singular value decomposition ``a = U diag(sigma) Vdag`` of a square matrix.
 
     Returns ``(u, sigma, vdag)`` with ``sigma`` real, non-negative and
-    sorted descending.  The reconstruction residual and the departures of
-    ``u``/``vdag`` from unitarity (Frobenius norms) are checked against
-    ``tol``; a miss raises ``ConvergenceFailureError`` carrying the worst
-    residual.
+    sorted descending; ``u`` and ``vdag`` are float64 (orthogonal) for real
+    input and complex128 (unitary) for complex input.  The reconstruction
+    residual and the departures of ``u``/``vdag`` from unitarity (Frobenius
+    norms) are checked against ``tol``; a miss raises
+    ``ConvergenceFailureError`` carrying the worst residual.
 
     Factor matrices are not unique (degenerate singular values admit
     arbitrary unitary mixing), so callers should only ever compare

@@ -1,14 +1,26 @@
 """End-to-end driver tying generator, propagator, dilation, circuit and
 readout together.
 
-The classical propagator matrices are chained along the ascending grid:
-exp(L t_k) = exp(L (t_k - t_{k-1})) exp(L t_{k-1}), with one ``expm`` per
+A Lindblad generator preserves Hermiticity, so in an orthonormal basis of
+Hermitian operators its matrix, and every propagator, is real.  The basis
+used here is E_ii, (E_ij + E_ji)/sqrt(2) and i (E_ij - E_ji)/sqrt(2) for
+i < j, each placed at the column-stacked index of (i, j) or (j, i)
+respectively.  The change of basis T from column-stacked vec is then the
+identity on population indices and a 2 x 2 unitary rotation on each
+off-diagonal pair, applied by index arithmetic.  The generator is rotated
+once per model, G = T† L T (its imaginary part must be rounding), and all
+propagator and SVD work is real and unpadded r² x r².
+
+The real propagators are chained along the ascending grid:
+exp(G t_k) = exp(G (t_k - t_{k-1})) exp(G t_{k-1}), with one ``expm`` per
 distinct time gap.  Each output time still gets its own freshly decomposed
-circuit implementing the full exp(L t_k), so postselection statistics are
-never compounded.  Each time point is folded into its table row as soon as
-its circuit has run, so only one circuit is held at a time.  Points run
-serially in time order; sampling substreams are keyed by seed and point
-index.
+circuit implementing the full exp(G t_k), so postselection statistics are
+never compounded.  The input state enters as T† vec(rho0) and T is applied
+to both ancilla halves of the output, so the register amplitudes are those
+of the circuit for exp(L t_k) with U = (T U_R) ⊕ I and V† = (V_Rᵀ T†) ⊕ I.
+Each time point is folded into its table row as soon as its circuit has
+run, so only one circuit is held at a time.  Points run serially in time
+order; sampling substreams are keyed by seed and point index.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ import numpy as np
 
 from .circuit import apply_circuit, build_svd_circuit, run_exact
 from .dilation import padded_dimension
+from .errors import LsvdError
 from .lindblad import (
     LindbladModel,
     PopulationTrace,
@@ -29,10 +42,61 @@ from .lindblad import (
 from .numerics import as_matrix
 from .sampler import DEFAULT_SHOTS, estimate_populations, sample, substream_seed
 
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+# Largest imaginary part of T† L T, relative to ||H||_F + sum_i gamma_i
+# ||C_i||_F², that is taken for rounding (random models reach 0.5 eps).
+_REAL_TOL = 1e-13
+
+
 def qubit_counts(dim: int) -> tuple[int, int]:
     """(system qubits k, total qubits d) for an r-level model: n = 2^k >= r²."""
     k = padded_dimension(dim * dim).bit_length() - 1
     return k, k + 1
+
+
+def _hermitian_pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column-stacked indices of (i, j) and (j, i) for every i < j."""
+    i, j = np.triu_indices(r, 1)
+    return j * r + i, i * r + j
+
+
+def _to_hermitian_basis(x: np.ndarray, r: int) -> np.ndarray:
+    """T† x along axis 0: Hermitian-basis coordinates of column-stacked vecs."""
+    p, q = _hermitian_pairs(r)
+    out = np.array(x, dtype=np.complex128)
+    out[p], out[q] = (x[p] + x[q]) * _SQRT_HALF, (x[q] - x[p]) * (1j * _SQRT_HALF)
+    return out
+
+
+def _from_hermitian_basis(c: np.ndarray, r: int) -> np.ndarray:
+    """T c along axis 0: the inverse of :func:`_to_hermitian_basis`."""
+    p, q = _hermitian_pairs(r)
+    out = np.array(c, dtype=np.complex128)
+    out[p], out[q] = (c[p] + 1j * c[q]) * _SQRT_HALF, (c[p] - 1j * c[q]) * _SQRT_HALF
+    return out
+
+
+def _real_generator(model: LindbladModel) -> np.ndarray:
+    """G = T† L T as float64; raises if its imaginary part exceeds rounding.
+
+    Rounding is measured against the size of the terms L is summed from,
+    not against L itself, whose entries can cancel to rounding (a 1-level
+    model's L is nothing else).
+    """
+    r = model.dim
+    rows = _to_hermitian_basis(build_superoperator(model), r)  # T† L
+    g = _to_hermitian_basis(rows.conj().T, r).conj().T  # (T† (T† L)†)† = T† L T
+    terms = np.linalg.norm(model.hamiltonian) + sum(
+        ch.rate * np.linalg.norm(ch.operator) ** 2 for ch in model.channels
+    )
+    imag = float(np.max(np.abs(g.imag)))
+    if imag > _REAL_TOL * terms:
+        raise LsvdError(
+            f"generator does not preserve Hermiticity: T† L T has an imaginary "
+            f"part of {imag:.3e} against terms of size {terms:.3e}"
+        )
+    return np.ascontiguousarray(g.real)
 
 
 def _propagators(superop: np.ndarray, grid: np.ndarray):
@@ -87,26 +151,29 @@ def quantum_evolve(
     r = model.dim
     if rho_init.shape != (r, r):
         raise ValueError(f"rho0 has shape {rho_init.shape}, expected ({r}, {r})")
-    superop = build_superoperator(model)
+    generator = _real_generator(model)
     v0 = vectorize(rho_init)
     input_norm = float(np.linalg.norm(v0))
     if input_norm == 0.0:
         raise ValueError("rho0 must be non-zero")
+    system_input = _to_hermitian_basis(v0, r) / input_norm
 
     def one(index: int, prop: np.ndarray) -> tuple[np.ndarray, float, float]:
         circ = build_svd_circuit(prop)
         state = np.zeros(2 * circ.n, dtype=np.complex128)
-        state[: r * r] = v0 / input_norm
+        state[: r * r] = system_input
         if mode == "exact":
             conditioned, success = run_exact(circ, state)
-            vec_t = conditioned[: r * r] * (circ.scale * input_norm)
+            vec_t = _from_hermitian_basis(conditioned[: r * r], r) * (circ.scale * input_norm)
             return np.real(np.diag(devectorize(vec_t, r))), success, circ.scale
-        result = sample(apply_circuit(circ, state), shots, substream_seed(seed, index))
+        halves = apply_circuit(circ, state).reshape(2, circ.n)
+        halves[:, : r * r] = _from_hermitian_basis(halves[:, : r * r].T, r).T
+        result = sample(halves.ravel(), shots, substream_seed(seed, index))
         populations = estimate_populations(result, r, circ.k)
         return populations, result.postselected_shots / result.shots, circ.scale
 
     populations, success, scales = zip(
-        *map(one, range(grid.size), _propagators(superop, grid))
+        *map(one, range(grid.size), _propagators(generator, grid))
     )
     return PopulationTrace(
         times=grid,

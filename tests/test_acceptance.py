@@ -13,7 +13,6 @@ import scipy.linalg
 
 from lsvd.circuit import as_unitary, build_svd_circuit, estimate_resources
 from lsvd.cli import main as cli_main
-from lsvd.dilation import pad_to_power_of_two
 from lsvd.lindblad import build_superoperator, classical_evolve, lindblad_rhs, propagator
 from lsvd.models import (
     RPM_GAMMA_DISS_HIGH,
@@ -140,8 +139,8 @@ def test_criterion_4_dilation_unit_suite():
         t = rng.uniform(0.0, 5.0 / np.linalg.norm(superop))
         m = propagator(superop, t)
         circuit = build_svd_circuit(m)
-        m_padded = pad_to_power_of_two(m)
         n = circuit.n
+        m_padded = scipy.linalg.block_diag(m, np.eye(n - m.shape[0]))
         eye = np.eye(n)
         worst["unitarity"] = max(
             worst["unitarity"],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lsvd.circuit
 from lsvd.circuit import (
@@ -9,7 +10,7 @@ from lsvd.circuit import (
     estimate_resources,
     run_exact,
 )
-from lsvd.dilation import DilatedUnitary, dilate, pad_to_power_of_two
+from lsvd.dilation import DilatedUnitary, dilate
 from lsvd.errors import (
     BlockIdentityViolationError,
     ConvergenceFailureError,
@@ -59,24 +60,30 @@ class TestBuild:
         assert circuit.n == 32
 
     def test_op_sequence_and_unitarity(self, rng):
-        circuit = build_svd_circuit(random_complex(rng, 8))
-        n = circuit.n
-        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        ops = [
-            np.kron(np.eye(2), circuit.vdag),
-            np.kron(hadamard, np.eye(n)),
-            np.diag(circuit.dilated.diagonal),
-            np.kron(hadamard, np.eye(n)),
-            np.kron(np.eye(2), circuit.u),
-        ]
-        composed = np.eye(2 * n, dtype=complex)
-        for m in ops:
-            np.testing.assert_allclose(m.conj().T @ m, np.eye(2 * n), atol=1e-10)
-            composed = m @ composed
-        applied = np.column_stack(
-            [apply_circuit(circuit, column) for column in np.eye(2 * n)]
-        )
-        np.testing.assert_allclose(applied, composed, atol=1e-12)
+        # a complex propagator, and a real one whose factors stay real
+        for m in (random_complex(rng, 8), rng.normal(size=(8, 8))):
+            circuit = build_svd_circuit(m)
+            n = circuit.n
+            hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+            ops = [
+                np.kron(np.eye(2), circuit.vdag),
+                np.kron(hadamard, np.eye(n)),
+                np.diag(circuit.dilated.diagonal),
+                np.kron(hadamard, np.eye(n)),
+                np.kron(np.eye(2), circuit.u),
+            ]
+            composed = np.eye(2 * n, dtype=complex)
+            for op in ops:
+                np.testing.assert_allclose(op.conj().T @ op, np.eye(2 * n), atol=1e-10)
+                composed = op @ composed
+            applied = np.column_stack(
+                [apply_circuit(circuit, column) for column in np.eye(2 * n)]
+            )
+            np.testing.assert_allclose(applied, composed, atol=1e-12)
+            probe = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+            np.testing.assert_allclose(
+                apply_circuit(circuit, probe), composed @ probe, atol=1e-12
+            )
 
     def test_corrupt_factors_rejected(self, monkeypatch):
         # a factorization that reconstructs its input exactly but whose u is
@@ -120,8 +127,9 @@ class TestRunExact:
         model = random_model(rng, 3, n_channels=2)
         superop = build_superoperator(model)
         t = rng.uniform(0.0, 5.0 / np.linalg.norm(superop))
-        m_padded = pad_to_power_of_two(propagator(superop, t))
-        circuit = build_svd_circuit(m_padded)
+        m = propagator(superop, t)
+        m_padded = scipy.linalg.block_diag(m, np.eye(7))
+        circuit = build_svd_circuit(m)
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
         psi /= np.linalg.norm(psi)
         conditioned, success = run_exact(circuit, ancilla_zero_input(psi, 16))

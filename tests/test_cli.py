@@ -171,5 +171,10 @@ class TestOutputContracts:
         assert run("fmo", "--t-end", "inf") == 2
         assert run("fmo", "--dt", "nan") == 2
 
+    @pytest.mark.parametrize("step", ["nan", "0", "-1"])
+    def test_bad_theta_step_names_the_flag(self, step, capsys):
+        assert run("sweep", "--theta-step", step) == 2
+        assert capsys.readouterr().err == "error: --theta-step must be positive\n"
+
     def test_missing_model_file_exit_2(self):
         assert run("evolve", "--model", "/nonexistent/model.json") == 2

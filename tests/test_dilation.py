@@ -1,46 +1,80 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from lsvd.circuit import build_svd_circuit
-from lsvd.dilation import dilate, pad_to_power_of_two
-from lsvd.errors import SigmaOutOfRangeError
+from lsvd.circuit import build_svd_circuit, run_exact
+from lsvd.dilation import dilate
+from lsvd.errors import NonSquareError, SigmaOutOfRangeError
 from lsvd.lindblad import build_superoperator, propagator
 from lsvd.models import FMOParams, fmo_model
 
 from conftest import random_complex, random_unitary
 
 
+def padded(m, n):
+    """m ⊕ I in dimension n, built without the package."""
+    m = np.asarray(m)
+    return scipy.linalg.block_diag(m, np.eye(n - m.shape[0]))
+
+
+def reconstruction(circuit):
+    return (circuit.u * (circuit.sigma * circuit.scale)) @ circuit.vdag
+
+
 class TestPad:
+    """``build_svd_circuit`` pads the SVD factors, never the matrix."""
+
     def test_power_of_two_unchanged(self, rng):
-        m = random_complex(rng, 4)
-        np.testing.assert_array_equal(pad_to_power_of_two(m), m)
+        m = random_complex(rng, 8)
+        circuit = build_svd_circuit(m)
+        assert circuit.n == 8
+        np.testing.assert_allclose(reconstruction(circuit), m, atol=1e-10)
 
     def test_25_pads_to_32(self, rng):
         m = random_complex(rng, 25)
-        padded = pad_to_power_of_two(m)
-        assert padded.shape == (32, 32)
-        np.testing.assert_array_equal(padded[:25, :25], m)
-        np.testing.assert_array_equal(padded[25:, 25:], np.eye(7))
-        np.testing.assert_array_equal(padded[:25, 25:], np.zeros((25, 7)))
-        np.testing.assert_array_equal(padded[25:, :25], np.zeros((7, 25)))
+        circuit = build_svd_circuit(m)
+        assert circuit.n == 32
+        np.testing.assert_allclose(reconstruction(circuit), padded(m, 32), atol=1e-10)
+        for factor in (circuit.u, circuit.vdag):
+            np.testing.assert_array_equal(factor[25:, 25:], np.eye(7))
+            np.testing.assert_array_equal(factor[:25, 25:], np.zeros((25, 7)))
+            np.testing.assert_array_equal(factor[25:, :25], np.zeros((7, 25)))
 
     def test_padding_states_invariant_and_decoupled(self, rng):
         m = random_complex(rng, 5)
-        padded = pad_to_power_of_two(m)
-        v = np.zeros(8, dtype=complex)
+        circuit = build_svd_circuit(m)
+        v = np.zeros(16, dtype=complex)
         v[:5] = rng.normal(size=5)
-        np.testing.assert_array_equal((padded @ v)[5:], np.zeros(3))
-        w = np.zeros(8, dtype=complex)
+        v /= np.linalg.norm(v)
+        conditioned, _ = run_exact(circuit, v)
+        np.testing.assert_allclose(conditioned[5:], np.zeros(3), atol=1e-12)
+        w = np.zeros(16, dtype=complex)
         w[6] = 1.0
-        np.testing.assert_array_equal(padded @ w, w)
+        conditioned, _ = run_exact(circuit, w)
+        np.testing.assert_allclose(conditioned * circuit.scale, w[:8], atol=1e-10)
 
     def test_1x1_pads_to_2x2(self):
-        padded = pad_to_power_of_two([[0.5]])
-        np.testing.assert_array_equal(padded, np.diag([0.5, 1.0]))
+        circuit = build_svd_circuit([[0.5]])
+        assert circuit.n == 2
+        np.testing.assert_allclose(reconstruction(circuit), np.diag([0.5, 1.0]), atol=1e-10)
+
+    def test_5x5_real_input_keeps_float64_factors(self, rng):
+        m = rng.normal(size=(5, 5))
+        circuit = build_svd_circuit(m)
+        assert circuit.u.dtype == np.float64
+        assert circuit.vdag.dtype == np.float64
+        np.testing.assert_allclose(reconstruction(circuit), padded(m, 8), atol=1e-10)
+
+    def test_sigma_descending_then_padding_entries(self, rng):
+        m = 3.0 * random_complex(rng, 5)
+        circuit = build_svd_circuit(m)
+        assert circuit.scale > 1.0
+        assert np.all(np.diff(circuit.sigma[:5]) <= 0)
+        np.testing.assert_array_equal(circuit.sigma[5:], np.full(3, 1.0 / circuit.scale))
 
     def test_rectangular_rejected(self):
-        with pytest.raises(ValueError):
-            pad_to_power_of_two(np.zeros((2, 3)))
+        with pytest.raises(NonSquareError):
+            build_svd_circuit(np.zeros((2, 3)))
 
 
 class TestDecompose:
@@ -65,15 +99,15 @@ class TestDecompose:
         m = random_complex(rng, 5)
         circuit = build_svd_circuit(m)
         assert (circuit.n, circuit.k, circuit.d) == (8, 3, 4)
-        recon = (circuit.u * (circuit.sigma * circuit.scale)) @ circuit.vdag
-        np.testing.assert_allclose(recon, pad_to_power_of_two(m), atol=1e-10)
+        np.testing.assert_allclose(reconstruction(circuit), padded(m, 8), atol=1e-10)
 
     def test_fmo3_propagator_reconstruction(self):
         model, _ = fmo_model(FMOParams.default(3))
-        m = pad_to_power_of_two(propagator(build_superoperator(model), 500.0))
+        m = propagator(build_superoperator(model), 500.0)
         circuit = build_svd_circuit(m)
-        recon = (circuit.u * (circuit.sigma * circuit.scale)) @ circuit.vdag
-        assert np.linalg.norm(recon - m) <= 1e-10 * np.linalg.norm(m)
+        reference = padded(m, 32)
+        recon = reconstruction(circuit)
+        assert np.linalg.norm(recon - reference) <= 1e-10 * np.linalg.norm(reference)
 
     def test_unitary_input_keeps_unit_sigma(self, rng):
         circuit = build_svd_circuit(random_unitary(rng, 16))

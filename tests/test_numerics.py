@@ -10,6 +10,7 @@ from lsvd.errors import (
 from lsvd.lindblad import build_superoperator
 from lsvd.models import FMO_DEFAULT_T_END, RPM_DEFAULT_T_END, builtin_model
 from lsvd.numerics import DEFAULT_TOL, expm, svd
+from lsvd.pipeline import _real_generator
 
 from conftest import random_complex, random_unitary
 
@@ -53,6 +54,13 @@ class TestExpm:
         reference = scipy.linalg.expm(a)
         np.testing.assert_allclose(expm(a), reference, atol=1e-11 * np.linalg.norm(reference))
 
+    def test_real_input_stays_real(self, rng):
+        a = rng.normal(size=(6, 6))
+        assert expm(a).dtype == np.float64
+        assert expm(np.zeros((3, 3))).dtype == np.float64
+        assert expm(a.astype(complex)).dtype == np.complex128
+        np.testing.assert_allclose(expm(a), scipy.linalg.expm(a), rtol=1e-12)
+
     def test_non_square_raises(self):
         with pytest.raises(NonSquareError):
             expm(np.zeros((2, 3)))
@@ -77,12 +85,16 @@ class TestExpm:
     )
     def test_documented_bound_on_bundled_models(self, name, t):
         model, _ = builtin_model(name)
-        a = build_superoperator(model) * t
-        # s as documented: the smallest s >= 0 with ||a||_1 / 2**s <= 0.5
-        squarings = max(0, int(np.ceil(np.log2(np.linalg.norm(a, 1) / 0.5))))
-        reference = scipy.linalg.expm(a)
-        relative = np.linalg.norm(expm(a) - reference) / np.linalg.norm(reference)
-        assert relative <= max(1, squarings) * DEFAULT_TOL
+        # the column-stacked generator and its real Hermitian-basis form
+        for generator in (build_superoperator(model), _real_generator(model)):
+            a = generator * t
+            # s as documented: the smallest s >= 0 with ||a||_1 / 2**s <= 0.5
+            squarings = max(0, int(np.ceil(np.log2(np.linalg.norm(a, 1) / 0.5))))
+            reference = scipy.linalg.expm(a)
+            result = expm(a)
+            assert result.dtype == a.dtype
+            relative = np.linalg.norm(result - reference) / np.linalg.norm(reference)
+            assert relative <= max(1, squarings) * DEFAULT_TOL
 
 
 class TestSvd:
@@ -108,6 +120,24 @@ class TestSvd:
         )
         np.testing.assert_allclose(u.conj().T @ u, np.eye(n), atol=DEFAULT_TOL)
         np.testing.assert_allclose(vdag @ vdag.conj().T, np.eye(n), atol=DEFAULT_TOL)
+
+    @pytest.mark.parametrize("n", [2, 17, 100])
+    def test_real_input_gives_real_factors(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        u, sigma, vdag = svd(a)
+        assert u.dtype == vdag.dtype == sigma.dtype == np.float64
+        assert np.all(np.diff(sigma) <= 0)
+        np.testing.assert_allclose(
+            (u * sigma) @ vdag, a, atol=DEFAULT_TOL * np.linalg.norm(a)
+        )
+        np.testing.assert_allclose(u.T @ u, np.eye(n), atol=DEFAULT_TOL)
+        np.testing.assert_allclose(vdag @ vdag.T, np.eye(n), atol=DEFAULT_TOL)
+
+    def test_complex_input_gives_complex_factors(self, rng):
+        u, sigma, vdag = svd(random_complex(rng, 4))
+        assert u.dtype == vdag.dtype == np.complex128
+        assert sigma.dtype == np.float64
 
     def test_non_square_raises(self):
         with pytest.raises(NonSquareError):
