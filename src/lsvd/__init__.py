@@ -19,15 +19,12 @@ from .circuit import (
     estimate_resources,
     run_exact,
 )
-from .dilation import DilatedUnitary, dilate
+from .dilation import dilate
 from .errors import (
     AllZeroDiagonalError,
     BlockIdentityViolationError,
     ConvergenceFailureError,
-    DimensionMismatchError,
-    LengthMismatchError,
     LsvdError,
-    NonSquareError,
     SigmaOutOfRangeError,
     ToleranceUnachievableError,
     WrongModelError,

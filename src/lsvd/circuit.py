@@ -19,19 +19,22 @@ branches of the dilated diagonal and recombine them, leaving
 so measuring the ancilla in |0> applies the scaled propagator to the
 system register; the |1> outcome is the discarded branch.  Emulation
 applies the five ops as exact matrix-vector products at full register
-dimension (one freshly decomposed circuit per output time); elementary
-gate synthesis is out of scope and resource needs are reported by the
-closed-form counts in :func:`estimate_resources` instead.
+dimension (one freshly decomposed circuit per output time), and
+:func:`run_exact` returns the ancilla-0 amplitudes that both readout modes
+start from; elementary gate synthesis is out of scope and resource needs
+are reported by the closed-form counts in :func:`estimate_resources`
+instead.
 
 :func:`build_svd_circuit` does the whole per-point job: it takes the SVD
 of the square propagator once, in the propagator's own field
 (``numerics.svd`` checks reconstruction and the unitarity of both
 factors), pads the factors to the register with identity blocks, divides
-the singular values by max(1, sigma_max), dilates them and checks once
-more only what no SVD can vouch for: the dilated branches and the op
-application path.  A real propagator gives real orthogonal factors, which
-are applied to the real and imaginary parts of the register in one real
-product.
+the singular values by max(1, sigma_max) and checks once more only what
+no SVD can vouch for: the dilated branches and the op application path.
+The circuit stores sigma; each use derives Sigma_+ from it through
+``dilation.dilate`` and Sigma_- as the conjugate.  A real propagator
+gives real orthogonal factors, which are applied to the real and
+imaginary parts of the register in one real product.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import DilatedUnitary, dilate, padded_dimension
-from .errors import BlockIdentityViolationError, DimensionMismatchError
+from .dilation import dilate, padded_dimension
+from .errors import BlockIdentityViolationError
 from .numerics import svd
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
@@ -58,14 +61,14 @@ class SVDCircuit:
     vdag`` is the propagator padded with an identity block to n = 2^k.
 
     ``sigma`` lies in [0, 1]: the propagator's own singular values divided
-    by ``scale``, descending, then one entry ``1/scale`` per padding row.
-    ``u`` and ``vdag`` are the propagator's SVD factors with identity
-    blocks appended, real for a real propagator."""
+    by ``scale``, descending, then one entry ``1/scale`` per padding row;
+    the dilated diagonal is derived from it.  ``u`` and ``vdag`` are the
+    propagator's SVD factors with identity blocks appended, real for a real
+    propagator."""
 
     u: np.ndarray
     sigma: np.ndarray
     vdag: np.ndarray
-    dilated: DilatedUnitary
     scale: float
 
     @property
@@ -94,14 +97,15 @@ def apply_circuit(circuit: SVDCircuit, state) -> np.ndarray:
     amps = np.asarray(state, dtype=np.complex128).ravel()
     n = circuit.n
     if amps.size != 2 * n:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"state has length {amps.size}, expected {2 * n} for d={circuit.d} qubits"
         )
+    sigma_plus = dilate(circuit.sigma)
     blocks = _on_system(circuit.vdag, np.column_stack([amps[:n], amps[n:]]))
     b0, b1 = blocks[:, 0], blocks[:, 1]
     b0, b1 = (b0 + b1) * _SQRT_HALF, (b0 - b1) * _SQRT_HALF
-    b0 = circuit.dilated.sigma_plus * b0
-    b1 = circuit.dilated.sigma_minus * b1
+    b0 = sigma_plus * b0
+    b1 = sigma_plus.conj() * b1
     b0, b1 = (b0 + b1) * _SQRT_HALF, (b0 - b1) * _SQRT_HALF
     return _on_system(circuit.u, np.column_stack([b0, b1])).T.ravel()
 
@@ -124,7 +128,9 @@ def as_unitary(circuit: SVDCircuit) -> np.ndarray:
     eye_n = np.eye(n, dtype=np.complex128)
     composite = np.kron(np.eye(2, dtype=np.complex128), circuit.vdag)
     composite = np.kron(_HADAMARD, eye_n) @ composite
-    composite = circuit.dilated.diagonal[:, None] * composite
+    sigma_plus = dilate(circuit.sigma)
+    diagonal = np.concatenate([sigma_plus, sigma_plus.conj()])
+    composite = diagonal[:, None] * composite
     composite = np.kron(_HADAMARD, eye_n) @ composite
     composite = np.kron(np.eye(2, dtype=np.complex128), circuit.u) @ composite
     return composite
@@ -139,7 +145,8 @@ def _check_block_identity(circuit: SVDCircuit) -> None:
     actual op application path.  Cost stays O(n²).
     """
     sigma = circuit.sigma
-    branch_avg = 0.5 * (circuit.dilated.sigma_plus + circuit.dilated.sigma_minus)
+    sigma_plus = dilate(sigma)
+    branch_avg = 0.5 * (sigma_plus + sigma_plus.conj())
     if np.max(np.abs(branch_avg - sigma)) > _BLOCK_TOL:
         raise BlockIdentityViolationError(
             "branch average of the dilated diagonal does not reproduce diag(sigma)"
@@ -168,9 +175,9 @@ def build_svd_circuit(propagator) -> SVDCircuit:
     field (reconstruction and unitarity of both factors checked to 1e-12),
     the factors are padded to n = 2^k as ``U ⊕ I``, ``sigma ⊕ 1`` and
     ``V† ⊕ I``, and the singular values are divided by ``scale = max(1,
-    sigma_max)``.  The block identity (ancilla-0 block equals the
-    diag-sigma sandwich) is verified to 1e-10 before the circuit is
-    returned.
+    sigma_max)``.  The dilation of sigma (which rejects values outside
+    [0, 1]) and the block identity (ancilla-0 block equals the diag-sigma
+    sandwich) are verified to 1e-10 before the circuit is returned.
     """
     u, raw, vdag = svd(propagator)
     dim = raw.size
@@ -181,7 +188,6 @@ def build_svd_circuit(propagator) -> SVDCircuit:
         u=_pad_with_identity(u, n),
         sigma=sigma,
         vdag=_pad_with_identity(vdag, n),
-        dilated=dilate(sigma),
         scale=scale,
     )
     _check_block_identity(circuit)
@@ -201,15 +207,14 @@ def run_exact(circuit: SVDCircuit, input_state) -> tuple[np.ndarray, float]:
     """Run the program on a normalized input and postselect the ancilla.
 
     Returns ``(conditioned, success_prob)`` where ``conditioned`` holds the
-    unnormalized ancilla-0 amplitudes (callers rescale by the dilation
-    scale) and ``success_prob`` is their squared norm.  For an input with
-    the ancilla in |0>, ``success_prob = ||M_scaled @ input_system||²``.
+    unnormalized ancilla-0 amplitudes (exact readout rescales them by the
+    dilation scale, sampled readout draws shots from them) and
+    ``success_prob`` is their squared norm.  For an input with the ancilla
+    in |0>, ``success_prob = ||M_scaled @ input_system||²``.
     """
     amps = np.asarray(input_state, dtype=np.complex128).ravel()
     if amps.size != 2 * circuit.n:
-        raise DimensionMismatchError(
-            f"input has length {amps.size}, expected {2 * circuit.n}"
-        )
+        raise ValueError(f"input has length {amps.size}, expected {2 * circuit.n}")
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"input state must be normalized, got norm {norm!r}")

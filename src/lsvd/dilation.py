@@ -19,18 +19,18 @@ two of which live here:
    exactly invertible (recorded in ``SVDCircuit.scale``) and drops out of
    any normalized measurement distribution.  This step runs inside
    ``build_svd_circuit``.
-3. ``dilate`` lifts the scaled singular values into the block-diagonal
-   unitary diag(Sigma_+, Sigma_-) with Sigma_± = sigma ± i sqrt(1 - sigma²).
-   Each entry lies on the unit circle and the two branches average back to
-   diag(sigma) exactly — the algebraic fact the circuit's postselection
-   relies on.  This form of the dilated entries is the continuous limit of
-   the ratio form sigma ± i sigma sqrt((1 - sigma²)/sigma²) and stays
-   defined at sigma = 0, where Sigma_± = ±i.
+3. ``dilate`` lifts the scaled singular values into the success branch
+   Sigma_+ = sigma + i sqrt(1 - sigma²) of the block-diagonal unitary
+   diag(Sigma_+, Sigma_-); the other branch is its conjugate Sigma_-, which
+   the circuit derives where it applies it.  Each entry lies on the unit
+   circle and the two branches average back to diag(sigma) exactly — the
+   algebraic fact the circuit's postselection relies on.  This form of the
+   dilated entries is the continuous limit of the ratio form
+   sigma ± i sigma sqrt((1 - sigma²)/sigma²) and stays defined at
+   sigma = 0, where Sigma_± = ±i.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,32 +40,15 @@ from .errors import SigmaOutOfRangeError
 SIGMA_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class DilatedUnitary:
-    """Block-diagonal unitary diag(Sigma_+, Sigma_-), stored as the two
-    diagonal branches."""
-
-    sigma_plus: np.ndarray
-    sigma_minus: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.sigma_plus.size
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        """The 2n diagonal entries, success branch first."""
-        return np.concatenate([self.sigma_plus, self.sigma_minus])
-
-
 def padded_dimension(dim: int) -> int:
     """n = max(2, smallest power of two >= dim): the register size for a
     dim x dim propagator."""
     return max(2, 1 << (dim - 1).bit_length())
 
 
-def dilate(sigma) -> DilatedUnitary:
-    """Dilate the scaled singular values ``sigma`` into a unitary.
+def dilate(sigma) -> np.ndarray:
+    """Sigma_+ = sigma + i sqrt(1 - sigma²) for the scaled singular values
+    ``sigma``; Sigma_- is its complex conjugate.
 
     Values within ``SIGMA_SLACK`` of [0, 1] are clamped; anything further
     out raises ``SigmaOutOfRangeError``.
@@ -77,8 +60,4 @@ def dilate(sigma) -> DilatedUnitary:
             f"singular value {worst!r} lies outside [0, 1] beyond slack {SIGMA_SLACK}"
         )
     clamped = np.clip(sigma, 0.0, 1.0)
-    complement = np.sqrt(1.0 - clamped**2)
-    return DilatedUnitary(
-        sigma_plus=clamped + 1j * complement,
-        sigma_minus=clamped - 1j * complement,
-    )
+    return clamped + 1j * np.sqrt(1.0 - clamped**2)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatchError, LsvdError
+from .errors import LsvdError
 from .numerics import as_matrix, expm
 
 SPEED_OF_LIGHT_CM_PER_S = 2.99792458e10
@@ -145,7 +145,7 @@ def devectorize(v, r: int) -> np.ndarray:
     """Inverse of :func:`vectorize`."""
     vec = np.asarray(v, dtype=np.complex128).ravel()
     if vec.size != r * r:
-        raise LengthMismatchError(f"vector of length {vec.size} cannot fill a {r}x{r} matrix")
+        raise ValueError(f"vector of length {vec.size} cannot fill a {r}x{r} matrix")
     return vec.reshape((r, r), order="F").copy()
 
 

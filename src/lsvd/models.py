@@ -209,6 +209,7 @@ class RPMParams:
 
     @classmethod
     def default(cls, **overrides) -> "RPMParams":
+        """``cls(**overrides)``; only ``perfbench`` still calls it."""
         return cls(**overrides)
 
 
@@ -411,9 +412,9 @@ def builtin_model(name: str) -> tuple[LindbladModel, np.ndarray]:
     if name == "fmo7":
         return fmo_model(FMOParams.default(7))
     if name == "rpm":
-        return rpm_model(RPMParams.default())
+        return rpm_model(RPMParams())
     if name == "rpm-dissipative":
-        return rpm_model(RPMParams.default(gamma_diss=RPM_GAMMA_DISS_MID))
+        return rpm_model(RPMParams(gamma_diss=RPM_GAMMA_DISS_MID))
     raise ValueError(f"unknown built-in model {name!r}; choose from {BUILTIN_MODELS}")
 
 

@@ -18,11 +18,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    ConvergenceFailureError,
-    NonSquareError,
-    ToleranceUnachievableError,
-)
+from .errors import ConvergenceFailureError, ToleranceUnachievableError
 
 Matrix = NDArray[np.float64] | NDArray[np.complex128]
 
@@ -52,7 +48,7 @@ def as_matrix(a, *, name: str = "matrix") -> Matrix:
 
 def _require_square(m: Matrix, name: str = "matrix") -> None:
     if m.shape[0] != m.shape[1]:
-        raise NonSquareError(f"{name} must be square, got shape {m.shape}")
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
 
 
 def expm(a, tol: float = DEFAULT_TOL) -> Matrix:
@@ -72,10 +68,10 @@ def expm(a, tol: float = DEFAULT_TOL) -> Matrix:
     a strongly non-normal ``a`` can amplify error faster.
 
     Raises:
-        NonSquareError: if ``a`` is not square.
+        ValueError: if ``a`` is not square.
         ToleranceUnachievableError: if the required number of squarings
-            exceeds the hard cap (norm astronomically large); the error
-            carries the estimated achievable residual.
+            exceeds the hard cap (norm astronomically large); the message
+            gives the estimated achievable residual.
     """
     m = as_matrix(a)
     _require_square(m)
@@ -92,8 +88,7 @@ def expm(a, tol: float = DEFAULT_TOL) -> Matrix:
         raise ToleranceUnachievableError(
             f"matrix 1-norm {norm:.3e} would need {squarings} squarings "
             f"(cap {_MAX_SQUARINGS}); estimated achievable relative residual "
-            f"{estimate:.3e}",
-            residual=estimate,
+            f"{estimate:.3e}"
         )
 
     b = m / (2.0**squarings)
@@ -106,11 +101,9 @@ def expm(a, tol: float = DEFAULT_TOL) -> Matrix:
         if np.linalg.norm(term, 1) <= cutoff * np.linalg.norm(result, 1):
             break
     else:
-        residual = float(np.linalg.norm(term, 1))
         raise ToleranceUnachievableError(
             f"Taylor series stalled above the requested tolerance "
-            f"(last term norm {residual:.3e})",
-            residual=residual,
+            f"(last term norm {np.linalg.norm(term, 1):.3e})"
         )
 
     for _ in range(squarings):
@@ -126,7 +119,7 @@ def svd(a, tol: float = DEFAULT_TOL):
     input and complex128 (unitary) for complex input.  The reconstruction
     residual and the departures of ``u``/``vdag`` from unitarity (Frobenius
     norms) are checked against ``tol``; a miss raises
-    ``ConvergenceFailureError`` carrying the worst residual.
+    ``ConvergenceFailureError`` that gives the worst residual.
 
     Factor matrices are not unique (degenerate singular values admit
     arbitrary unitary mixing), so callers should only ever compare
@@ -152,7 +145,6 @@ def svd(a, tol: float = DEFAULT_TOL):
     worst = float(max(residual, ortho))
     if worst > tol:
         raise ConvergenceFailureError(
-            f"SVD accuracy contract missed: residual {worst:.3e} > tol {tol:.3e}",
-            residual=worst,
+            f"SVD accuracy contract missed: residual {worst:.3e} > tol {tol:.3e}"
         )
     return u, sigma, vdag

@@ -16,18 +16,21 @@ exp(G t_k) = exp(G (t_k - t_{k-1})) exp(G t_{k-1}), with one ``expm`` per
 distinct time gap.  Each output time still gets its own freshly decomposed
 circuit implementing the full exp(G t_k), so postselection statistics are
 never compounded.  The input state enters as T† vec(rho0) and T is applied
-to both ancilla halves of the output, so the register amplitudes are those
-of the circuit for exp(L t_k) with U = (T U_R) ⊕ I and V† = (V_Rᵀ T†) ⊕ I.
-Each time point is folded into its table row as soon as its circuit has
-run, so only one circuit is held at a time.  Points run serially in time
-order; sampling substreams are keyed by seed and point index.
+to the first r² ancilla-0 amplitudes of the output, so they are those of
+the circuit for exp(L t_k) with U = (T U_R) ⊕ I and V† = (V_Rᵀ T†) ⊕ I.
+Both readout modes start from those r² amplitudes, as ``run_exact`` returns
+them: exact mode rescales them, sampled mode draws shots from them with
+the discarded ancilla-1 outcome as one extra bucket.  Each time point is
+folded into its table row as soon as its circuit has run, so only one
+circuit is held at a time.  Points run serially in time order; sampling
+substreams are keyed by seed and point index.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circuit import apply_circuit, build_svd_circuit, run_exact
+from .circuit import build_svd_circuit, run_exact
 from .dilation import padded_dimension
 from .errors import LsvdError
 from .lindblad import (
@@ -138,9 +141,9 @@ def quantum_evolve(
     the ancilla in |0>.  ``mode="exact"`` reads the conditioned amplitudes
     directly and rescales by the dilation scale, reproducing the classical
     result to rounding.  ``mode="sampled"`` measures ``shots`` times per
-    point (substream seed = ``substream_seed(seed, point_index)``),
-    postselects on the ancilla and estimates populations from the surviving
-    counts.
+    point (substream seed = ``substream_seed(seed, point_index)``) from the
+    same amplitudes, postselects on the ancilla and estimates populations
+    from the surviving counts.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
@@ -162,14 +165,13 @@ def quantum_evolve(
         circ = build_svd_circuit(prop)
         state = np.zeros(2 * circ.n, dtype=np.complex128)
         state[: r * r] = system_input
+        conditioned, success = run_exact(circ, state)
+        vec_t = _from_hermitian_basis(conditioned[: r * r], r)
         if mode == "exact":
-            conditioned, success = run_exact(circ, state)
-            vec_t = _from_hermitian_basis(conditioned[: r * r], r) * (circ.scale * input_norm)
+            vec_t *= circ.scale * input_norm
             return np.real(np.diag(devectorize(vec_t, r))), success, circ.scale
-        halves = apply_circuit(circ, state).reshape(2, circ.n)
-        halves[:, : r * r] = _from_hermitian_basis(halves[:, : r * r].T, r).T
-        result = sample(halves.ravel(), shots, substream_seed(seed, index))
-        populations = estimate_populations(result, r, circ.k)
+        result = sample(vec_t, shots, substream_seed(seed, index))
+        populations = estimate_populations(result, r)
         return populations, result.postselected_shots / result.shots, circ.scale
 
     populations, success, scales = zip(

@@ -1,11 +1,13 @@
 """Finite-shot readout of a register state.
 
 A "shot" is one projective measurement of the full (ancilla + system)
-register in the computational basis.  This module draws seeded multinomial
-samples from a final statevector, postselects on the ancilla being |0>
-(ancilla is the most significant qubit, so ancilla-0 outcomes are the
-first half of the basis indices), and reconstructs level populations from
-the surviving counts.
+register in the computational basis.  This module takes the ancilla-0
+amplitudes ``c`` of a final statevector, the only ones postselection
+keeps, and draws seeded multinomial samples over ``|c_i|²`` plus one
+discard bucket of weight ``1 - ||c||²`` that stands for every ancilla-1
+outcome.  The ancilla-1 amplitudes themselves are never needed, so the
+counts cannot depend on them.  Level populations are reconstructed from
+the counts that survive postselection.
 
 Population estimator
 --------------------
@@ -26,7 +28,7 @@ in ``ShotResult.counts`` for diagnostics but play no role in the
 estimator.  Because the estimate is normalized, it is invariant under the
 dilation scale factor.
 
-The functions here take a bare statevector and its counts and know nothing
+The functions here take bare amplitudes and their counts and know nothing
 of models or time grids; the pipeline folds their estimates into a
 population trace.
 
@@ -51,6 +53,9 @@ DEFAULT_SHOTS = 2**19
 #: Name of the bit-generator algorithm, recorded in run metadata.
 RNG_ALGORITHM = "philox4x64"
 
+# Allowed rounding above one in the squared norm of the sampled amplitudes.
+_WEIGHT_SLACK = 1e-10
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -72,9 +77,9 @@ def substream_seed(seed: int, index: int) -> int:
 class ShotResult:
     """Counts from measuring one final register state.
 
-    ``counts`` maps basis index -> count (indices with zero count are
-    omitted); ``postselected_shots`` is the total over ancilla-0 indices,
-    i.e. the first half of the register basis.
+    ``counts`` maps the index of a kept (ancilla-0) amplitude -> count
+    (indices with zero count are omitted); ``postselected_shots`` is their
+    total, and the remaining ``shots - postselected_shots`` were discarded.
     """
 
     shots: int
@@ -83,34 +88,35 @@ class ShotResult:
     seed: int
 
 
-def sample(final_state, shots: int, seed: int) -> ShotResult:
-    """Draw ``shots`` independent basis-state outcomes from ``|amplitude|**2``.
+def sample(conditioned, shots: int, seed: int) -> ShotResult:
+    """Draw ``shots`` measurements of a register whose ancilla-0 amplitudes
+    are ``conditioned``, keeping the ancilla-0 outcomes.
 
-    Deterministic for a fixed seed.  The probability vector is normalized
-    before drawing to absorb rounding drift in the state norm.
+    The outcomes are ``rng.multinomial(shots, [|c_0|², ..., |c_m|²,
+    1 - ||c||²])``; the last bucket is the discarded ancilla-1 outcome.
+    Deterministic for a fixed seed.  A weight ``||c||²`` up to 1 + 1e-10 is
+    rounding and is scaled back to one; a larger one raises ``ValueError``.
     """
-    amps = np.asarray(final_state, dtype=np.complex128).ravel()
+    amps = np.asarray(conditioned, dtype=np.complex128).ravel()
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = np.abs(amps) ** 2
-    total = probs.sum()
-    if total <= 0:
-        raise ValueError("final state has zero norm")
-    probs /= total
+    weight = probs.sum()
+    if weight > 1.0 + _WEIGHT_SLACK:
+        raise ValueError(f"ancilla-0 weight {weight!r} exceeds 1 beyond slack {_WEIGHT_SLACK}")
+    probs /= max(1.0, weight)
 
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
-    drawn = rng.multinomial(shots, probs)
-    half = len(probs) // 2
-    counts = {int(i): int(c) for i, c in enumerate(drawn) if c}
+    kept = rng.multinomial(shots, np.append(probs, max(0.0, 1.0 - weight)))[:-1]
     return ShotResult(
         shots=int(shots),
-        counts=counts,
-        postselected_shots=int(drawn[:half].sum()),
+        counts={int(i): int(c) for i, c in enumerate(kept) if c},
+        postselected_shots=int(kept.sum()),
         seed=int(seed) & _MASK64,
     )
 
 
-def estimate_populations(result: ShotResult, r: int, k: int) -> np.ndarray:
+def estimate_populations(result: ShotResult, r: int) -> np.ndarray:
     """Estimate the ``r`` level populations from postselected counts.
 
     See the module docstring for the estimator and its justification.
@@ -122,8 +128,6 @@ def estimate_populations(result: ShotResult, r: int, k: int) -> np.ndarray:
     """
     if result.postselected_shots <= 0:
         raise ValueError("no shots survived ancilla postselection")
-    if r * r > 2**k:
-        raise ValueError(f"r**2 = {r * r} does not fit a {k}-qubit system register")
     raw = np.empty(r, dtype=float)
     for i in range(r):
         raw[i] = np.sqrt(result.counts.get(i * (r + 1), 0) / result.postselected_shots)

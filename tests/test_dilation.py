@@ -4,7 +4,7 @@ import scipy.linalg
 
 from lsvd.circuit import build_svd_circuit, run_exact
 from lsvd.dilation import dilate
-from lsvd.errors import NonSquareError, SigmaOutOfRangeError
+from lsvd.errors import SigmaOutOfRangeError
 from lsvd.lindblad import build_superoperator, propagator
 from lsvd.models import FMOParams, fmo_model
 
@@ -15,6 +15,11 @@ def padded(m, n):
     """m ⊕ I in dimension n, built without the package."""
     m = np.asarray(m)
     return scipy.linalg.block_diag(m, np.eye(n - m.shape[0]))
+
+
+def dilated_diagonal(sigma_plus):
+    """The 2n diagonal entries diag(Sigma_+, Sigma_-), success branch first."""
+    return np.concatenate([sigma_plus, sigma_plus.conj()])
 
 
 def reconstruction(circuit):
@@ -73,7 +78,7 @@ class TestPad:
         np.testing.assert_array_equal(circuit.sigma[5:], np.full(3, 1.0 / circuit.scale))
 
     def test_rectangular_rejected(self):
-        with pytest.raises(NonSquareError):
+        with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 3\)"):
             build_svd_circuit(np.zeros((2, 3)))
 
 
@@ -117,45 +122,41 @@ class TestDecompose:
 
 class TestDilate:
     def test_unit_sigma_gives_identity(self):
-        dilated = dilate(np.ones(4))
-        np.testing.assert_allclose(np.diag(dilated.diagonal), np.eye(8), atol=1e-15)
+        sigma_plus = dilate(np.ones(4))
+        np.testing.assert_allclose(np.diag(dilated_diagonal(sigma_plus)), np.eye(8), atol=1e-15)
 
     def test_zero_sigma_gives_plus_minus_i(self):
-        dilated = dilate([0.0])
-        np.testing.assert_allclose(dilated.sigma_plus, [1j])
-        np.testing.assert_allclose(dilated.sigma_minus, [-1j])
+        sigma_plus = dilate([0.0])
+        np.testing.assert_allclose(sigma_plus, [1j])
+        np.testing.assert_allclose(sigma_plus.conj(), [-1j])
 
     def test_three_four_five(self):
-        dilated = dilate([0.6])
-        assert dilated.sigma_plus[0] == pytest.approx(0.6 + 0.8j, abs=1e-15)
-        assert dilated.sigma_minus[0] == pytest.approx(0.6 - 0.8j, abs=1e-15)
-        assert abs(dilated.sigma_plus[0]) == pytest.approx(1.0, abs=1e-15)
+        sigma_plus = dilate([0.6])
+        assert sigma_plus[0] == pytest.approx(0.6 + 0.8j, abs=1e-15)
+        assert sigma_plus.conj()[0] == pytest.approx(0.6 - 0.8j, abs=1e-15)
+        assert abs(sigma_plus[0]) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("seed", [31, 32])
     def test_unit_modulus_and_branch_average(self, seed):
         rng = np.random.default_rng(seed)
         sigma = np.sort(rng.uniform(0.0, 1.0, size=16))[::-1]
-        dilated = dilate(sigma)
-        np.testing.assert_allclose(np.abs(dilated.sigma_plus), np.ones(16), atol=1e-12)
-        np.testing.assert_allclose(np.abs(dilated.sigma_minus), np.ones(16), atol=1e-12)
+        sigma_plus = dilate(sigma)
+        np.testing.assert_allclose(np.abs(sigma_plus), np.ones(16), atol=1e-12)
         # the postselected branch must reproduce diag(sigma) exactly
-        np.testing.assert_array_equal(
-            0.5 * (dilated.sigma_plus + dilated.sigma_minus), sigma
-        )
+        np.testing.assert_array_equal(0.5 * (sigma_plus + sigma_plus.conj()), sigma)
 
     def test_block_diagonal_layout(self):
-        dilated = dilate([1.0, 0.6])
-        diagonal = dilated.diagonal
+        diagonal = dilated_diagonal(dilate([1.0, 0.6]))
         assert diagonal.shape == (4,)
-        np.testing.assert_array_equal(diagonal[:2], dilated.sigma_plus)
-        np.testing.assert_array_equal(diagonal[2:], dilated.sigma_minus)
+        np.testing.assert_allclose(diagonal[:2], [1.0, 0.6 + 0.8j], atol=1e-15)
+        np.testing.assert_allclose(diagonal[2:], [1.0, 0.6 - 0.8j], atol=1e-15)
         np.testing.assert_allclose(diagonal[:2] + diagonal[2:], 2 * np.array([1.0, 0.6]))
         matrix = np.diag(diagonal)
         np.testing.assert_allclose(matrix.conj().T @ matrix, np.eye(4), atol=1e-14)
 
     def test_slack_clamped(self):
-        dilated = dilate([1.0 + 1e-13])
-        assert dilated.sigma_plus[0] == pytest.approx(1.0, abs=1e-12)
+        sigma_plus = dilate([1.0 + 1e-13])
+        assert sigma_plus[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(SigmaOutOfRangeError):

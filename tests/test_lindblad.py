@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from lsvd.errors import LengthMismatchError
 from lsvd.lindblad import (
     Channel,
     LindbladModel,
@@ -64,7 +63,7 @@ class TestDevectorize:
         )
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValueError, match="vector of length 5 cannot fill a 2x2 matrix"):
             devectorize(np.zeros(5), 2)
 
 

@@ -112,7 +112,7 @@ class TestFMOModel:
 
 class TestRPMParams:
     def test_defaults(self):
-        params = RPMParams.default()
+        params = RPMParams()
         assert params.b0 == 47e-6
         assert params.theta == pytest.approx(np.pi / 2)
         assert params.hyperfine[2, 2] > 0
@@ -120,16 +120,16 @@ class TestRPMParams:
 
     def test_angle_range_enforced(self):
         with pytest.raises(ValueError):
-            RPMParams.default(theta=3.5)
+            RPMParams(theta=3.5)
 
     def test_negative_field_rejected(self):
         with pytest.raises(ValueError):
-            RPMParams.default(b0=-1e-6)
+            RPMParams(b0=-1e-6)
 
 
 class TestRPMModel:
     def test_level_structure_and_qubits(self):
-        model, rho0 = rpm_model(RPMParams.default())
+        model, rho0 = rpm_model(RPMParams())
         assert model.dim == 10
         assert model.labels[8:] == ("S", "T")
         assert model.time_unit == "ms"
@@ -140,18 +140,18 @@ class TestRPMModel:
         np.testing.assert_allclose(sorted(eigenvalues)[-2:], [0.5, 0.5], atol=1e-12)
 
     def test_channel_counts(self):
-        model, _ = rpm_model(RPMParams.default())
+        model, _ = rpm_model(RPMParams())
         assert len(model.channels) == 8
-        dissipative, _ = rpm_model(RPMParams.default(gamma_diss=1e4))
+        dissipative, _ = rpm_model(RPMParams(gamma_diss=1e4))
         assert len(dissipative.channels) == 14
 
     def test_shelves_are_hamiltonian_free(self):
-        model, _ = rpm_model(RPMParams.default())
+        model, _ = rpm_model(RPMParams())
         np.testing.assert_array_equal(model.hamiltonian[8:, :], np.zeros((2, 10)))
         np.testing.assert_array_equal(model.hamiltonian[:, 8:], np.zeros((10, 2)))
 
     def test_no_interconversion_all_singlet_yield(self):
-        params = RPMParams.default(hyperfine=np.zeros((3, 3)), b0=0.0)
+        params = RPMParams(hyperfine=np.zeros((3, 3)), b0=0.0)
         model, rho0 = rpm_model(params)
         trace = classical_evolve(model, rho0, [0.0, 0.5, 1.0])
         phi_s, phi_t = yields(trace)
@@ -165,7 +165,7 @@ class TestRPMModel:
             yields(trace)
 
     def test_yields_start_empty_and_saturate(self):
-        model, rho0 = rpm_model(RPMParams.default())
+        model, rho0 = rpm_model(RPMParams())
         trace = classical_evolve(model, rho0, [0.0, 1.0])
         phi_s, phi_t = yields(trace)
         assert phi_s[0] == pytest.approx(0.0, abs=1e-12)
@@ -173,14 +173,14 @@ class TestRPMModel:
         assert phi_s[1] + phi_t[1] >= 0.999
 
     def test_shelf_sum_nondecreasing_and_radicals_drain(self):
-        model, rho0 = rpm_model(RPMParams.default())
+        model, rho0 = rpm_model(RPMParams())
         trace = classical_evolve(model, rho0, np.linspace(0.0, 1.0, 21))
         phi_s, phi_t = yields(trace)
         assert np.all(np.diff(phi_s + phi_t) >= -1e-10)
         assert trace.populations[-1, :8].sum() < 1e-4
 
     def test_exact_circuit_matches_oracle_at_default_settings(self):
-        model, rho0 = rpm_model(RPMParams.default())
+        model, rho0 = rpm_model(RPMParams())
         times = np.linspace(0.0, 1.0, 9)
         oracle = classical_evolve(model, rho0, times)
         quantum = quantum_evolve(model, rho0, times, mode="exact")
@@ -200,21 +200,21 @@ class TestThetaSweep:
     def test_strong_dissipation_flattens_the_compass(self):
         thetas = np.deg2rad(np.linspace(0.0, 180.0, 13))
         sweep = theta_sweep(
-            RPMParams.default(gamma_diss=RPM_GAMMA_DISS_HIGH), thetas=thetas
+            RPMParams(gamma_diss=RPM_GAMMA_DISS_HIGH), thetas=thetas
         )
         assert sweep.phi_s.max() - sweep.phi_s.min() <= 0.01
 
     def test_axial_tensor_mirror_symmetry(self):
         thetas = np.deg2rad([30.0, 150.0, 75.0, 105.0])
-        sweep = theta_sweep(RPMParams.default(), thetas=thetas)
+        sweep = theta_sweep(RPMParams(), thetas=thetas)
         assert sweep.phi_s[0] == pytest.approx(sweep.phi_s[1], abs=1e-8)
         assert sweep.phi_s[2] == pytest.approx(sweep.phi_s[3], abs=1e-8)
 
     def test_sampled_sweep_tracks_exact(self):
         thetas = np.deg2rad([0.0, 45.0, 90.0, 135.0, 180.0])
-        exact = theta_sweep(RPMParams.default(), thetas=thetas, mode="exact")
+        exact = theta_sweep(RPMParams(), thetas=thetas, mode="exact")
         sampled = theta_sweep(
-            RPMParams.default(), thetas=thetas, mode="sampled", shots=2**19, seed=3
+            RPMParams(), thetas=thetas, mode="sampled", shots=2**19, seed=3
         )
         np.testing.assert_allclose(sampled.phi_s, exact.phi_s, atol=0.02)
         np.testing.assert_allclose(sampled.phi_t, exact.phi_t, atol=0.02)
@@ -226,7 +226,7 @@ class TestThetaSweep:
         monkeypatch.setattr(lsvd.models, "quantum_evolve", no_pipeline)
         for thetas in ([4.0], [0.0, np.pi + 1e-10], [0.0, -1e-13]):
             with pytest.raises(ValueError, match="theta must lie"):
-                theta_sweep(RPMParams.default(), thetas=thetas)
+                theta_sweep(RPMParams(), thetas=thetas)
 
 
 class TestBuiltinModels:

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lsvd.errors import (
-    ConvergenceFailureError,
-    NonSquareError,
-    ToleranceUnachievableError,
-)
+from lsvd.errors import ConvergenceFailureError, ToleranceUnachievableError
 from lsvd.lindblad import build_superoperator
 from lsvd.models import FMO_DEFAULT_T_END, RPM_DEFAULT_T_END, builtin_model
 from lsvd.numerics import DEFAULT_TOL, expm, svd
@@ -62,7 +58,7 @@ class TestExpm:
         np.testing.assert_allclose(expm(a), scipy.linalg.expm(a), rtol=1e-12)
 
     def test_non_square_raises(self):
-        with pytest.raises(NonSquareError):
+        with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 3\)"):
             expm(np.zeros((2, 3)))
 
     def test_bad_tol_raises(self):
@@ -70,9 +66,10 @@ class TestExpm:
             expm(np.eye(2), tol=0.0)
 
     def test_tolerance_unachievable_reports_residual(self):
-        with pytest.raises(ToleranceUnachievableError) as excinfo:
+        with pytest.raises(
+            ToleranceUnachievableError, match=r"achievable relative residual \d\.\d{3}e\+\d+"
+        ):
             expm(np.eye(2) * 1e30)
-        assert excinfo.value.residual is not None
 
     @pytest.mark.parametrize(
         "name, t",
@@ -140,11 +137,12 @@ class TestSvd:
         assert sigma.dtype == np.float64
 
     def test_non_square_raises(self):
-        with pytest.raises(NonSquareError):
+        with pytest.raises(ValueError, match=r"matrix must be square, got shape \(3, 2\)"):
             svd(np.zeros((3, 2)))
 
     def test_impossible_tol_raises_with_residual(self, rng):
         a = random_complex(rng, 16)
-        with pytest.raises(ConvergenceFailureError) as excinfo:
+        with pytest.raises(
+            ConvergenceFailureError, match=r"residual \d\.\d{3}e-\d+ > tol 1\.000e-30"
+        ):
             svd(a, tol=1e-30)
-        assert excinfo.value.residual > 1e-30

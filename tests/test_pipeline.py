@@ -225,6 +225,25 @@ class TestHermitianBasis:
                 amps[:25] * scale * norm, rho_t.flatten(order="F"), atol=1e-12
             )
 
+    def test_sampled_readout_draws_from_the_ancilla_0_amplitudes(self, monkeypatch):
+        # the sampler sees only the r² kept amplitudes, whose weight is the
+        # exact-mode success probability; the discarded branch never reaches it
+        shapes, weights = [], []
+        real_sample = lsvd.pipeline.sample
+
+        def recording_sample(amps, shots, seed):
+            shapes.append(amps.shape)
+            weights.append(float(np.vdot(amps, amps).real))
+            return real_sample(amps, shots, seed)
+
+        monkeypatch.setattr(lsvd.pipeline, "sample", recording_sample)
+        model, rho0 = builtin_model("fmo3")
+        times = [0.0, 150.0, 700.0, 2000.0]
+        quantum_evolve(model, rho0, times, mode="sampled", shots=64)
+        exact = quantum_evolve(model, rho0, times)
+        assert shapes == [(25,)] * len(times)
+        np.testing.assert_allclose(weights, exact.success_prob, atol=1e-12, rtol=0)
+
     def test_nearly_hermitian_hamiltonian_is_accepted(self, rng):
         # a Hermiticity defect of 1e-12 passes the model check (1e-10), so
         # the pipeline must not reject the generator built from it
