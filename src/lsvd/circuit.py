@@ -26,11 +26,13 @@ are reported by the closed-form counts in :func:`estimate_resources`
 instead.
 
 :func:`build_svd_circuit` does the whole per-point job: it takes the SVD
-of the square propagator once, in the propagator's own field
-(``numerics.svd`` checks reconstruction and the unitarity of both
-factors), pads the factors to the register with identity blocks, divides
-the singular values by max(1, sigma_max) and checks once more only what
-no SVD can vouch for: the dilated branches and the op application path.
+of each diagonal block of the square propagator once, in the block's own
+field (``numerics.svd`` checks reconstruction and the unitarity of both
+factors), places the factors on the diagonal of the register's U and V†
+with the padding identity as the last block, divides the singular values
+by max(1, sigma_max) and checks once more, on the assembled circuit, only
+what no SVD can vouch for: the dilated branches and the op application
+path.
 The circuit stores sigma; each use derives Sigma_+ from it through
 ``dilation.dilate`` and Sigma_- as the conjugate.  A real propagator
 gives real orthogonal factors, which are applied to the real and
@@ -63,8 +65,9 @@ class SVDCircuit:
     ``sigma`` lies in [0, 1]: the propagator's own singular values divided
     by ``scale``, descending, then one entry ``1/scale`` per padding row;
     the dilated diagonal is derived from it.  ``u`` and ``vdag`` are the
-    propagator's SVD factors with identity blocks appended, real for a real
-    propagator."""
+    direct sums of the propagator blocks' SVD factors and an identity
+    block, with columns of ``u`` and rows of ``vdag`` ordered as ``sigma``,
+    real for a real propagator."""
 
     u: np.ndarray
     sigma: np.ndarray
@@ -168,38 +171,49 @@ def _check_block_identity(circuit: SVDCircuit) -> None:
             )
 
 
-def build_svd_circuit(propagator) -> SVDCircuit:
-    """Assemble the program for one square propagator.
+def build_svd_circuit(*blocks) -> SVDCircuit:
+    """Assemble the program for the propagator ``blocks[0] ⊕ blocks[1] ⊕ …``.
 
-    The unpadded propagator is decomposed by ``numerics.svd`` in its own
-    field (reconstruction and unitarity of both factors checked to 1e-12),
-    the factors are padded to n = 2^k as ``U ⊕ I``, ``sigma ⊕ 1`` and
-    ``V† ⊕ I``, and the singular values are divided by ``scale = max(1,
-    sigma_max)``.  The dilation of sigma (which rejects values outside
-    [0, 1]) and the block identity (ancilla-0 block equals the diag-sigma
-    sandwich) are verified to 1e-10 before the circuit is returned.
+    A single square propagator is the one-block call.  Each block is
+    decomposed by ``numerics.svd`` in its own field (reconstruction, against
+    the block's own norm, and unitarity of both factors checked to 1e-12);
+    the direct sum of the block SVDs is an SVD of the direct sum.  The
+    factors are placed on the diagonals of ``U`` and ``V†`` with the padding
+    identity as the last block, up to n = 2^k, the columns of ``U`` and
+    rows of ``V†`` are permuted so the blocks' singular values come out
+    descending ahead of the padding ones, and sigma is divided by ``scale =
+    max(1, sigma_max)``.  The dilation of sigma (which rejects values
+    outside [0, 1]) and the block identity (ancilla-0 block equals the
+    diag-sigma sandwich) are verified to 1e-10 on the assembled circuit
+    before it is returned.
     """
-    u, raw, vdag = svd(propagator)
+    if not blocks:
+        raise ValueError("build_svd_circuit needs at least one block")
+    factors = [svd(block) for block in blocks]
+    raw = np.concatenate([s for _, s, _ in factors])
     dim = raw.size
     n = padded_dimension(dim)
-    scale = float(max(1.0, raw[0]))
-    sigma = np.concatenate([raw, np.ones(n - dim)]) / scale
+    order = np.concatenate([np.argsort(-raw, kind="stable"), np.arange(dim, n)])
+    scale = float(max(1.0, raw.max()))
+    sigma = np.concatenate([raw, np.ones(n - dim)])[order] / scale
     circuit = SVDCircuit(
-        u=_pad_with_identity(u, n),
+        u=_direct_sum_with_identity([u for u, _, _ in factors], n)[:, order],
         sigma=sigma,
-        vdag=_pad_with_identity(vdag, n),
+        vdag=_direct_sum_with_identity([v for _, _, v in factors], n)[order],
         scale=scale,
     )
     _check_block_identity(circuit)
     return circuit
 
 
-def _pad_with_identity(block: np.ndarray, n: int) -> np.ndarray:
-    """``block ⊕ I`` in dimension n, in the dtype of ``block``."""
-    if block.shape[0] == n:
-        return block
-    out = np.eye(n, dtype=block.dtype)
-    out[: block.shape[0], : block.shape[1]] = block
+def _direct_sum_with_identity(parts: list[np.ndarray], n: int) -> np.ndarray:
+    """``parts[0] ⊕ parts[1] ⊕ … ⊕ I`` in dimension n, real if every part is."""
+    out = np.eye(n, dtype=np.result_type(*parts))
+    offset = 0
+    for part in parts:
+        end = offset + part.shape[0]
+        out[offset:end, offset:end] = part
+        offset = end
     return out
 
 

@@ -12,8 +12,12 @@ two of which live here:
    values at exactly one, so the scale factor below is always set by the
    physics, never by the embedding.  Since m ⊕ I = (U ⊕ I)(Σ ⊕ I)(V† ⊕ I)
    whenever m = U Σ V†, the padding is applied to the factors of the
-   unpadded matrix and the n x n matrix itself is never formed.
-2. The SVD of the unpadded matrix, with the singular values divided by
+   unpadded matrix and the n x n matrix itself is never formed.  The same
+   holds block by block: for a block-diagonal m = m_1 ⊕ m_2 ⊕ …, the
+   direct sum of the blocks' SVDs is an SVD of m, with the padding
+   identity as the last block.
+2. The SVD of the unpadded matrix, block by block, with the singular
+   values (sorted descending across the blocks) divided by
    s = max(1, sigma_max) so all of them land in [0, 1].  Propagators of
    non-unital dynamics routinely have sigma_max > 1; the division is
    exactly invertible (recorded in ``SVDCircuit.scale``) and drops out of

@@ -10,6 +10,7 @@ into a linear flow on length-r² vectors generated by
 
     L = -i I⊗H + i H^T⊗I
         + sum_i gamma_i (C_i*⊗C_i - 1/2 I⊗C_i†C_i - 1/2 C_i^T C_i*⊗I)
+      = I⊗A + A*⊗I + sum_i gamma_i C_i*⊗C_i,   A = -iH - 1/2 sum_i gamma_i C_i†C_i
 
 so that vec(rho(t)) = exp(L t) vec(rho(0)).  ``classical_evolve`` follows
 exactly this route and is the reference every circuit-based result in
@@ -154,21 +155,19 @@ def build_superoperator(model: LindbladModel) -> np.ndarray:
 
     Placement of conjugates/transposes follows the column-stacking rule
     vec(A X B) = (B^T ⊗ A) vec(X); see the module docstring for the full
-    expression.  The result annihilates vec(I)† from the left (trace
-    preservation), which :func:`trace_preservation_defect` can verify.
+    expression, which is assembled here in its second form, with 2 + m
+    Kronecker products for m channels.  The result annihilates vec(I)†
+    from the left (trace preservation), which
+    :func:`trace_preservation_defect` can verify.
     """
-    h = model.hamiltonian
     r = model.dim
     eye = np.eye(r, dtype=np.complex128)
-    superop = -1j * np.kron(eye, h) + 1j * np.kron(h.T, eye)
+    a = -1j * model.hamiltonian
     for ch in model.channels:
-        c = ch.operator
-        cdc = c.conj().T @ c
-        superop = superop + ch.rate * (
-            np.kron(c.conj(), c)
-            - 0.5 * np.kron(eye, cdc)
-            - 0.5 * np.kron(cdc.T, eye)
-        )
+        a = a - 0.5 * ch.rate * (ch.operator.conj().T @ ch.operator)
+    superop = np.kron(eye, a) + np.kron(a.conj(), eye)
+    for ch in model.channels:
+        superop += ch.rate * np.kron(ch.operator.conj(), ch.operator)
     return superop
 
 

@@ -225,6 +225,11 @@ def _e2_op(m: np.ndarray) -> np.ndarray:
     return np.kron(np.eye(4, dtype=np.complex128), m)
 
 _EMBED = {"e1": _e1_op, "e2": _e2_op}
+# Spin-1/2 operators of electron 1, electron 2 and the nucleus on the 8-level
+# spin block; they do not depend on the field orientation.
+_SPIN1 = {a: _e1_op(0.5 * _PAULI[a]) for a in _AXES}
+_SPIN2 = {a: _e2_op(0.5 * _PAULI[a]) for a in _AXES}
+_NUC = {a: _nuc_op(0.5 * _PAULI[a]) for a in _AXES}
 
 _UP = np.array([1.0, 0.0], dtype=np.complex128)
 _DOWN = np.array([0.0, 1.0], dtype=np.complex128)
@@ -268,10 +273,6 @@ def rpm_model(params: RPMParams) -> tuple[LindbladModel, np.ndarray]:
     r = RPM_LEVELS
     to_ms = 1e-3  # rad/s -> rad/ms and s^-1 -> ms^-1
 
-    spin1 = {a: _e1_op(0.5 * _PAULI[a]) for a in _AXES}
-    spin2 = {a: _e2_op(0.5 * _PAULI[a]) for a in _AXES}
-    nuc = {a: _nuc_op(0.5 * _PAULI[a]) for a in _AXES}
-
     field_dir = np.array(
         [
             np.cos(params.phi) * np.sin(params.theta),
@@ -287,8 +288,8 @@ def rpm_model(params: RPMParams) -> tuple[LindbladModel, np.ndarray]:
     for a in range(3):
         for b in range(3):
             if tensor_ms[a, b] != 0.0:
-                h_spin += tensor_ms[a, b] * (nuc[_AXES[a]] @ spin1[_AXES[b]])
-        h_spin += gamma_ms * b_vec[a] * (spin1[_AXES[a]] + spin2[_AXES[a]])
+                h_spin += tensor_ms[a, b] * (_NUC[_AXES[a]] @ _SPIN1[_AXES[b]])
+        h_spin += gamma_ms * b_vec[a] * (_SPIN1[_AXES[a]] + _SPIN2[_AXES[a]])
 
     hamiltonian = np.zeros((r, r), dtype=np.complex128)
     hamiltonian[:8, :8] = h_spin

@@ -8,22 +8,30 @@ i < j, each placed at the column-stacked index of (i, j) or (j, i)
 respectively.  The change of basis T from column-stacked vec is then the
 identity on population indices and a 2 x 2 unitary rotation on each
 off-diagonal pair, applied by index arithmetic.  The generator is rotated
-once per model, G = T† L T (its imaginary part must be rounding), and all
-propagator and SVD work is real and unpadded r² x r².
+once per model, G = T† L T (its imaginary part must be rounding).
 
-The real propagators are chained along the ascending grid:
-exp(G t_k) = exp(G (t_k - t_{k-1})) exp(G t_{k-1}), with one ``expm`` per
-distinct time gap.  Each output time still gets its own freshly decomposed
-circuit implementing the full exp(G t_k), so postselection statistics are
-never compounded.  The input state enters as T† vec(rho0) and T is applied
-to the first r² ancilla-0 amplitudes of the output, so they are those of
-the circuit for exp(L t_k) with U = (T U_R) ⊕ I and V† = (V_Rᵀ T†) ⊕ I.
-Both readout modes start from those r² amplitudes, as ``run_exact`` returns
-them: exact mode rescales them, sampled mode draws shots from them with
-the discarded ancilla-1 outcome as one extra bucket.  Each time point is
-folded into its table row as soon as its circuit has run, so only one
-circuit is held at a time.  Points run serially in time order; sampling
-substreams are keyed by seed and point index.
+The bundled models' G is sparse: its exact-nonzero pattern splits into
+decoupled blocks (rpm's 100 indices into 34, 32, 8, 8, 8, 8, 1 and 1).  A
+permutation P, found once per model, makes each block contiguous, so the
+working basis is T P and P† G P = G_1 ⊕ G_2 ⊕ ….  Since exp(⊕ G_i t) =
+⊕ exp(G_i t) and products of block-diagonal matrices stay block diagonal
+with exact zeros, all propagator and SVD work is real, unpadded and block
+by block; a generator with no such structure is one block.
+
+The real propagator blocks are chained along the ascending grid:
+exp(G_i t_k) = exp(G_i (t_k - t_{k-1})) exp(G_i t_{k-1}), with one
+``expm`` per distinct time gap per block.  Each output time still gets its
+own freshly decomposed circuit implementing the full exp(G t_k), so
+postselection statistics are never compounded.  The input state enters as
+P† T† vec(rho0) and T P is applied to the first r² ancilla-0 amplitudes of
+the output, so they are those of the circuit for exp(L t_k) with
+U = (T P U_R) ⊕ I and V† = (V_Rᵀ P† T†) ⊕ I.  Both readout modes start
+from those r² amplitudes, as ``run_exact`` returns them: exact mode
+rescales them, sampled mode draws shots from them with the discarded
+ancilla-1 outcome as one extra bucket.  Each time point is folded into its
+table row as soon as its circuit has run, so only one circuit is held at
+a time.  Points run serially in time order; sampling substreams are keyed
+by seed and point index.
 """
 
 from __future__ import annotations
@@ -102,27 +110,53 @@ def _real_generator(model: LindbladModel) -> np.ndarray:
     return np.ascontiguousarray(g.real)
 
 
-def _propagators(superop: np.ndarray, grid: np.ndarray):
-    """Yield exp(L t) for each time of the ascending ``grid``, in order.
+def _decoupled_blocks(generator: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of G's exact-nonzero pattern.
 
-    The first is evaluated fresh; every later one is ``step @ previous``
-    with ``step = exp(L gap)`` for the float gap to the previous time (exact
-    whenever neighbours lie within a factor of two), so the chain telescopes
-    to each t.  A step is kept only until the last use of its gap, so a grid
-    whose gaps all differ caches nothing.
+    Indices i and j are coupled when G[i, j] or G[j, i] is non-zero.  Each
+    component lists its indices ascending, the largest components first;
+    reordered by their concatenation, G is block diagonal with exact zeros
+    off the blocks.  Every index starts labelled with itself and takes the
+    lowest label among its neighbours until nothing changes, so each
+    component ends up labelled with its lowest index.
+    """
+    nonzero = generator != 0
+    coupled = nonzero | nonzero.T | np.eye(generator.shape[0], dtype=bool)
+    labels = np.arange(generator.shape[0])
+    while True:
+        lowest = np.where(coupled, labels, labels.size).min(axis=1)
+        if np.array_equal(lowest, labels):
+            break
+        labels = lowest
+    roots = np.flatnonzero(labels == np.arange(labels.size))
+    components = [np.flatnonzero(labels == root) for root in roots]
+    components.sort(key=len, reverse=True)
+    return components
+
+
+def _propagators(blocks: list[np.ndarray], grid: np.ndarray):
+    """Yield the blocks of exp(G t) for each time of the ascending ``grid``.
+
+    ``blocks`` are the diagonal blocks of a block-diagonal generator, whose
+    propagator is the direct sum of the blocks' own.  The first time is
+    evaluated fresh; every later one is ``step @ previous`` block by block,
+    with ``step = exp(G_i gap)`` for the float gap to the previous time
+    (exact whenever neighbours lie within a factor of two), so the chain
+    telescopes to each t.  A step is kept only until the last use of its
+    gap, so a grid whose gaps all differ caches nothing.
     """
     gaps = np.diff(grid).tolist()
     last_use = {gap: index for index, gap in enumerate(gaps)}
-    steps: dict[float, np.ndarray] = {}
-    current = propagator(superop, grid[0])
+    steps: dict[float, list[np.ndarray]] = {}
+    current = [propagator(block, grid[0]) for block in blocks]
     yield current
     for index, gap in enumerate(gaps):
         step = steps.pop(gap, None)
         if step is None:
-            step = propagator(superop, gap)
+            step = [propagator(block, gap) for block in blocks]
         if last_use[gap] > index:
             steps[gap] = step
-        current = step @ current
+        current = [s @ c for s, c in zip(step, current)]
         yield current
 
 
@@ -137,8 +171,8 @@ def quantum_evolve(
     """Propagate through the circuit pipeline and read out populations.
 
     One circuit per output time.  The system register is initialized to
-    vec(rho0)/||vec(rho0)|| zero-padded to the 2^k system dimension, with
-    the ancilla in |0>.  ``mode="exact"`` reads the conditioned amplitudes
+    the working-basis coordinates P† T† vec(rho0)/||vec(rho0)|| zero-padded
+    to the 2^k system dimension, with the ancilla in |0>.  ``mode="exact"`` reads the conditioned amplitudes
     directly and rescales by the dilation scale, reproducing the classical
     result to rounding.  ``mode="sampled"`` measures ``shots`` times per
     point (substream seed = ``substream_seed(seed, point_index)``) from the
@@ -155,18 +189,23 @@ def quantum_evolve(
     if rho_init.shape != (r, r):
         raise ValueError(f"rho0 has shape {rho_init.shape}, expected ({r}, {r})")
     generator = _real_generator(model)
+    components = _decoupled_blocks(generator)
+    order = np.concatenate(components)
+    blocks = [generator[np.ix_(c, c)] for c in components]
     v0 = vectorize(rho_init)
     input_norm = float(np.linalg.norm(v0))
     if input_norm == 0.0:
         raise ValueError("rho0 must be non-zero")
-    system_input = _to_hermitian_basis(v0, r) / input_norm
+    system_input = _to_hermitian_basis(v0, r)[order] / input_norm
 
-    def one(index: int, prop: np.ndarray) -> tuple[np.ndarray, float, float]:
-        circ = build_svd_circuit(prop)
+    def one(index: int, props: list[np.ndarray]) -> tuple[np.ndarray, float, float]:
+        circ = build_svd_circuit(*props)
         state = np.zeros(2 * circ.n, dtype=np.complex128)
         state[: r * r] = system_input
         conditioned, success = run_exact(circ, state)
-        vec_t = _from_hermitian_basis(conditioned[: r * r], r)
+        coords = np.empty(r * r, dtype=np.complex128)
+        coords[order] = conditioned[: r * r]
+        vec_t = _from_hermitian_basis(coords, r)
         if mode == "exact":
             vec_t *= circ.scale * input_norm
             return np.real(np.diag(devectorize(vec_t, r))), success, circ.scale
@@ -175,7 +214,7 @@ def quantum_evolve(
         return populations, result.postselected_shots / result.shots, circ.scale
 
     populations, success, scales = zip(
-        *map(one, range(grid.size), _propagators(generator, grid))
+        *map(one, range(grid.size), _propagators(blocks, grid))
     )
     return PopulationTrace(
         times=grid,

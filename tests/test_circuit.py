@@ -109,6 +109,40 @@ class TestBuild:
             build_svd_circuit(np.diag([0.9, 0.5, 0.3, 0.1]))
 
 
+class TestBlocks:
+    @staticmethod
+    def padded_product(circuit):
+        return (circuit.u * (circuit.sigma * circuit.scale)) @ circuit.vdag
+
+    @pytest.mark.parametrize("sizes", [[5, 3, 1], [4, 4], [1, 1, 1], [2, 7]])
+    def test_matches_the_dense_direct_sum(self, rng, sizes):
+        blocks = [rng.normal(size=(s, s)) for s in sizes]
+        split = build_svd_circuit(*blocks)
+        dense = build_svd_circuit(scipy.linalg.block_diag(*blocks))
+        dim = sum(sizes)
+        assert split.n == dense.n
+        assert split.scale == pytest.approx(dense.scale, rel=1e-14)
+        np.testing.assert_allclose(split.sigma, dense.sigma, atol=1e-14, rtol=0)
+        assert np.all(np.diff(split.sigma[:dim]) <= 0.0)
+        np.testing.assert_array_equal(split.sigma[dim:], 1.0 / split.scale)
+        np.testing.assert_allclose(
+            self.padded_product(split), self.padded_product(dense), atol=1e-12, rtol=0
+        )
+        assert split.u.dtype == split.vdag.dtype == np.float64
+
+    def test_one_complex_block_makes_complex_factors(self, rng):
+        blocks = [rng.normal(size=(2, 2)), random_complex(rng, 3)]
+        circuit = build_svd_circuit(*blocks)
+        assert circuit.u.dtype == circuit.vdag.dtype == np.complex128
+        np.testing.assert_allclose(
+            self.padded_product(circuit)[:5, :5], scipy.linalg.block_diag(*blocks), atol=1e-12
+        )
+
+    def test_no_block_rejected(self):
+        with pytest.raises(ValueError, match="at least one block"):
+            build_svd_circuit()
+
+
 class TestRunExact:
     def test_contraction_success_probability(self):
         circuit = build_svd_circuit(np.diag([0.5, 0.5, 0.5, 0.5]))

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,7 @@ import lsvd.circuit
 import lsvd.lindblad
 import lsvd.pipeline
 from lsvd.errors import LsvdError
-from lsvd.lindblad import LindbladModel, build_superoperator, classical_evolve
+from lsvd.lindblad import Channel, LindbladModel, build_superoperator, classical_evolve
 from lsvd.models import builtin_model
 from lsvd.pipeline import quantum_evolve, qubit_counts
 
@@ -18,6 +19,13 @@ from conftest import random_density, random_hermitian, random_model
 # t0 > 0, a repeated time (a zero gap) and a 1e-9 gap
 IRREGULAR_GRID = np.array([0.5, 0.5, 0.8, 0.81, 3.0, 3.0 + 1e-9, 7.0])
 RPM_GRID = np.arange(572) * 1.75e-3
+# sizes of the decoupled blocks of each bundled model's real generator
+BLOCK_SIZES = {
+    "fmo3": [11, 6, 6, 1, 1],
+    "fmo7": [51, 14, 14, 1, 1],
+    "rpm": [34, 32, 8, 8, 8, 8, 1, 1],
+    "rpm-dissipative": [34, 32, 8, 8, 8, 8, 1, 1],
+}
 
 
 def _no_propagator(*args, **kwargs):
@@ -90,6 +98,52 @@ class TestPropagatorChain:
         expected = 1 + len(set(np.diff(RPM_GRID).tolist()))
         assert expected == 12
         assert len(calls) == expected
+
+
+def direct_sum_model(rng, r1, r2):
+    """Two random sub-models placed as a direct sum on r1 + r2 levels, with
+    the levels shuffled, so G has at least two decoupled blocks that are
+    not contiguous in the Hermitian basis."""
+    first, second = random_model(rng, r1), random_model(rng, r2, n_channels=1)
+    perm = rng.permutation(r1 + r2)
+
+    def embed(a, b):
+        return scipy.linalg.block_diag(a, b)[np.ix_(perm, perm)]
+
+    zero1, zero2 = np.zeros((r1, r1)), np.zeros((r2, r2))
+    channels = [Channel(embed(ch.operator, zero2), ch.rate) for ch in first.channels]
+    channels += [Channel(embed(zero1, ch.operator), ch.rate) for ch in second.channels]
+    return LindbladModel(
+        hamiltonian=embed(first.hamiltonian, second.hamiltonian), channels=tuple(channels)
+    )
+
+
+class TestDecoupledBlocks:
+    @pytest.mark.parametrize("name", sorted(BLOCK_SIZES))
+    def test_bundled_generators_are_exactly_block_diagonal(self, name):
+        model, _ = builtin_model(name)
+        generator = lsvd.pipeline._real_generator(model)
+        components = lsvd.pipeline._decoupled_blocks(generator)
+        sizes = [c.size for c in components]
+        assert sizes == BLOCK_SIZES[name]
+        order = np.concatenate(components)
+        np.testing.assert_array_equal(np.sort(order), np.arange(generator.shape[0]))
+        block_of = np.repeat(np.arange(len(sizes)), sizes)
+        off_blocks = block_of[:, None] != block_of[None, :]
+        assert np.all(generator[np.ix_(order, order)][off_blocks] == 0.0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(r=st.integers(2, 4), split=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_direct_sum_models_match_oracle(self, r, split, seed):
+        rng = np.random.default_rng(seed)
+        r1 = min(split, r - 1)
+        model = direct_sum_model(rng, r1, r - r1)
+        rho0 = random_density(rng, r)
+        generator = lsvd.pipeline._real_generator(model)
+        assert len(lsvd.pipeline._decoupled_blocks(generator)) >= 2
+        quantum = quantum_evolve(model, rho0, IRREGULAR_GRID)
+        oracle = classical_evolve(model, rho0, IRREGULAR_GRID)
+        np.testing.assert_allclose(quantum.populations, oracle.populations, atol=1e-10, rtol=0)
 
 
 class TestMemory:
@@ -256,6 +310,8 @@ class TestHermitianBasis:
         np.testing.assert_allclose(quantum.populations, oracle.populations, atol=1e-10, rtol=0)
 
     def test_rpm_grid_sends_real_unpadded_matrices_to_the_svd(self, monkeypatch):
+        # one float64 SVD per decoupled block of G per point, and one
+        # propagator per distinct gap per block
         svd_inputs = []
         real_svd = lsvd.circuit.svd
 
@@ -274,6 +330,6 @@ class TestHermitianBasis:
         monkeypatch.setattr(lsvd.pipeline, "propagator", counting_propagator)
         model, rho0 = builtin_model("rpm")
         quantum_evolve(model, rho0, RPM_GRID)
-        assert len(svd_inputs) == 572
-        assert set(svd_inputs) == {(np.dtype(np.float64), (100, 100))}
-        assert len(propagator_calls) == 12
+        per_point = [(np.dtype(np.float64), (size, size)) for size in BLOCK_SIZES["rpm"]]
+        assert svd_inputs == per_point * 572
+        assert len(propagator_calls) == 12 * 8
