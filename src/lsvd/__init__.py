@@ -27,7 +27,6 @@ from .errors import (
     LsvdError,
     SigmaOutOfRangeError,
     ToleranceUnachievableError,
-    WrongModelError,
 )
 from .lindblad import (
     Channel,

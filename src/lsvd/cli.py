@@ -17,7 +17,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,10 +30,15 @@ from .lindblad import (
     trace_preservation_defect,
 )
 from .models import (
-    BUILTIN_MODELS,
     FMO_DEFAULT_DT,
+    FMO_DEFAULT_GAMMA_DEPH,
+    FMO_DEFAULT_GAMMA_DISS,
+    FMO_DEFAULT_GAMMA_SINK,
     FMO_DEFAULT_T_END,
+    RPM_DEFAULT_B0,
     RPM_DEFAULT_DT,
+    RPM_DEFAULT_GAMMA_SHELF,
+    RPM_DEFAULT_HYPERFINE_AZ,
     RPM_DEFAULT_T_END,
     THETA_DEFAULT_STEP_DEG,
     FMOParams,
@@ -46,22 +51,6 @@ from .models import (
 from .pipeline import quantum_evolve, qubit_counts
 from .sampler import DEFAULT_SHOTS, RNG_ALGORITHM
 from .circuit import estimate_resources
-
-
-@dataclass
-class RunConfig:
-    """Resolved run configuration, embedded verbatim in the metadata block."""
-
-    command: str
-    model_source: str
-    dt: float | None
-    t_end: float | None
-    mode: str
-    shots: int
-    seed: int
-    output: str
-    format: str
-    parameters: dict
 
 
 def _load_model_file(path: str) -> LindbladModel:
@@ -84,38 +73,27 @@ def _time_grid(dt: float, t_end: float) -> np.ndarray:
     return np.arange(steps + 1) * dt
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _config(args, command: str, model_source: str, dt: float | None, stem: str, parameters: dict) -> dict:
+    """Resolved run configuration, embedded verbatim in the metadata block."""
+    return {
+        "command": command,
+        "model_source": model_source,
+        "dt": dt,
+        "t_end": args.t_end,
+        "mode": args.mode,
+        "shots": args.shots,
+        "seed": args.seed,
+        "output": args.out or f"{stem}_results.{args.format}",
+        "format": args.format,
+        "parameters": parameters,
+    }
 
 
-def _write_outputs(columns, rows, metadata, out: str, fmt: str) -> tuple[str, str]:
-    """Write the results table plus metadata; returns (table path, meta path)."""
-    rows = [[float(v) for v in row] for row in rows]
-    if fmt == "csv":
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-        meta_path = out + ".meta.json"
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(metadata, fh, indent=2)
-            fh.write("\n")
-        return out, meta_path
-    if fmt == "json":
-        payload = {"columns": list(columns), "rows": rows, "metadata": metadata}
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        return out, out
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def _metadata(config: RunConfig, model: LindbladModel, columns, extra: dict) -> dict:
+def _metadata(config: dict, model: LindbladModel, columns, extra: dict) -> dict:
     k, d = qubit_counts(model.dim)
     meta = {
         "package": {"name": "lsvd", "version": __version__},
-        "config": asdict(config),
+        "config": config,
         "model": {
             "dim": model.dim,
             "time_unit": model.time_unit,
@@ -128,7 +106,7 @@ def _metadata(config: RunConfig, model: LindbladModel, columns, extra: dict) -> 
         "resource_estimate": asdict(estimate_resources(d)),
         "rng": {
             "algorithm": RNG_ALGORITHM,
-            "seed": config.seed,
+            "seed": config["seed"],
             "substream_rule": (
                 "SeedSequence([seed mod 2^64, point-index])"
                 ".generate_state(1, uint64)[0]"
@@ -152,37 +130,40 @@ def _metadata(config: RunConfig, model: LindbladModel, columns, extra: dict) -> 
     return meta
 
 
-def _emit_trace(config: RunConfig, model: LindbladModel, trace) -> tuple[str, str]:
+def _write_run(config: dict, model: LindbladModel, columns, rows, scales, **extra) -> int:
+    """Write the results table plus its metadata (a sidecar for CSV, embedded
+    for JSON) and report where they went."""
+    meta = _metadata(config, model, columns, {"scale_factors": [float(s) for s in scales], **extra})
+    rows = [[float(v) for v in row] for row in rows]
+    out = meta_path = config["output"]
+    if config["format"] == "csv":
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([repr(v) for v in row] for row in rows)
+        meta_path = out + ".meta.json"
+        payload = meta
+    else:
+        payload = {"columns": columns, "rows": rows, "metadata": meta}
+    with open(meta_path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {len(rows)} rows to {out} (metadata: {meta_path})")
+    return 0
+
+
+def _run_trace(args, command: str, model: LindbladModel, rho0, params: dict) -> int:
+    grid = _time_grid(args.dt, args.t_end)
+    config = _config(args, command, args.model or command, args.dt, command, params)
+    trace = quantum_evolve(
+        model, rho0, grid, mode=args.mode, shots=args.shots, seed=args.seed
+    )
     columns = ["time", *model.labels, "success_prob"]
     rows = [
         [trace.times[i], *trace.populations[i], trace.success_prob[i]]
         for i in range(trace.times.size)
     ]
-    extra = {"scale_factors": [float(s) for s in trace.scales]}
-    meta = _metadata(config, model, columns, extra)
-    return _write_outputs(columns, rows, meta, config.output, config.format)
-
-
-def _run_trace_command(args, command: str, model: LindbladModel, rho0, params: dict) -> int:
-    grid = _time_grid(args.dt, args.t_end)
-    config = RunConfig(
-        command=command,
-        model_source=args.model if args.model else command,
-        dt=args.dt,
-        t_end=args.t_end,
-        mode=args.mode,
-        shots=args.shots,
-        seed=args.seed,
-        output=args.out or f"{command}_results.{args.format}",
-        format=args.format,
-        parameters=params,
-    )
-    trace = quantum_evolve(
-        model, rho0, grid, mode=args.mode, shots=args.shots, seed=args.seed
-    )
-    table, meta = _emit_trace(config, model, trace)
-    print(f"wrote {trace.times.size} rows to {table} (metadata: {meta})")
-    return 0
+    return _write_run(config, model, columns, rows, trace.scales)
 
 
 def _cmd_fmo(args) -> int:
@@ -210,7 +191,7 @@ def _cmd_fmo(args) -> int:
             "gamma_sink": fmo.gamma_sink,
             "initial_state": "site1",
         }
-    return _run_trace_command(args, "fmo", model, rho0, params)
+    return _run_trace(args, "fmo", model, rho0, params)
 
 
 def _rpm_params(args) -> RPMParams:
@@ -236,22 +217,12 @@ def _rpm_param_dict(params: RPMParams) -> dict:
     }
 
 
-def _run_sweep(args) -> int:
+def _cmd_sweep(args) -> int:
     if not args.theta_step > 0:
         raise ValueError("--theta-step must be positive")
     base = _rpm_params(args)
-    config = RunConfig(
-        command="sweep",
-        model_source="rpm",
-        dt=None,
-        t_end=args.t_end,
-        mode=args.mode,
-        shots=args.shots,
-        seed=args.seed,
-        output=args.out or f"rpm_sweep_results.{args.format}",
-        format=args.format,
-        parameters={**_rpm_param_dict(base), "theta_step_deg": args.theta_step},
-    )
+    params = {**_rpm_param_dict(base), "theta_step_deg": args.theta_step}
+    config = _config(args, "sweep", "rpm", None, "rpm_sweep", params)
     result = theta_sweep(
         base,
         thetas=default_theta_grid(args.theta_step),
@@ -266,11 +237,7 @@ def _run_sweep(args) -> int:
         [np.rad2deg(result.thetas[i]), result.phi_s[i], result.phi_t[i], result.success_prob[i]]
         for i in range(result.thetas.size)
     ]
-    extra = {"scale_factors": [float(s) for s in result.scales], "t_end": result.t_end}
-    meta = _metadata(config, model, columns, extra)
-    table, meta_path = _write_outputs(columns, rows, meta, config.output, config.format)
-    print(f"wrote {result.thetas.size} rows to {table} (metadata: {meta_path})")
-    return 0
+    return _write_run(config, model, columns, rows, result.scales, t_end=result.t_end)
 
 
 def _cmd_rpm(args) -> int:
@@ -286,7 +253,7 @@ def _cmd_rpm(args) -> int:
         base = _rpm_params(args)
         model, rho0 = rpm_model(base)
         params = _rpm_param_dict(base)
-    return _run_trace_command(args, "rpm", model, rho0, params)
+    return _run_trace(args, "rpm", model, rho0, params)
 
 
 def _cmd_evolve(args) -> int:
@@ -298,7 +265,7 @@ def _cmd_evolve(args) -> int:
     rho0 = np.zeros((model.dim, model.dim), dtype=complex)
     rho0[args.initial, args.initial] = 1.0
     params = {"model_file": args.model, "initial_level": args.initial}
-    return _run_trace_command(args, "evolve", model, rho0, params)
+    return _run_trace(args, "evolve", model, rho0, params)
 
 
 def _cmd_resources(args) -> int:
@@ -331,31 +298,26 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 2
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, help="output path (default: <command>_results.<format>)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-def _add_run_flags(parser: argparse.ArgumentParser, dt: float, t_end: float) -> None:
-    parser.add_argument("--dt", type=float, default=dt, help="time step in model time units")
+def _add_run_flags(parser: argparse.ArgumentParser, t_end: float, dt: float | None = None) -> None:
+    """Flags of every command that writes a results table; traces also take --dt."""
+    if dt is not None:
+        parser.add_argument("--dt", type=float, default=dt, help="time step in model time units")
     parser.add_argument("--t-end", type=float, default=t_end, help="end time in model time units")
     parser.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     parser.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--model", default=None, help="model file overriding the built-in")
-    _add_output_flags(parser)
+    parser.add_argument(
+        "--out",
+        help="output path (default: <command>_results.<format>; sweep: rpm_sweep_results.<format>)",
+    )
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_rpm_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta", type=float, default=90.0, help="field orientation in degrees")
-    parser.add_argument("--b0", type=float, default=RPMParams().b0, help="field magnitude in tesla")
-    parser.add_argument(
-        "--hyperfine-az",
-        type=float,
-        default=float(RPMParams().hyperfine[2, 2]),
-        help="axial hyperfine component in rad/s",
-    )
-    parser.add_argument("--gamma-shelf", type=float, default=RPMParams().gamma_shelf, help="shelving rate in 1/s")
+    parser.add_argument("--b0", type=float, default=RPM_DEFAULT_B0, help="field magnitude in tesla")
+    parser.add_argument("--hyperfine-az", type=float, default=RPM_DEFAULT_HYPERFINE_AZ, help="axial hyperfine component in rad/s")
+    parser.add_argument("--gamma-shelf", type=float, default=RPM_DEFAULT_GAMMA_SHELF, help="shelving rate in 1/s")
     parser.add_argument("--gamma-diss", type=float, default=0.0, help="electron dephasing rate in 1/s")
 
 
@@ -372,35 +334,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fmo = sub.add_parser("fmo", help="exciton-transport population trace")
     p_fmo.add_argument("--sites", type=int, choices=(3, 7), default=3)
-    p_fmo.add_argument("--gamma-deph", type=float, default=FMOParams.default(3).gamma_deph, help="site dephasing rate in 1/fs")
-    p_fmo.add_argument("--gamma-diss", type=float, default=FMOParams.default(3).gamma_diss, help="dissipation rate in 1/fs")
-    p_fmo.add_argument("--gamma-sink", type=float, default=FMOParams.default(3).gamma_sink, help="sink transfer rate in 1/fs")
-    _add_run_flags(p_fmo, FMO_DEFAULT_DT, FMO_DEFAULT_T_END)
+    p_fmo.add_argument("--gamma-deph", type=float, default=FMO_DEFAULT_GAMMA_DEPH, help="site dephasing rate in 1/fs")
+    p_fmo.add_argument("--gamma-diss", type=float, default=FMO_DEFAULT_GAMMA_DISS, help="dissipation rate in 1/fs")
+    p_fmo.add_argument("--gamma-sink", type=float, default=FMO_DEFAULT_GAMMA_SINK, help="sink transfer rate in 1/fs")
+    p_fmo.add_argument("--model", help="model file overriding the built-in")
+    _add_run_flags(p_fmo, FMO_DEFAULT_T_END, FMO_DEFAULT_DT)
     p_fmo.set_defaults(func=_cmd_fmo)
 
     p_rpm = sub.add_parser("rpm", help="radical-pair yields trace")
     _add_rpm_flags(p_rpm)
-    _add_run_flags(p_rpm, RPM_DEFAULT_DT, RPM_DEFAULT_T_END)
+    p_rpm.add_argument("--model", help="model file overriding the built-in")
+    _add_run_flags(p_rpm, RPM_DEFAULT_T_END, RPM_DEFAULT_DT)
     p_rpm.set_defaults(func=_cmd_rpm)
 
     p_sweep = sub.add_parser("sweep", help="orientation sweep of the compass yields")
     p_sweep.add_argument("--theta-step", type=float, default=THETA_DEFAULT_STEP_DEG, help="sweep step in degrees")
     _add_rpm_flags(p_sweep)
-    p_sweep.add_argument("--t-end", type=float, default=RPM_DEFAULT_T_END)
-    p_sweep.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p_sweep.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p_sweep)
-    p_sweep.set_defaults(func=_run_sweep)
+    _add_run_flags(p_sweep, RPM_DEFAULT_T_END)
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_evolve = sub.add_parser("evolve", help="population trace of a model file")
     p_evolve.add_argument("--initial", type=int, default=0, help="initially occupied level")
-    _add_run_flags(p_evolve, 1.0, 10.0)
+    p_evolve.add_argument("--model", required=True, help="model file to run")
+    _add_run_flags(p_evolve, 10.0, 1.0)
     p_evolve.set_defaults(func=_cmd_evolve)
-    # evolve requires an explicit model file
-    for action in p_evolve._actions:
-        if action.dest == "model":
-            action.required = True
 
     p_res = sub.add_parser("resources", help="closed-form gate-count estimates")
     p_res.add_argument("--qubits", type=int, required=True, help="total register size d")

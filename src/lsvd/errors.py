@@ -2,7 +2,7 @@
 
 Numeric failures raised by this package derive from :class:`LsvdError`, so
 callers (notably the CLI) can tell them from usage errors such as a wrong
-shape or length, which are plain ``ValueError``s.
+shape, length or model, which are plain ``ValueError``s.
 """
 
 
@@ -29,7 +29,3 @@ class BlockIdentityViolationError(LsvdError):
 
 class AllZeroDiagonalError(LsvdError):
     """No counts were observed on any population (diagonal) index."""
-
-
-class WrongModelError(LsvdError):
-    """A result was produced by a model the operation does not apply to."""

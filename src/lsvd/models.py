@@ -37,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import WrongModelError
 from .lindblad import (
     Channel,
     LindbladModel,
@@ -335,7 +334,7 @@ def rpm_model(params: RPMParams) -> tuple[LindbladModel, np.ndarray]:
 def yields(trace: PopulationTrace) -> tuple[np.ndarray, np.ndarray]:
     """Singlet and triplet yields: the shelf populations of a compass trace."""
     if trace.labels is None or "S" not in trace.labels or "T" not in trace.labels:
-        raise WrongModelError("trace does not carry compass shelf levels 'S' and 'T'")
+        raise ValueError("trace does not carry compass shelf levels 'S' and 'T'")
     idx_s = trace.labels.index("S")
     idx_t = trace.labels.index("T")
     return trace.populations[:, idx_s].copy(), trace.populations[:, idx_t].copy()

@@ -62,6 +62,12 @@ class TestRpmCommand:
         assert len(rows) == 21
         assert float(rows[-1][0]) == 180.0
 
+    def test_sweep_writes_rpm_sweep_results_by_default(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("sweep", "--theta-step", "90") == 0
+        assert (tmp_path / "rpm_sweep_results.csv").is_file()
+        assert (tmp_path / "rpm_sweep_results.csv.meta.json").is_file()
+
     def test_trace_headers(self, tmp_path):
         out = tmp_path / "rpm.csv"
         assert run("rpm", "--t-end", "0.02", "--dt", "0.005", "--out", str(out)) == 0
@@ -166,14 +172,41 @@ class TestOutputContracts:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert paths[0].read_bytes() != paths[2].read_bytes()
 
-    def test_bad_flags_exit_2(self):
+    def test_bad_flags_exit_2(self, capsys):
         assert run("fmo", "--mode", "nonsense") == 2
         assert run("fmo", "--dt", "-1") == 2
+        capsys.readouterr()
         assert run("evolve") == 2
+        assert "--model" in capsys.readouterr().err
         assert run("rpm", "--sweep-theta") == 2
         assert run("sweep", "--theta-step", "0") == 2
         assert run("fmo", "--t-end", "inf") == 2
         assert run("fmo", "--dt", "nan") == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fmo", "--t-end", "20"],
+            ["rpm", "--t-end", "0.01"],
+            ["evolve", "--model", str(builtin_model_path("fmo3")), "--dt", "10", "--t-end", "30"],
+            ["sweep", "--theta-step", "45", "--t-end", "0.1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_run_command_writes_the_same_metadata_shape(self, argv, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run(*argv, "--seed", "7", "--out", str(out)) == 0
+        _, rows = read_csv(out)
+        meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
+        config = meta["config"]
+        assert list(config) == [
+            "command", "model_source", "dt", "t_end", "mode",
+            "shots", "seed", "output", "format", "parameters",
+        ]
+        assert config["command"] == argv[0]
+        assert config["output"] == str(out)
+        assert meta["rng"]["seed"] == config["seed"] == 7
+        assert len(meta["scale_factors"]) == len(rows) > 1
 
     @pytest.mark.parametrize("step", ["nan", "0", "-1"])
     def test_bad_theta_step_names_the_flag(self, step, capsys):

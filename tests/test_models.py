@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import lsvd.models
-from lsvd.errors import WrongModelError
 from lsvd.lindblad import (
     classical_evolve,
     load_model,
@@ -20,6 +19,7 @@ from lsvd.models import (
     fmo_model,
     rpm_model,
     theta_sweep,
+    write_builtin_model_files,
     yields,
 )
 from lsvd.pipeline import quantum_evolve, qubit_counts
@@ -161,7 +161,7 @@ class TestRPMModel:
     def test_yields_requires_compass_trace(self):
         model, rho0 = fmo_model(FMOParams.default(3))
         trace = classical_evolve(model, rho0, [0.0])
-        with pytest.raises(WrongModelError):
+        with pytest.raises(ValueError, match="'S' and 'T'"):
             yields(trace)
 
     def test_yields_start_empty_and_saturate(self):
@@ -235,6 +235,12 @@ class TestBuiltinModels:
         model, _ = builtin_model(name)
         loaded = load_model(builtin_model_path(name))
         assert model_to_dict(loaded) == model_to_dict(model)
+
+    def test_regenerated_files_are_byte_identical(self, tmp_path):
+        written = write_builtin_model_files(tmp_path / "data")
+        assert [path.name for path in written] == [f"{name}.json" for name in BUILTIN_MODELS]
+        for name, path in zip(BUILTIN_MODELS, written):
+            assert path.read_bytes() == builtin_model_path(name).read_bytes()
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
