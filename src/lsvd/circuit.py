@@ -18,21 +18,29 @@ branches of the dilated diagonal and recombine them, leaving
 
 so measuring the ancilla in |0> applies the scaled propagator to the
 system register; the |1> outcome is the discarded branch.  Emulation
-applies the five ops as exact matrix-vector products at full register
-dimension (one freshly decomposed circuit per output time), and
-:func:`run_exact` returns the ancilla-0 amplitudes that both readout modes
-start from; elementary gate synthesis is out of scope and resource needs
+applies the five ops as exact products on the two ancilla blocks of the
+statevector; elementary gate synthesis is out of scope and resource needs
 are reported by the closed-form counts in :func:`estimate_resources`
 instead.
+
+The propagator is block diagonal (one block for a general matrix), and so
+are U and V†: the direct sums of the blocks' SVD factors, with an identity
+block for the padding rows up to n = 2^k.  The circuit keeps the block
+factors and applies them block by block, with the padding rows passing
+straight through; the dense n x n U and V† are never formed on the run
+path.  Every array of a circuit may carry leading axes: a stack of
+propagators, one per output time, is decomposed, checked and run in one
+call per step, and a single 2-D propagator is the stack with no leading
+axes.
 
 :func:`build_svd_circuit` does the whole per-point job: it takes the SVD
 of each diagonal block of the square propagator once, in the block's own
 field (``numerics.svd`` checks reconstruction and the unitarity of both
-factors), places the factors on the diagonal of the register's U and V†
-with the padding identity as the last block, divides the singular values
-by max(1, sigma_max) and checks once more, on the assembled circuit, only
-what no SVD can vouch for: the dilated branches and the op application
-path.
+factors), orders the singular values descending with the padding ones
+last, divides them by max(1, sigma_max) and checks once more, on the
+assembled circuit, only what no SVD can vouch for: the dilated branches
+and the op application path.  :func:`run_exact` returns the ancilla-0
+amplitudes that both readout modes start from.
 The circuit stores sigma; each use derives Sigma_+ from it through
 ``dilation.dilate`` and Sigma_- as the conjugate.  A real propagator
 gives real orthogonal factors, which are applied to the real and
@@ -41,6 +49,7 @@ imaginary parts of the register in one real product.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,25 +68,32 @@ _NUM_PROBES = 2
 
 @dataclass(frozen=True)
 class SVDCircuit:
-    """The five-op program for one propagator: ``u @ diag(sigma * scale) @
-    vdag`` is the propagator padded with an identity block to n = 2^k.
+    """The five-op program for a propagator ``m_1 ⊕ m_2 ⊕ …``, or for a
+    stack of them: every array carries the stack's leading axes ``...``.
 
-    ``sigma`` lies in [0, 1]: the propagator's own singular values divided
-    by ``scale``, descending, then one entry ``1/scale`` per padding row;
-    the dilated diagonal is derived from it.  ``u`` and ``vdag`` are the
-    direct sums of the propagator blocks' SVD factors and an identity
-    block, with columns of ``u`` and rows of ``vdag`` ordered as ``sigma``,
-    real for a real propagator."""
+    ``u_blocks`` and ``vdag_blocks`` hold the SVD factors of the blocks
+    ``m_i`` in order, real for real blocks, with each run of consecutive
+    blocks of one size ``s`` stacked into one array of shape ``(..., count,
+    s, s)``, so that the run is applied in one product.  ``sigma``,
+    shape ``(..., n)``, lies in [0, 1]: the propagator's own singular
+    values divided by ``scale``, descending, then one entry ``1/scale`` per
+    padding row.  ``rank[..., i]`` is the position in ``sigma`` of the
+    singular value that belongs to row ``i`` of the block factors (the
+    padding rows last), and ``scale`` has shape ``...``.  ``u @ diag(sigma
+    * scale) @ vdag`` is the propagator padded with an identity block to
+    n = 2^k; ``u`` and ``vdag`` are derived from the blocks on request.
+    """
 
-    u: np.ndarray
+    u_blocks: tuple[np.ndarray, ...]
     sigma: np.ndarray
-    vdag: np.ndarray
-    scale: float
+    vdag_blocks: tuple[np.ndarray, ...]
+    rank: np.ndarray
+    scale: np.ndarray | float
 
     @property
     def n(self) -> int:
         """System register dimension 2^k."""
-        return self.u.shape[0]
+        return self.sigma.shape[-1]
 
     @property
     def k(self) -> int:
@@ -89,44 +105,116 @@ class SVDCircuit:
         """Register qubits: the system plus one ancilla."""
         return self.k + 1
 
+    @property
+    def u(self) -> np.ndarray:
+        """Dense ``u_1 ⊕ u_2 ⊕ … ⊕ I``, its columns ordered as ``sigma``."""
+        dense = _direct_sum_with_identity(self.u_blocks, self.n)
+        return np.take_along_axis(dense, np.argsort(self.rank)[..., None, :], axis=-1)
+
+    @property
+    def vdag(self) -> np.ndarray:
+        """Dense ``vdag_1 ⊕ vdag_2 ⊕ … ⊕ I``, its rows ordered as ``sigma``."""
+        dense = _direct_sum_with_identity(self.vdag_blocks, self.n)
+        return np.take_along_axis(dense, np.argsort(self.rank)[..., :, None], axis=-2)
+
+
+def _runs(parts: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Stack each run of consecutive equal-size blocks: (..., count, s, s),
+    all in one field (complex if any block is).
+
+    A run of one block is a view of it, not a copy.
+    """
+    dtype = np.result_type(*parts)
+    runs = [list(run) for _, run in itertools.groupby(parts, key=lambda part: part.shape[-1])]
+    return tuple(
+        (np.stack(run, axis=-3) if len(run) > 1 else run[0][..., None, :, :]).astype(
+            dtype, copy=False
+        )
+        for run in runs
+    )
+
+
+def _direct_sum_with_identity(runs: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+    """The direct sum of every block of ``runs``, then ``I``, in dimension
+    n; real if every block is."""
+    eye = np.eye(n, dtype=np.result_type(*runs))
+    out = np.broadcast_to(eye, runs[0].shape[:-3] + (n, n)).copy()
+    offset = 0
+    for run in runs:
+        for j in range(run.shape[-3]):
+            end = offset + run.shape[-1]
+            out[..., offset:end, offset:end] = run[..., j, :, :]
+            offset = end
+    return out
+
+
+def _sigma_by_row(circuit: SVDCircuit) -> np.ndarray:
+    """``sigma`` in the row order of the block factors."""
+    return np.take_along_axis(circuit.sigma, circuit.rank, axis=-1)
+
+
+def _on_system(runs: tuple[np.ndarray, ...], blocks: np.ndarray) -> np.ndarray:
+    """``(direct sum of the blocks of runs ⊕ I) @ blocks`` for complex
+    ``blocks`` of shape (..., n, m) whose last axis is contiguous, one
+    product per run of equal-size blocks.
+
+    The padding rows after the last block are copied unchanged.  Real runs
+    multiply the real and imaginary parts together, as one real product on
+    the float64 view of ``blocks``, instead of being upcast to complex.
+    """
+    real = not np.iscomplexobj(runs[0])
+    rows = blocks.view(np.float64) if real else blocks
+    width = rows.shape[-1]
+    batch = np.broadcast_shapes(runs[0].shape[:-3], rows.shape[:-2])
+    out = np.empty(batch + rows.shape[-2:], dtype=rows.dtype)
+    offset = 0
+    for run in runs:
+        count, size = run.shape[-3], run.shape[-1]
+        end = offset + count * size
+        part = rows[..., offset:end, :].reshape(rows.shape[:-2] + (count, size, width))
+        out[..., offset:end, :] = (run @ part).reshape(batch + (count * size, width))
+        offset = end
+    out[..., offset:, :] = rows[..., offset:, :]
+    return out.view(np.complex128) if real else out
+
 
 def apply_circuit(circuit: SVDCircuit, state) -> np.ndarray:
-    """Apply the five ops in order to a 2^d statevector.
+    """Apply the five ops in order to 2^d statevectors, shape (..., 2^d).
 
-    System ops act on both ancilla blocks, the ancilla Hadamard mixes the
-    blocks, and the dilated diagonal scales them elementwise; this is the
-    blockwise form of the full 2^d x 2^d products.
+    The state's leading axes broadcast against the circuit's.  System ops
+    act on both ancilla blocks, the ancilla Hadamard mixes the blocks, and
+    the dilated diagonal scales them elementwise; this is the blockwise
+    form of the full 2^d x 2^d products.
     """
-    amps = np.asarray(state, dtype=np.complex128).ravel()
+    amps = np.asarray(state, dtype=np.complex128)
     n = circuit.n
-    if amps.size != 2 * n:
+    if amps.shape[-1] != 2 * n:
         raise ValueError(
-            f"state has length {amps.size}, expected {2 * n} for d={circuit.d} qubits"
+            f"state has length {amps.shape[-1]}, expected {2 * n} for d={circuit.d} qubits"
         )
-    sigma_plus = dilate(circuit.sigma)
-    blocks = _on_system(circuit.vdag, np.column_stack([amps[:n], amps[n:]]))
-    b0, b1 = blocks[:, 0], blocks[:, 1]
-    b0, b1 = (b0 + b1) * _SQRT_HALF, (b0 - b1) * _SQRT_HALF
-    b0 = sigma_plus * b0
-    b1 = sigma_plus.conj() * b1
-    b0, b1 = (b0 + b1) * _SQRT_HALF, (b0 - b1) * _SQRT_HALF
-    return _on_system(circuit.u, np.column_stack([b0, b1])).T.ravel()
+    sigma_plus = dilate(_sigma_by_row(circuit))
+    halves = np.stack([amps[..., :n], amps[..., n:]], axis=-1)
+    blocks = _on_system(circuit.vdag_blocks, halves)
+    _ancilla_hadamard(blocks)
+    blocks[..., 0] *= sigma_plus
+    blocks[..., 1] *= sigma_plus.conj()
+    _ancilla_hadamard(blocks)
+    out = _on_system(circuit.u_blocks, blocks)
+    return np.concatenate([out[..., 0], out[..., 1]], axis=-1)
 
 
-def _on_system(op: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """``op @ blocks`` for C-contiguous complex ``blocks`` of shape (n, m).
-
-    A real ``op`` multiplies the real and imaginary parts together, as one
-    real product on the float64 view of ``blocks``, instead of being
-    upcast to complex on every call.
-    """
-    if np.iscomplexobj(op):
-        return op @ blocks
-    return (op @ blocks.view(np.float64)).view(np.complex128)
+def _ancilla_hadamard(blocks: np.ndarray) -> None:
+    """H on the ancilla, in place on the ancilla blocks (..., n, 2)."""
+    b0, b1 = blocks[..., 0], blocks[..., 1]
+    total = b0 + b1
+    np.subtract(b0, b1, out=b1)
+    b0[...] = total
+    blocks *= _SQRT_HALF
 
 
 def as_unitary(circuit: SVDCircuit) -> np.ndarray:
-    """Compose the full 2^d x 2^d operator (intended for small registers)."""
+    """Compose the full 2^d x 2^d operator of a single circuit (intended
+    for small registers)."""
     n = circuit.n
     eye_n = np.eye(n, dtype=np.complex128)
     composite = np.kron(np.eye(2, dtype=np.complex128), circuit.vdag)
@@ -140,12 +228,13 @@ def as_unitary(circuit: SVDCircuit) -> np.ndarray:
 
 
 def _check_block_identity(circuit: SVDCircuit) -> None:
-    """Verify the ancilla-0 block reproduces U diag(sigma) V†.
+    """Verify the ancilla-0 block reproduces U diag(sigma) V† at every point.
 
     The unitarity of U and V† is the SVD's own contract; this adds the two
     checks it cannot make.  The branch-average identity covers the diagonal
-    algebra, and two deterministic pseudo-random probe states exercise the
-    actual op application path.  Cost stays O(n²).
+    algebra, and two deterministic pseudo-random probe states, sent
+    together through the circuits of every point in one call, exercise the
+    actual op application path.  Cost stays O(n²) per point.
     """
     sigma = circuit.sigma
     sigma_plus = dilate(sigma)
@@ -155,86 +244,83 @@ def _check_block_identity(circuit: SVDCircuit) -> None:
             "branch average of the dilated diagonal does not reproduce diag(sigma)"
         )
     n = circuit.n
-    rng = np.random.default_rng(_PROBE_SEED)
-    for _ in range(_NUM_PROBES):
-        probe = rng.normal(size=n) + 1j * rng.normal(size=n)
-        probe /= np.linalg.norm(probe)
-        state = np.zeros(2 * n, dtype=np.complex128)
-        state[:n] = probe
-        got = apply_circuit(circuit, state)[:n]
-        column = sigma[:, None] * _on_system(circuit.vdag, probe[:, None])
-        want = _on_system(circuit.u, column)[:, 0]
-        if np.linalg.norm(got - want) > _BLOCK_TOL:
-            raise BlockIdentityViolationError(
-                f"ancilla-0 block deviates from U diag(sigma) V† by "
-                f"{np.linalg.norm(got - want):.3e}"
-            )
+    draws = np.random.default_rng(_PROBE_SEED).normal(size=(_NUM_PROBES, 2, n))
+    probes = draws[:, 0] + 1j * draws[:, 1]
+    probes /= np.linalg.norm(probes, axis=-1, keepdims=True)
+    # probes on a leading axis of their own, broadcast against the points
+    probes = probes.reshape((_NUM_PROBES,) + (1,) * (sigma.ndim - 1) + (n,))
+    states = np.concatenate([probes, np.zeros_like(probes)], axis=-1)
+    got = apply_circuit(circuit, states)[..., :n]
+    column = _sigma_by_row(circuit)[..., None] * _on_system(
+        circuit.vdag_blocks, probes[..., None]
+    )
+    want = _on_system(circuit.u_blocks, column)[..., 0]
+    deviation = float(np.max(np.linalg.norm(got - want, axis=-1)))
+    if deviation > _BLOCK_TOL:
+        raise BlockIdentityViolationError(
+            f"ancilla-0 block deviates from U diag(sigma) V† by {deviation:.3e}"
+        )
 
 
 def build_svd_circuit(*blocks) -> SVDCircuit:
     """Assemble the program for the propagator ``blocks[0] ⊕ blocks[1] ⊕ …``.
 
-    A single square propagator is the one-block call.  Each block is
-    decomposed by ``numerics.svd`` in its own field (reconstruction, against
-    the block's own norm, and unitarity of both factors checked to 1e-12);
-    the direct sum of the block SVDs is an SVD of the direct sum.  The
-    factors are placed on the diagonals of ``U`` and ``V†`` with the padding
-    identity as the last block, up to n = 2^k, the columns of ``U`` and
-    rows of ``V†`` are permuted so the blocks' singular values come out
-    descending ahead of the padding ones, and sigma is divided by ``scale =
-    max(1, sigma_max)``.  The dilation of sigma (which rejects values
-    outside [0, 1]) and the block identity (ancilla-0 block equals the
-    diag-sigma sandwich) are verified to 1e-10 on the assembled circuit
-    before it is returned.
+    A single square propagator is the one-block call.  Each block may be a
+    stack ``(..., s_i, s_i)``, all with the same leading axes, which the
+    circuit then carries; a 2-D block is the stack with none.  Each block
+    is decomposed by ``numerics.svd`` in its own field (reconstruction,
+    against each matrix's own norm, and unitarity of both factors checked
+    to 1e-12); the direct sum of the block SVDs is an SVD of the direct
+    sum, with the padding identity as the last block, up to n = 2^k.  The
+    blocks' singular values are ordered descending ahead of the padding
+    ones and divided by ``scale = max(1, sigma_max)``.  The dilation of
+    sigma (which rejects values outside [0, 1]) and the block identity
+    (ancilla-0 block equals the diag-sigma sandwich) are verified to 1e-10
+    at every point of the assembled circuit before it is returned.
     """
     if not blocks:
         raise ValueError("build_svd_circuit needs at least one block")
     factors = [svd(block) for block in blocks]
-    raw = np.concatenate([s for _, s, _ in factors])
-    dim = raw.size
+    raw = np.concatenate([s for _, s, _ in factors], axis=-1)
+    batch, dim = raw.shape[:-1], raw.shape[-1]
     n = padded_dimension(dim)
-    order = np.concatenate([np.argsort(-raw, kind="stable"), np.arange(dim, n)])
-    scale = float(max(1.0, raw.max()))
-    sigma = np.concatenate([raw, np.ones(n - dim)])[order] / scale
+    scale = np.maximum(1.0, raw.max(axis=-1))
+    sigma_by_row = np.concatenate([raw, np.ones(batch + (n - dim,))], axis=-1) / scale[..., None]
+    padding = np.broadcast_to(np.arange(dim, n), batch + (n - dim,))
+    order = np.concatenate([np.argsort(-raw, axis=-1, kind="stable"), padding], axis=-1)
     circuit = SVDCircuit(
-        u=_direct_sum_with_identity([u for u, _, _ in factors], n)[:, order],
-        sigma=sigma,
-        vdag=_direct_sum_with_identity([v for _, _, v in factors], n)[order],
+        u_blocks=_runs([u for u, _, _ in factors]),
+        sigma=np.take_along_axis(sigma_by_row, order, axis=-1),
+        vdag_blocks=_runs([vdag for _, _, vdag in factors]),
+        rank=np.argsort(order, axis=-1),
         scale=scale,
     )
     _check_block_identity(circuit)
     return circuit
 
 
-def _direct_sum_with_identity(parts: list[np.ndarray], n: int) -> np.ndarray:
-    """``parts[0] ⊕ parts[1] ⊕ … ⊕ I`` in dimension n, real if every part is."""
-    out = np.eye(n, dtype=np.result_type(*parts))
-    offset = 0
-    for part in parts:
-        end = offset + part.shape[0]
-        out[offset:end, offset:end] = part
-        offset = end
-    return out
+def run_exact(circuit: SVDCircuit, input_state) -> tuple[np.ndarray, np.ndarray | float]:
+    """Run the program on normalized inputs and postselect the ancilla.
 
-
-def run_exact(circuit: SVDCircuit, input_state) -> tuple[np.ndarray, float]:
-    """Run the program on a normalized input and postselect the ancilla.
-
-    Returns ``(conditioned, success_prob)`` where ``conditioned`` holds the
-    unnormalized ancilla-0 amplitudes (exact readout rescales them by the
-    dilation scale, sampled readout draws shots from them) and
-    ``success_prob`` is their squared norm.  For an input with the ancilla
-    in |0>, ``success_prob = ||M_scaled @ input_system||²``.
+    ``input_state`` has shape (..., 2^d), broadcasting against the
+    circuit's leading axes.  Returns ``(conditioned, success_prob)`` where
+    ``conditioned`` holds the unnormalized ancilla-0 amplitudes (exact
+    readout rescales them by the dilation scale, sampled readout draws
+    shots from them) and ``success_prob`` is their squared norm, per
+    point.  For an input with the ancilla in |0>, ``success_prob =
+    ||M_scaled @ input_system||²``.
     """
-    amps = np.asarray(input_state, dtype=np.complex128).ravel()
-    if amps.size != 2 * circuit.n:
-        raise ValueError(f"input has length {amps.size}, expected {2 * circuit.n}")
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"input state must be normalized, got norm {norm!r}")
+    amps = np.asarray(input_state, dtype=np.complex128)
+    if amps.shape[-1] != 2 * circuit.n:
+        raise ValueError(f"input has length {amps.shape[-1]}, expected {2 * circuit.n}")
+    norm = np.linalg.norm(amps, axis=-1)
+    defect = np.abs(norm - 1.0)
+    if (defect > 1e-10).any():
+        worst = float(np.ravel(norm)[np.argmax(defect)])
+        raise ValueError(f"input state must be normalized, got norm {worst!r}")
     final = apply_circuit(circuit, amps)
-    conditioned = final[: circuit.n].copy()
-    success = float(np.real(np.vdot(conditioned, conditioned)))
+    conditioned = final[..., : circuit.n].copy()
+    success = np.square(conditioned.view(np.float64)).sum(axis=-1)
     return conditioned, success
 
 

@@ -62,6 +62,21 @@ def _load_model_file(path: str) -> LindbladModel:
         raise ValueError(f"cannot read model file {path}: {exc}") from exc
 
 
+class _ModelFlag(argparse.Action):
+    """Store a built-in model's parameter and note that the flag was given,
+    so a run on a ``--model`` file can refuse it instead of ignoring it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.model_flags = (*namespace.model_flags, self.option_strings[0])
+
+
+def _refuse_model_flags(args) -> None:
+    given = ", ".join(dict.fromkeys(args.model_flags))
+    if given:
+        raise ValueError(f"--model replaces the built-in model, so {given} would be ignored")
+
+
 def _time_grid(dt: float, t_end: float) -> np.ndarray:
     if not (np.isfinite(dt) and np.isfinite(t_end)):
         raise ValueError("--dt and --t-end must be finite")
@@ -168,6 +183,7 @@ def _run_trace(args, command: str, model: LindbladModel, rho0, params: dict) -> 
 
 def _cmd_fmo(args) -> int:
     if args.model:
+        _refuse_model_flags(args)
         model = _load_model_file(args.model)
         if model.dim < 3:
             raise ValueError("an exciton-network model needs at least ground, one site and a sink")
@@ -242,6 +258,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_rpm(args) -> int:
     if args.model:
+        _refuse_model_flags(args)
         model = _load_model_file(args.model)
         _, rho0 = rpm_model(_rpm_params(args))
         if model.dim != rho0.shape[0]:
@@ -314,11 +331,12 @@ def _add_run_flags(parser: argparse.ArgumentParser, t_end: float, dt: float | No
 
 
 def _add_rpm_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--theta", type=float, default=90.0, help="field orientation in degrees")
-    parser.add_argument("--b0", type=float, default=RPM_DEFAULT_B0, help="field magnitude in tesla")
-    parser.add_argument("--hyperfine-az", type=float, default=RPM_DEFAULT_HYPERFINE_AZ, help="axial hyperfine component in rad/s")
-    parser.add_argument("--gamma-shelf", type=float, default=RPM_DEFAULT_GAMMA_SHELF, help="shelving rate in 1/s")
-    parser.add_argument("--gamma-diss", type=float, default=0.0, help="electron dephasing rate in 1/s")
+    parser.set_defaults(model_flags=())
+    parser.add_argument("--theta", type=float, default=90.0, action=_ModelFlag, help="field orientation in degrees")
+    parser.add_argument("--b0", type=float, default=RPM_DEFAULT_B0, action=_ModelFlag, help="field magnitude in tesla")
+    parser.add_argument("--hyperfine-az", type=float, default=RPM_DEFAULT_HYPERFINE_AZ, action=_ModelFlag, help="axial hyperfine component in rad/s")
+    parser.add_argument("--gamma-shelf", type=float, default=RPM_DEFAULT_GAMMA_SHELF, action=_ModelFlag, help="shelving rate in 1/s")
+    parser.add_argument("--gamma-diss", type=float, default=0.0, action=_ModelFlag, help="electron dephasing rate in 1/s")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,10 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fmo = sub.add_parser("fmo", help="exciton-transport population trace")
-    p_fmo.add_argument("--sites", type=int, choices=(3, 7), default=3)
-    p_fmo.add_argument("--gamma-deph", type=float, default=FMO_DEFAULT_GAMMA_DEPH, help="site dephasing rate in 1/fs")
-    p_fmo.add_argument("--gamma-diss", type=float, default=FMO_DEFAULT_GAMMA_DISS, help="dissipation rate in 1/fs")
-    p_fmo.add_argument("--gamma-sink", type=float, default=FMO_DEFAULT_GAMMA_SINK, help="sink transfer rate in 1/fs")
+    p_fmo.set_defaults(model_flags=())
+    p_fmo.add_argument("--sites", type=int, choices=(3, 7), default=3, action=_ModelFlag)
+    p_fmo.add_argument("--gamma-deph", type=float, default=FMO_DEFAULT_GAMMA_DEPH, action=_ModelFlag, help="site dephasing rate in 1/fs")
+    p_fmo.add_argument("--gamma-diss", type=float, default=FMO_DEFAULT_GAMMA_DISS, action=_ModelFlag, help="dissipation rate in 1/fs")
+    p_fmo.add_argument("--gamma-sink", type=float, default=FMO_DEFAULT_GAMMA_SINK, action=_ModelFlag, help="sink transfer rate in 1/fs")
     p_fmo.add_argument("--model", help="model file overriding the built-in")
     _add_run_flags(p_fmo, FMO_DEFAULT_T_END, FMO_DEFAULT_DT)
     p_fmo.set_defaults(func=_cmd_fmo)

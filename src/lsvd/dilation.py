@@ -11,18 +11,19 @@ two of which live here:
    padded directions invariant and decoupled and pins their singular
    values at exactly one, so the scale factor below is always set by the
    physics, never by the embedding.  Since m ⊕ I = (U ⊕ I)(Σ ⊕ I)(V† ⊕ I)
-   whenever m = U Σ V†, the padding is applied to the factors of the
-   unpadded matrix and the n x n matrix itself is never formed.  The same
-   holds block by block: for a block-diagonal m = m_1 ⊕ m_2 ⊕ …, the
-   direct sum of the blocks' SVDs is an SVD of m, with the padding
-   identity as the last block.
+   whenever m = U Σ V†, the padding belongs to the factors of the
+   unpadded matrix.  The same holds block by block: for a block-diagonal
+   m = m_1 ⊕ m_2 ⊕ …, the direct sum of the blocks' SVDs is an SVD of m,
+   with the padding identity as the last block.  The circuit keeps only
+   the blocks' factors and lets the padding rows pass through, so neither
+   the n x n matrix nor its n x n factors are formed.
 2. The SVD of the unpadded matrix, block by block, with the singular
    values (sorted descending across the blocks) divided by
    s = max(1, sigma_max) so all of them land in [0, 1].  Propagators of
    non-unital dynamics routinely have sigma_max > 1; the division is
    exactly invertible (recorded in ``SVDCircuit.scale``) and drops out of
    any normalized measurement distribution.  This step runs inside
-   ``build_svd_circuit``.
+   ``build_svd_circuit``, for one propagator or a stack of them.
 3. ``dilate`` lifts the scaled singular values into the success branch
    Sigma_+ = sigma + i sqrt(1 - sigma²) of the block-diagonal unitary
    diag(Sigma_+, Sigma_-); the other branch is its conjugate Sigma_-, which
@@ -59,9 +60,9 @@ def dilate(sigma) -> np.ndarray:
     """
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma < -SIGMA_SLACK) or np.any(sigma > 1.0 + SIGMA_SLACK):
-        worst = sigma[np.argmax(np.maximum(sigma - 1.0, -sigma))]
+        worst = sigma.flat[np.argmax(np.maximum(sigma - 1.0, -sigma))]
         raise SigmaOutOfRangeError(
             f"singular value {worst!r} lies outside [0, 1] beyond slack {SIGMA_SLACK}"
         )
-    clamped = np.clip(sigma, 0.0, 1.0)
+    clamped = np.minimum(np.maximum(sigma, 0.0), 1.0)
     return clamped + 1j * np.sqrt(1.0 - clamped**2)

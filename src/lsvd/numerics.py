@@ -2,10 +2,11 @@
 
 All functions accept anything ``numpy.asarray`` can turn into a 2-D array
 and keep its field: real input is worked on, and returned, as ``float64``
-and complex input as ``complex128``.  ``svd`` delegates to numpy's
-LAPACK-backed routine but enforces the accuracy contract documented on it,
-raising when the contract is missed instead of returning silently degraded
-factors.
+and complex input as ``complex128``.  ``svd`` also takes a stack of
+matrices, shape ``(..., m, m)``, as ``numpy.linalg.svd`` does; it delegates
+to numpy's LAPACK-backed routine but enforces the accuracy contract
+documented on it for every matrix of the stack, raising when the contract
+is missed instead of returning silently degraded factors.
 ``expm`` is a scaling-and-squaring Taylor evaluation whose truncation is
 driven by the requested tolerance.
 
@@ -34,12 +35,12 @@ _MAX_SQUARINGS = 60
 _MAX_TAYLOR_TERMS = 48
 
 
-def as_matrix(a, *, name: str = "matrix") -> Matrix:
+def as_matrix(a, *, name: str = "matrix", stacked: bool = False) -> Matrix:
     """Coerce ``a`` to a finite 2-D array: complex128 if ``a`` is complex,
-    float64 otherwise."""
+    float64 otherwise.  With ``stacked``, leading axes are allowed too."""
     m = np.asarray(a)
     m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stacked and m.ndim > 2):
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
@@ -47,8 +48,8 @@ def as_matrix(a, *, name: str = "matrix") -> Matrix:
 
 
 def _require_square(m: Matrix, name: str = "matrix") -> None:
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"{name} must be square, got shape {m.shape[-2:]}")
 
 
 def expm(a, tol: float = DEFAULT_TOL) -> Matrix:
@@ -111,39 +112,52 @@ def expm(a, tol: float = DEFAULT_TOL) -> Matrix:
     return result
 
 
-def svd(a, tol: float = DEFAULT_TOL):
-    """Singular value decomposition ``a = U diag(sigma) Vdag`` of a square matrix.
+def _squared_defect(product: Matrix, target=0.0) -> np.ndarray:
+    """Squared Frobenius norm of ``product - target`` for each matrix of a
+    stack, computed in place: ``product`` must be a temporary, so that a
+    check holds one extra stack at a time."""
+    product -= target
+    product *= product.conj()
+    return np.add.reduce(product, axis=(-2, -1)).real
 
-    Returns ``(u, sigma, vdag)`` with ``sigma`` real, non-negative and
-    sorted descending; ``u`` and ``vdag`` are float64 (orthogonal) for real
-    input and complex128 (unitary) for complex input.  The reconstruction
-    residual and the departures of ``u``/``vdag`` from unitarity (Frobenius
-    norms) are checked against ``tol``; a miss raises
-    ``ConvergenceFailureError`` that gives the worst residual.
+
+def svd(a, tol: float = DEFAULT_TOL):
+    """Singular value decomposition ``a = U diag(sigma) Vdag`` of a square
+    matrix, or of each matrix of a stack ``(..., m, m)``.
+
+    Returns ``(u, sigma, vdag)`` with the leading axes of ``a``; ``sigma``
+    is real, non-negative and sorted descending; ``u`` and ``vdag`` are
+    float64 (orthogonal) for real input and complex128 (unitary) for
+    complex input.  For every matrix, the reconstruction residual against
+    that matrix's own norm and the departures of ``u``/``vdag`` from
+    unitarity (Frobenius norms) are checked against ``tol``; a miss raises
+    ``ConvergenceFailureError`` that gives the worst residual of the stack.
 
     Factor matrices are not unique (degenerate singular values admit
     arbitrary unitary mixing), so callers should only ever compare
     reconstructed products, never the factors themselves.
     """
-    m = as_matrix(a)
+    m = as_matrix(a, stacked=True)
     _require_square(m)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = m.shape[0]
     try:
         u, sigma, vdag = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"SVD did not converge: {exc}") from exc
 
-    scale = np.linalg.norm(m)
-    residual = np.linalg.norm((u * sigma) @ vdag - m) / (scale if scale > 0 else 1.0)
-    eye = np.eye(n)
-    ortho = max(
-        np.linalg.norm(u.conj().T @ u - eye),
-        np.linalg.norm(vdag @ vdag.conj().T - eye),
+    eye = np.eye(m.shape[-1])
+    norm_squared = _squared_defect(m.copy())
+    norm_squared = norm_squared + (norm_squared == 0)  # zero matrix: absolute residual
+    worst_squared = np.maximum(
+        _squared_defect((u * sigma[..., None, :]) @ vdag, m) / norm_squared,
+        np.maximum(
+            _squared_defect(np.swapaxes(u, -1, -2).conj() @ u, eye),
+            _squared_defect(vdag @ np.swapaxes(vdag, -1, -2).conj(), eye),
+        ),
     )
-    worst = float(max(residual, ortho))
-    if worst > tol:
+    worst = float(np.sqrt(worst_squared.max()))
+    if not worst <= tol:  # a NaN factor fails too
         raise ConvergenceFailureError(
             f"SVD accuracy contract missed: residual {worst:.3e} > tol {tol:.3e}"
         )

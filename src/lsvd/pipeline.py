@@ -22,16 +22,22 @@ The real propagator blocks are chained along the ascending grid:
 exp(G_i t_k) = exp(G_i (t_k - t_{k-1})) exp(G_i t_{k-1}), with one
 ``expm`` per distinct time gap per block.  Each output time still gets its
 own freshly decomposed circuit implementing the full exp(G t_k), so
-postselection statistics are never compounded.  The input state enters as
-P† T† vec(rho0) and T P is applied to the first r² ancilla-0 amplitudes of
-the output, so they are those of the circuit for exp(L t_k) with
-U = (T P U_R) ⊕ I and V† = (V_Rᵀ P† T†) ⊕ I.  Both readout modes start
-from those r² amplitudes, as ``run_exact`` returns them: exact mode
-rescales them, sampled mode draws shots from them with the discarded
-ancilla-1 outcome as one extra bucket.  Each time point is folded into its
-table row as soon as its circuit has run, so only one circuit is held at
-a time.  Points run serially in time order; sampling substreams are keyed
-by seed and point index.
+postselection statistics are never compounded.  The circuits are built
+and run ``_CHUNK`` consecutive times at once: their propagator blocks are
+stacked along a leading point axis, one ``build_svd_circuit`` call
+decomposes and checks every point of the stack and one ``run_exact`` call
+runs them.  A point's row does not depend on the chunk it falls in.
+
+The input state enters as P† T† vec(rho0) and T P is applied to the first
+r² ancilla-0 amplitudes of the output, so they are those of the circuit
+for exp(L t_k) with U = (T P U_R) ⊕ I and V† = (V_Rᵀ P† T†) ⊕ I.  Both
+readout modes start from those r² amplitudes, as ``run_exact`` returns
+them: exact mode rescales them, sampled mode draws shots from them with
+the discarded ancilla-1 outcome as one extra bucket.  Each chunk is folded
+into its table rows as soon as its circuits have run and is released
+before the next one is stacked, so memory holds one chunk at a time
+however long the grid.  Chunks run serially in time order; sampling
+substreams are keyed by seed and point index.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from .lindblad import (
     PopulationTrace,
     _validated_times,
     build_superoperator,
-    devectorize,
     propagator,
     vectorize,
 )
@@ -54,6 +59,11 @@ from .numerics import as_matrix
 from .sampler import DEFAULT_SHOTS, estimate_populations, sample, substream_seed
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+# Time points decomposed, checked and run per stacked circuit call: enough
+# to spread the per-call overhead, few enough to keep memory at a handful
+# of propagators however long the grid.
+_CHUNK = 8
 
 # Largest imaginary part of T† L T, relative to ||H||_F + sum_i gamma_i
 # ||C_i||_F², that is taken for rounding (random models reach 0.5 eps).
@@ -160,6 +170,21 @@ def _propagators(blocks: list[np.ndarray], grid: np.ndarray):
         yield current
 
 
+def _chunks(propagators, size: int):
+    """Yield ``size`` consecutive points of ``propagators`` at a time (the
+    last chunk may be shorter), each block stacked along a new leading
+    axis.  A chunk's unstacked points are dropped before it is handed out."""
+    points = []
+    for props in propagators:
+        points.append(props)
+        if len(points) == size:
+            chunk = [np.array(stack) for stack in zip(*points)]
+            points.clear()
+            yield chunk
+    if points:
+        yield [np.array(stack) for stack in zip(*points)]
+
+
 def quantum_evolve(
     model: LindbladModel,
     rho0,
@@ -170,14 +195,15 @@ def quantum_evolve(
 ) -> PopulationTrace:
     """Propagate through the circuit pipeline and read out populations.
 
-    One circuit per output time.  The system register is initialized to
-    the working-basis coordinates P† T† vec(rho0)/||vec(rho0)|| zero-padded
-    to the 2^k system dimension, with the ancilla in |0>.  ``mode="exact"`` reads the conditioned amplitudes
-    directly and rescales by the dilation scale, reproducing the classical
-    result to rounding.  ``mode="sampled"`` measures ``shots`` times per
-    point (substream seed = ``substream_seed(seed, point_index)``) from the
-    same amplitudes, postselects on the ancilla and estimates populations
-    from the surviving counts.
+    One circuit per output time, built and run a chunk of times at once.
+    The system register is initialized to the working-basis coordinates
+    P† T† vec(rho0)/||vec(rho0)|| zero-padded to the 2^k system dimension,
+    with the ancilla in |0>.  ``mode="exact"`` reads the conditioned
+    amplitudes directly and rescales by the dilation scale, reproducing
+    the classical result to rounding.  ``mode="sampled"`` measures
+    ``shots`` times per point (substream seed = ``substream_seed(seed,
+    point_index)``) from the same amplitudes, postselects on the ancilla
+    and estimates populations from the surviving counts.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
@@ -198,29 +224,36 @@ def quantum_evolve(
         raise ValueError("rho0 must be non-zero")
     system_input = _to_hermitian_basis(v0, r)[order] / input_norm
 
-    def one(index: int, props: list[np.ndarray]) -> tuple[np.ndarray, float, float]:
-        circ = build_svd_circuit(*props)
-        state = np.zeros(2 * circ.n, dtype=np.complex128)
-        state[: r * r] = system_input
-        conditioned, success = run_exact(circ, state)
-        coords = np.empty(r * r, dtype=np.complex128)
-        coords[order] = conditioned[: r * r]
-        vec_t = _from_hermitian_basis(coords, r)
-        if mode == "exact":
-            vec_t *= circ.scale * input_norm
-            return np.real(np.diag(devectorize(vec_t, r))), success, circ.scale
-        result = sample(vec_t, shots, substream_seed(seed, index))
-        populations = estimate_populations(result, r)
-        return populations, result.postselected_shots / result.shots, circ.scale
+    state = np.zeros(2 * padded_dimension(r * r), dtype=np.complex128)
+    state[: r * r] = system_input
 
+    def run_chunk(first: int, chunk: list[np.ndarray]):
+        circ = build_svd_circuit(*chunk)
+        conditioned, success = run_exact(circ, state)
+        coords = np.empty((r * r, conditioned.shape[0]), dtype=np.complex128)
+        coords[order] = conditioned[:, : r * r].T
+        vecs = _from_hermitian_basis(coords, r).T  # one row vec(rho) per point
+        if mode == "exact":
+            vecs *= (circ.scale * input_norm)[:, None]
+            # a copy: a view would keep every chunk's vecs alive to the end
+            return np.real(vecs[:, :: r + 1]).copy(), success, circ.scale
+        results = [
+            sample(vec_t, shots, substream_seed(seed, first + i))
+            for i, vec_t in enumerate(vecs)
+        ]
+        populations = [estimate_populations(result, r) for result in results]
+        postselected = [result.postselected_shots / result.shots for result in results]
+        return populations, postselected, circ.scale
+
+    chunks = _chunks(_propagators(blocks, grid), _CHUNK)
     populations, success, scales = zip(
-        *map(one, range(grid.size), _propagators(blocks, grid))
+        *map(run_chunk, range(0, grid.size, _CHUNK), chunks)
     )
     return PopulationTrace(
         times=grid,
-        populations=np.array(populations, dtype=float),
-        success_prob=np.array(success, dtype=float),
+        populations=np.concatenate(populations, dtype=float),
+        success_prob=np.concatenate(success, dtype=float),
         mode=mode,
         labels=model.labels,
-        scales=np.array(scales, dtype=float),
+        scales=np.concatenate(scales, dtype=float),
     )

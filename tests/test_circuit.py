@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import lsvd
 import lsvd.circuit
 from lsvd.circuit import (
     apply_circuit,
@@ -13,7 +16,7 @@ from lsvd.circuit import (
 from lsvd.dilation import dilate
 from lsvd.errors import BlockIdentityViolationError, ConvergenceFailureError
 from lsvd.lindblad import build_superoperator, classical_evolve, propagator, vectorize
-from lsvd.models import FMOParams, fmo_model
+from lsvd.models import FMOParams, builtin_model, fmo_model
 
 from conftest import random_complex, random_model, random_unitary
 
@@ -143,6 +146,71 @@ class TestBlocks:
             build_svd_circuit()
 
 
+def random_stack(rng, points, sizes):
+    """One stack of ``points`` random real matrices per block size."""
+    return [rng.normal(size=(points, size, size)) for size in sizes]
+
+
+class TestStacked:
+    """A stack of propagators is one circuit with a leading point axis."""
+
+    SIZES = [5, 3, 1]
+
+    def test_each_point_matches_its_own_circuit(self, rng):
+        blocks = random_stack(rng, 4, self.SIZES)
+        stacked = build_svd_circuit(*blocks)
+        state = ancilla_zero_input(np.full(9, 1.0 / 3.0, dtype=complex), 16)
+        conditioned, success = run_exact(stacked, state)
+        assert stacked.sigma.shape == stacked.rank.shape == (4, 16)
+        assert stacked.scale.shape == success.shape == (4,)
+        assert conditioned.shape == (4, 16)
+        for j in range(4):
+            single = build_svd_circuit(*(block[j] for block in blocks))
+            np.testing.assert_array_equal(stacked.sigma[j], single.sigma)
+            np.testing.assert_array_equal(stacked.rank[j], single.rank)
+            assert stacked.scale[j] == single.scale
+            np.testing.assert_array_equal(stacked.u[j], single.u)
+            np.testing.assert_array_equal(stacked.vdag[j], single.vdag)
+            one_conditioned, one_success = run_exact(single, state)
+            np.testing.assert_array_equal(conditioned[j], one_conditioned)
+            assert success[j] == one_success
+
+    def test_per_point_inputs(self, rng):
+        blocks = random_stack(rng, 3, self.SIZES)
+        circuit = build_svd_circuit(*blocks)
+        states = rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32))
+        states /= np.linalg.norm(states, axis=-1, keepdims=True)
+        final = apply_circuit(circuit, states)
+        for j in range(3):
+            single = build_svd_circuit(*(block[j] for block in blocks))
+            np.testing.assert_allclose(final[j], as_unitary(single) @ states[j], atol=1e-12)
+        states[1] *= 1.5
+        with pytest.raises(ValueError, match="normalized, got norm 1.5"):
+            run_exact(circuit, states)
+
+    def test_probe_violation_at_one_point_rejected(self, rng, monkeypatch):
+        def one_point_off(circuit, state):
+            out = apply_circuit(circuit, state)
+            out[..., 2, :] += 1e-6  # point 2 of 4, whatever leads
+            return out
+
+        monkeypatch.setattr(lsvd.circuit, "apply_circuit", one_point_off)
+        with pytest.raises(BlockIdentityViolationError, match="ancilla-0 block"):
+            build_svd_circuit(*random_stack(rng, 4, self.SIZES))
+
+    def test_branch_average_violation_at_one_point_rejected(self, rng, monkeypatch):
+        def one_point_off(sigma):
+            out = dilate(sigma)
+            if out.ndim == 2:
+                out[1] += 1e-6
+            return out
+
+        monkeypatch.setattr(lsvd.circuit, "dilate", one_point_off)
+        build_svd_circuit(*(block[0] for block in random_stack(rng, 4, self.SIZES)))
+        with pytest.raises(BlockIdentityViolationError, match="branch average"):
+            build_svd_circuit(*random_stack(rng, 4, self.SIZES))
+
+
 class TestRunExact:
     def test_contraction_success_probability(self):
         circuit = build_svd_circuit(np.diag([0.5, 0.5, 0.5, 0.5]))
@@ -215,6 +283,25 @@ class TestRunExact:
         circuit = build_svd_circuit(np.eye(4))
         with pytest.raises(ValueError, match="normalized"):
             run_exact(circuit, np.full(8, 0.9, dtype=complex))
+
+
+def test_readme_one_point_by_hand():
+    # the README's batch-of-one snippet, run as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    snippet = readme.split("One point by hand:\n\n```python\n", 1)[1].split("```", 1)[0]
+    model, _ = builtin_model("fmo3")
+    namespace = {"np": np, "lsvd": lsvd, "model": model}
+    exec(snippet, namespace)
+    ground = np.zeros((model.dim, model.dim))
+    ground[0, 0] = 1.0
+    oracle = classical_evolve(model, ground, [100.0], store_states=True).states[0]
+    np.testing.assert_allclose(namespace["vec_rho_t"], vectorize(oracle), atol=1e-12)
+    assert namespace["success"] == pytest.approx(
+        np.linalg.norm(namespace["conditioned"]) ** 2, abs=1e-15
+    )
+    np.testing.assert_allclose(
+        namespace["populations"], np.real(np.diag(oracle)), atol=0.02
+    )
 
 
 class TestResources:

@@ -102,6 +102,44 @@ class TestEvolveCommand:
         assert run("evolve", "--model", str(path), "--initial", "5") == 2
 
 
+class TestModelFileFlags:
+    """``--model`` replaces the built-in model, so its flags are refused."""
+
+    FMO3 = str(builtin_model_path("fmo3"))
+    RPM = str(builtin_model_path("rpm"))
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["fmo", "--model", FMO3, "--gamma-deph", "5"], "--gamma-deph"),
+            (["fmo", "--gamma-deph", "5", "--sites", "7", "--model", FMO3], "--gamma-deph, --sites"),
+            (["fmo", "--model", FMO3, "--gamma-sink", "1", "--gamma-sink", "2"], "--gamma-sink"),
+            (["rpm", "--model", RPM, "--gamma-diss", "1e6"], "--gamma-diss"),
+            (["rpm", "--model", RPM, "--theta", "90", "--b0", "5e-5"], "--theta, --b0"),
+        ],
+        ids=["fmo-one", "fmo-two", "fmo-repeated", "rpm-one", "rpm-two"],
+    )
+    def test_ignored_model_flags_exit_2(self, argv, flags, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert run(*argv, "--t-end", "0.01", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: --model replaces the built-in model, so {flags} would be ignored\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, builtin, t_end", [("fmo", "fmo3", "50"), ("rpm", "rpm", "0.01")]
+    )
+    def test_model_file_without_model_flags_matches_the_builtin(
+        self, command, builtin, t_end, tmp_path
+    ):
+        by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        model_file = str(builtin_model_path(builtin))
+        assert run(command, "--model", model_file, "--t-end", t_end, "--out", str(by_file)) == 0
+        assert run(command, "--t-end", t_end, "--out", str(by_flags)) == 0
+        assert by_file.read_bytes() == by_flags.read_bytes()
+
+
 class TestResourcesCommand:
     def test_eight_qubits_json(self, tmp_path, capsys):
         out = tmp_path / "resources.json"

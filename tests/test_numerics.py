@@ -140,6 +140,54 @@ class TestSvd:
         with pytest.raises(ValueError, match=r"matrix must be square, got shape \(3, 2\)"):
             svd(np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("shape", [(5, 7, 7), (2, 3, 4, 4)], ids=["real", "complex"])
+    def test_stack_matches_per_matrix_calls(self, rng, shape):
+        stack = rng.normal(size=shape)
+        if len(shape) == 4:
+            stack = stack + 1j * rng.normal(size=shape)
+        u, sigma, vdag = svd(stack)
+        assert u.shape == vdag.shape == shape and sigma.shape == shape[:-1]
+        for index in np.ndindex(shape[:-2]):
+            one = svd(stack[index])
+            for stacked, single in zip((u, sigma, vdag), one):
+                np.testing.assert_array_equal(stacked[index], single)
+
+    @staticmethod
+    def perturb_one_matrix(monkeypatch, j, factor, scale):
+        real_svd = np.linalg.svd
+
+        def perturbed(m):
+            u, sigma, vdag = real_svd(m)
+            factors = {"u": u, "sigma": sigma}
+            factors[factor] = factors[factor].copy()
+            factors[factor][j] *= scale
+            return factors["u"], factors["sigma"], vdag
+
+        monkeypatch.setattr(np.linalg, "svd", perturbed)
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_one_corrupted_matrix_rejected(self, rng, monkeypatch, j):
+        stack = rng.normal(size=(4, 6, 6))
+        self.perturb_one_matrix(monkeypatch, j, "u", 1.0 + 1e-9)
+        with pytest.raises(ConvergenceFailureError, match="accuracy contract missed"):
+            svd(stack)
+        monkeypatch.undo()
+        svd(stack)
+
+    def test_each_matrix_checked_against_its_own_norm(self, rng, monkeypatch):
+        # a 1e-9 relative error in the smallest matrix would vanish against
+        # the norm of the whole stack
+        stack = rng.normal(size=(3, 6, 6)) * np.array([1e6, 1e-6, 1.0])[:, None, None]
+        self.perturb_one_matrix(monkeypatch, 1, "sigma", 1.0 + 1e-9)
+        with pytest.raises(ConvergenceFailureError, match=r"residual 1\.000e-09"):
+            svd(stack)
+
+    def test_non_finite_matrix_in_stack_rejected(self, rng):
+        stack = rng.normal(size=(4, 6, 6))
+        stack[2, 1, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            svd(stack)
+
     def test_impossible_tol_raises_with_residual(self, rng):
         a = random_complex(rng, 16)
         with pytest.raises(

@@ -310,8 +310,8 @@ class TestHermitianBasis:
         np.testing.assert_allclose(quantum.populations, oracle.populations, atol=1e-10, rtol=0)
 
     def test_rpm_grid_sends_real_unpadded_matrices_to_the_svd(self, monkeypatch):
-        # one float64 SVD per decoupled block of G per point, and one
-        # propagator per distinct gap per block
+        # one stacked float64 SVD per decoupled block of G per chunk of at
+        # most _CHUNK points, and one propagator per distinct gap per block
         svd_inputs = []
         real_svd = lsvd.circuit.svd
 
@@ -330,6 +330,51 @@ class TestHermitianBasis:
         monkeypatch.setattr(lsvd.pipeline, "propagator", counting_propagator)
         model, rho0 = builtin_model("rpm")
         quantum_evolve(model, rho0, RPM_GRID)
-        per_point = [(np.dtype(np.float64), (size, size)) for size in BLOCK_SIZES["rpm"]]
-        assert svd_inputs == per_point * 572
+        sizes = BLOCK_SIZES["rpm"]
+        assert len(svd_inputs) % len(sizes) == 0
+        chunks = [svd_inputs[i : i + len(sizes)] for i in range(0, len(svd_inputs), len(sizes))]
+        for chunk in chunks:
+            points = chunk[0][1][0]
+            assert 1 <= points <= lsvd.pipeline._CHUNK
+            assert chunk == [(np.dtype(np.float64), (points, size, size)) for size in sizes]
+        assert sum(chunk[0][1][0] for chunk in chunks) == 572
         assert len(propagator_calls) == 12 * 8
+
+
+class TestChunks:
+    """Points are decomposed and run ``_CHUNK`` at a time; a point's row
+    must not depend on the chunk it falls in."""
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("grid", ["chunks", "irregular"])
+    def test_every_prefix_gives_the_full_runs_rows(self, mode, grid):
+        model, rho0 = builtin_model("fmo3")
+        if grid == "chunks":
+            times = np.arange(2 * lsvd.pipeline._CHUNK + 3) * 37.0
+        else:
+            times = IRREGULAR_GRID * 100.0
+
+        def rows(trace):
+            return [
+                np.concatenate([trace.populations[i], [trace.success_prob[i], trace.scales[i]]]).tobytes()
+                for i in range(trace.times.size)
+            ]
+
+        kwargs = {"mode": mode, "shots": 512, "seed": 3}
+        full = rows(quantum_evolve(model, rho0, times, **kwargs))
+        for length in range(1, times.size):
+            assert rows(quantum_evolve(model, rho0, times[:length], **kwargs)) == full[:length]
+
+    def test_each_chunk_makes_one_circuit(self, monkeypatch):
+        calls = []
+        real_build = lsvd.pipeline.build_svd_circuit
+
+        def counting_build(*blocks):
+            calls.append(blocks[0].shape[0])
+            return real_build(*blocks)
+
+        monkeypatch.setattr(lsvd.pipeline, "build_svd_circuit", counting_build)
+        model, rho0 = builtin_model("fmo3")
+        chunk = lsvd.pipeline._CHUNK
+        quantum_evolve(model, rho0, np.arange(2 * chunk + 3) * 37.0)
+        assert calls == [chunk, chunk, 3]
