@@ -14,7 +14,6 @@ from .circuit import (
     ResourceEstimate,
     SVDCircuit,
     apply_circuit,
-    as_unitary,
     build_svd_circuit,
     estimate_resources,
     run_exact,

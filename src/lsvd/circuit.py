@@ -58,7 +58,6 @@ from .dilation import dilate, padded_dimension
 from .errors import BlockIdentityViolationError
 from .numerics import svd
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 _BLOCK_TOL = 1e-10
@@ -81,7 +80,8 @@ class SVDCircuit:
     singular value that belongs to row ``i`` of the block factors (the
     padding rows last), and ``scale`` has shape ``...``.  ``u @ diag(sigma
     * scale) @ vdag`` is the propagator padded with an identity block to
-    n = 2^k; ``u`` and ``vdag`` are derived from the blocks on request.
+    n = 2^k, where ``u`` and ``vdag`` are the direct sums of the block
+    factors, padded with ``I`` and ordered as ``sigma``.
     """
 
     u_blocks: tuple[np.ndarray, ...]
@@ -105,18 +105,6 @@ class SVDCircuit:
         """Register qubits: the system plus one ancilla."""
         return self.k + 1
 
-    @property
-    def u(self) -> np.ndarray:
-        """Dense ``u_1 ⊕ u_2 ⊕ … ⊕ I``, its columns ordered as ``sigma``."""
-        dense = _direct_sum_with_identity(self.u_blocks, self.n)
-        return np.take_along_axis(dense, np.argsort(self.rank)[..., None, :], axis=-1)
-
-    @property
-    def vdag(self) -> np.ndarray:
-        """Dense ``vdag_1 ⊕ vdag_2 ⊕ … ⊕ I``, its rows ordered as ``sigma``."""
-        dense = _direct_sum_with_identity(self.vdag_blocks, self.n)
-        return np.take_along_axis(dense, np.argsort(self.rank)[..., :, None], axis=-2)
-
 
 def _runs(parts: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Stack each run of consecutive equal-size blocks: (..., count, s, s),
@@ -132,20 +120,6 @@ def _runs(parts: list[np.ndarray]) -> tuple[np.ndarray, ...]:
         )
         for run in runs
     )
-
-
-def _direct_sum_with_identity(runs: tuple[np.ndarray, ...], n: int) -> np.ndarray:
-    """The direct sum of every block of ``runs``, then ``I``, in dimension
-    n; real if every block is."""
-    eye = np.eye(n, dtype=np.result_type(*runs))
-    out = np.broadcast_to(eye, runs[0].shape[:-3] + (n, n)).copy()
-    offset = 0
-    for run in runs:
-        for j in range(run.shape[-3]):
-            end = offset + run.shape[-1]
-            out[..., offset:end, offset:end] = run[..., j, :, :]
-            offset = end
-    return out
 
 
 def _sigma_by_row(circuit: SVDCircuit) -> np.ndarray:
@@ -210,21 +184,6 @@ def _ancilla_hadamard(blocks: np.ndarray) -> None:
     np.subtract(b0, b1, out=b1)
     b0[...] = total
     blocks *= _SQRT_HALF
-
-
-def as_unitary(circuit: SVDCircuit) -> np.ndarray:
-    """Compose the full 2^d x 2^d operator of a single circuit (intended
-    for small registers)."""
-    n = circuit.n
-    eye_n = np.eye(n, dtype=np.complex128)
-    composite = np.kron(np.eye(2, dtype=np.complex128), circuit.vdag)
-    composite = np.kron(_HADAMARD, eye_n) @ composite
-    sigma_plus = dilate(circuit.sigma)
-    diagonal = np.concatenate([sigma_plus, sigma_plus.conj()])
-    composite = diagonal[:, None] * composite
-    composite = np.kron(_HADAMARD, eye_n) @ composite
-    composite = np.kron(np.eye(2, dtype=np.complex128), circuit.u) @ composite
-    return composite
 
 
 def _check_block_identity(circuit: SVDCircuit) -> None:

@@ -195,10 +195,11 @@ def trace_preservation_defect(superop: np.ndarray, r: int) -> float:
 
 
 def propagator(superop, t: float) -> np.ndarray:
-    """exp(L t) for a non-negative time ``t`` in the model's time unit."""
+    """exp(L t) for a non-negative time ``t`` in the model's time unit, of
+    one generator or of each generator of a stack ``(..., m, m)``."""
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
-    m = as_matrix(superop, name="superoperator")
+    m = as_matrix(superop, name="superoperator", stacked=True)
     return expm(m * float(t))
 
 

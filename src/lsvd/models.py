@@ -44,8 +44,8 @@ from .lindblad import (
     save_model,
     wavenumber_to_angular_frequency,
 )
-from .pipeline import quantum_evolve
-from .sampler import DEFAULT_SHOTS, substream_seed
+from .pipeline import evolve_family
+from .sampler import DEFAULT_SHOTS
 
 # --- exciton-network defaults (rates in fs^-1; stand-ins, see module docstring)
 FMO_DEFAULT_GAMMA_DEPH = 1.0e-2  # (100 fs)^-1 site dephasing
@@ -372,34 +372,30 @@ def theta_sweep(
     """Run the full pipeline at each orientation and collect shelf yields.
 
     Every orientation is checked against the ``RPMParams`` theta bounds
-    before the first one runs.  Orientations run serially in grid order.
-    Orientation ``j`` runs its single time point with the run seed
-    ``substream_seed(seed, j)``, so its sampling substream is
-    ``substream_seed(substream_seed(seed, j), 0)``.
+    before any model is built.  Only the Zeeman term depends on theta and
+    the generator is linear in the field, so with anchors at the base phi,
+    ``G(theta) = w_0 G(0) + w_1 G(pi) + w_2 G(pi/2)`` for ``w = ((1 + cos
+    theta - sin theta)/2, (1 - cos theta - sin theta)/2, sin theta)``,
+    exactly (1, 0, 0) at theta = 0.  ``evolve_family`` runs that family a
+    chunk of orientations at a time; orientation ``j`` samples from the
+    substream ``substream_seed(substream_seed(seed, j), 0)``.
     """
     grid = default_theta_grid() if thetas is None else np.asarray(thetas, dtype=float).ravel()
-    oriented = [replace(base, theta=float(theta)) for theta in grid]
-
-    def one(index: int, params: RPMParams):
-        model, rho0 = rpm_model(params)
-        trace = quantum_evolve(
-            model,
-            rho0,
-            [t_end],
-            mode=mode,
-            shots=shots,
-            seed=substream_seed(seed, index),
-        )
-        phi_s, phi_t = yields(trace)
-        return phi_s[0], phi_t[0], trace.success_prob[0], trace.scales[0]
-
-    rows = [one(index, params) for index, params in enumerate(oriented)]
+    for theta in grid:
+        replace(base, theta=float(theta))  # raises on an out-of-range theta
+    anchors = [rpm_model(replace(base, theta=theta)) for theta in (0.0, np.pi, np.pi / 2)]
+    cos, sin = np.cos(grid), np.sin(grid)
+    weights = np.stack([(1.0 + cos - sin) / 2.0, (1.0 - cos - sin) / 2.0, sin], axis=1)
+    trace = evolve_family(
+        [model for model, _ in anchors], weights, anchors[0][1], t_end, mode, shots, seed
+    )
+    phi_s, phi_t = yields(trace)
     return ThetaSweepResult(
         thetas=grid,
-        phi_s=np.array([row[0] for row in rows]),
-        phi_t=np.array([row[1] for row in rows]),
-        success_prob=np.array([row[2] for row in rows]),
-        scales=np.array([row[3] for row in rows]),
+        phi_s=phi_s,
+        phi_t=phi_t,
+        success_prob=trace.success_prob,
+        scales=trace.scales,
         mode=mode,
         t_end=float(t_end),
     )

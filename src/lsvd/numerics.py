@@ -2,11 +2,12 @@
 
 All functions accept anything ``numpy.asarray`` can turn into a 2-D array
 and keep its field: real input is worked on, and returned, as ``float64``
-and complex input as ``complex128``.  ``svd`` also takes a stack of
-matrices, shape ``(..., m, m)``, as ``numpy.linalg.svd`` does; it delegates
-to numpy's LAPACK-backed routine but enforces the accuracy contract
-documented on it for every matrix of the stack, raising when the contract
-is missed instead of returning silently degraded factors.
+and complex input as ``complex128``.  ``expm`` and ``svd`` also take a
+stack of matrices, shape ``(..., m, m)``, as ``numpy.linalg.svd`` does,
+and treat each matrix of it as a call of its own would.  ``svd``
+delegates to numpy's LAPACK-backed routine but enforces the accuracy
+contract documented on it for every matrix of the stack, raising when the
+contract is missed instead of returning silently degraded factors.
 ``expm`` is a scaling-and-squaring Taylor evaluation whose truncation is
 driven by the requested tolerance.
 
@@ -53,63 +54,69 @@ def _require_square(m: Matrix, name: str = "matrix") -> None:
 
 
 def expm(a, tol: float = DEFAULT_TOL) -> Matrix:
-    """Matrix exponential by scaling and squaring with a Taylor core.
+    """Matrix exponential by scaling and squaring with a Taylor core, of a
+    square matrix or of each matrix of a stack ``(..., m, m)``.
 
     Real input gives a float64 result, complex input a complex128 one.
-    The input is scaled by ``2**-s`` with the smallest ``s >= 0`` that
-    brings its 1-norm to at most 0.5, the series is summed until the next
+    Each matrix is scaled by ``2**-s`` with the smallest ``s >= 0`` that
+    brings its 1-norm to at most 0.5, its series is summed until the next
     term falls below ``tol/16`` relative to the partial sum, and the result
-    is squared ``s`` times.  The returned ``E`` satisfies
-    ``||E - exp(a)||_F <= max(1, s) * tol * ||exp(a)||_F``: each squaring
-    carries the error made so far into the next, so the bound grows with
-    ``s``.  This is a measured bound, not a proof; it holds against
-    ``scipy.linalg.expm`` for the bundled generators at their largest
-    default times.  The plain ``tol`` bound does not hold: the compass
-    generators miss it by up to ~2.5x at 13 to 16 squarings.  Squarings of
-    a strongly non-normal ``a`` can amplify error faster.
+    is squared ``s`` times.  Both counts are the matrix's own: a matrix of
+    a stack gets the bits it would get alone.  The returned ``E``
+    satisfies ``||E - exp(a)||_F <= max(1, s) * tol * ||exp(a)||_F``: each
+    squaring carries the error made so far into the next, so the bound
+    grows with ``s``.  This is a measured bound, not a proof; it holds
+    against ``scipy.linalg.expm`` for the bundled generators at their
+    largest default times.  The plain ``tol`` bound does not hold: the
+    compass generators miss it by up to ~2.5x at 13 to 16 squarings.
+    Squarings of a strongly non-normal ``a`` can amplify error faster.
 
     Raises:
-        ValueError: if ``a`` is not square.
-        ToleranceUnachievableError: if the required number of squarings
-            exceeds the hard cap (norm astronomically large); the message
+        ValueError: if ``a`` is not square or has a non-finite entry.
+        ToleranceUnachievableError: if the squarings one matrix needs
+            exceed the hard cap (norm astronomically large); the message
             gives the estimated achievable residual.
     """
-    m = as_matrix(a)
+    m = as_matrix(a, stacked=True)
     _require_square(m)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = m.shape[0]
-    norm = np.linalg.norm(m, 1)
-    if norm == 0.0:
-        return np.eye(n, dtype=m.dtype)
-
-    squarings = max(0, int(np.ceil(np.log2(norm / _TAYLOR_RADIUS))))
-    if squarings > _MAX_SQUARINGS:
-        estimate = 2.0**squarings * np.finfo(float).eps
+    stack = m.reshape((-1,) + m.shape[-2:])
+    norms = np.linalg.norm(stack, 1, axis=(-2, -1))
+    floor = np.maximum(norms, np.finfo(float).tiny)  # log2(0) warns; 0 needs no scaling
+    squarings = np.maximum(0, np.ceil(np.log2(floor / _TAYLOR_RADIUS))).astype(int)
+    if squarings.max() > _MAX_SQUARINGS:
+        worst = int(np.argmax(squarings))
+        estimate = 2.0 ** squarings[worst] * np.finfo(float).eps
         raise ToleranceUnachievableError(
-            f"matrix 1-norm {norm:.3e} would need {squarings} squarings "
+            f"matrix 1-norm {norms[worst]:.3e} would need {squarings[worst]} squarings "
             f"(cap {_MAX_SQUARINGS}); estimated achievable relative residual "
             f"{estimate:.3e}"
         )
 
-    b = m / (2.0**squarings)
+    b = stack / 2.0 ** squarings[:, None, None]
     cutoff = tol / 16.0  # headroom for error growth in the squaring stage
-    result = np.eye(n, dtype=m.dtype)
-    term = np.eye(n, dtype=m.dtype)
+    result = np.broadcast_to(np.eye(m.shape[-1], dtype=m.dtype), stack.shape).copy()
+    term = result.copy()
+    active = np.arange(len(stack))  # the matrices whose series has not converged
     for k in range(1, _MAX_TAYLOR_TERMS + 1):
-        term = term @ b / k
-        result = result + term
-        if np.linalg.norm(term, 1) <= cutoff * np.linalg.norm(result, 1):
+        step = term[active] @ b[active] / k
+        partial = result[active] + step
+        term[active], result[active] = step, partial
+        step_norm, partial_norm = (np.linalg.norm(x, 1, axis=(-2, -1)) for x in (step, partial))
+        active = active[~(step_norm <= cutoff * partial_norm)]  # a NaN never converges
+        if not active.size:
             break
     else:
         raise ToleranceUnachievableError(
             f"Taylor series stalled above the requested tolerance "
-            f"(last term norm {np.linalg.norm(term, 1):.3e})"
+            f"(last term norm {np.linalg.norm(term[active[0]], 1):.3e})"
         )
 
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    for step in range(squarings.max()):
+        squaring = np.flatnonzero(squarings > step)
+        result[squaring] = result[squaring] @ result[squaring]
+    return result.reshape(m.shape)
 
 
 def _squared_defect(product: Matrix, target=0.0) -> np.ndarray:

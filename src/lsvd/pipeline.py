@@ -26,7 +26,11 @@ postselection statistics are never compounded.  The circuits are built
 and run ``_CHUNK`` consecutive times at once: their propagator blocks are
 stacked along a leading point axis, one ``build_svd_circuit`` call
 decomposes and checks every point of the stack and one ``run_exact`` call
-runs them.  A point's row does not depend on the chunk it falls in.
+runs them.  A point's row does not depend on the chunk it falls in.  A
+family of generators at one time, sum_i w_ji G_i per member j (a compass
+sweep's orientations), runs the same way: one partition from the union of
+the anchors' patterns, and one stacked ``expm`` per block per chunk of
+members.
 
 The input state enters as P† T† vec(rho0) and T P is applied to the first
 r² ancilla-0 amplitudes of the output, so they are those of the circuit
@@ -36,8 +40,8 @@ them: exact mode rescales them, sampled mode draws shots from them with
 the discarded ancilla-1 outcome as one extra bucket.  Each chunk is folded
 into its table rows as soon as its circuits have run and is released
 before the next one is stacked, so memory holds one chunk at a time
-however long the grid.  Chunks run serially in time order; sampling
-substreams are keyed by seed and point index.
+however long the grid.  Chunks run serially, in the order of the grid or
+of the family; sampling substreams are keyed by seed and point index.
 """
 
 from __future__ import annotations
@@ -60,9 +64,9 @@ from .sampler import DEFAULT_SHOTS, estimate_populations, sample, substream_seed
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
-# Time points decomposed, checked and run per stacked circuit call: enough
-# to spread the per-call overhead, few enough to keep memory at a handful
-# of propagators however long the grid.
+# Points (times or family members) decomposed, checked and run per stacked
+# circuit call: enough to spread the per-call overhead, few enough to keep
+# memory at a handful of propagators however long the grid.
 _CHUNK = 8
 
 # Largest imaginary part of T† L T, relative to ||H||_F + sum_i gamma_i
@@ -120,19 +124,21 @@ def _real_generator(model: LindbladModel) -> np.ndarray:
     return np.ascontiguousarray(g.real)
 
 
-def _decoupled_blocks(generator: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of G's exact-nonzero pattern.
+def _decoupled_blocks(*generators: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the generators' joint
+    exact-nonzero pattern.
 
-    Indices i and j are coupled when G[i, j] or G[j, i] is non-zero.  Each
-    component lists its indices ascending, the largest components first;
-    reordered by their concatenation, G is block diagonal with exact zeros
-    off the blocks.  Every index starts labelled with itself and takes the
+    Indices i and j are coupled when G[i, j] or G[j, i] is non-zero in any
+    generator G.  Each component lists its indices ascending, the largest
+    components first; reordered by their concatenation, every linear
+    combination of the generators is block diagonal with exact zeros off
+    the blocks.  Every index starts labelled with itself and takes the
     lowest label among its neighbours until nothing changes, so each
     component ends up labelled with its lowest index.
     """
-    nonzero = generator != 0
-    coupled = nonzero | nonzero.T | np.eye(generator.shape[0], dtype=bool)
-    labels = np.arange(generator.shape[0])
+    nonzero = np.logical_or.reduce([generator != 0 for generator in generators])
+    coupled = nonzero | nonzero.T | np.eye(nonzero.shape[0], dtype=bool)
+    labels = np.arange(nonzero.shape[0])
     while True:
         lowest = np.where(coupled, labels, labels.size).min(axis=1)
         if np.array_equal(lowest, labels):
@@ -185,6 +191,48 @@ def _chunks(propagators, size: int):
         yield [np.array(stack) for stack in zip(*points)]
 
 
+def _run_chunks(chunks, components, rho0, times, labels, mode, shots, seeds):
+    """Decompose, run and read out each chunk of stacked propagator blocks
+    (in the working basis of ``components``) in order, one row per entry
+    of ``times``; sampled points take their substreams from ``seeds`` in
+    order.  ``chunks`` is consumed only once ``mode``, ``shots`` and
+    ``rho0`` pass."""
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    if mode == "sampled" and shots < 1:
+        raise ValueError("shots must be >= 1")
+    rho_init = as_matrix(rho0, name="rho0")
+    r = len(labels)
+    if rho_init.shape != (r, r):
+        raise ValueError(f"rho0 has shape {rho_init.shape}, expected ({r}, {r})")
+    order = np.concatenate(components)
+    v0 = vectorize(rho_init)
+    input_norm = float(np.linalg.norm(v0))
+    if input_norm == 0.0:
+        raise ValueError("rho0 must be non-zero")
+    state = np.zeros(2 * padded_dimension(r * r), dtype=np.complex128)
+    state[: r * r] = _to_hermitian_basis(v0, r)[order] / input_norm
+
+    def run_chunk(chunk: list[np.ndarray]):
+        circ = build_svd_circuit(*chunk)
+        conditioned, success = run_exact(circ, state)
+        coords = np.empty((r * r, conditioned.shape[0]), dtype=np.complex128)
+        coords[order] = conditioned[:, : r * r].T
+        vecs = _from_hermitian_basis(coords, r).T  # one row vec(rho) per point
+        if mode == "exact":
+            vecs *= (circ.scale * input_norm)[:, None]
+            # a copy: a view would keep every chunk's vecs alive to the end
+            return np.real(vecs[:, :: r + 1]).copy(), success, circ.scale
+        results = [sample(vec_t, shots, next(seeds)) for vec_t in vecs]
+        populations = [estimate_populations(result, r) for result in results]
+        postselected = [result.postselected_shots / result.shots for result in results]
+        return populations, postselected, circ.scale
+
+    columns = zip(*map(run_chunk, chunks))
+    populations, success, scales = (np.concatenate(column, dtype=float) for column in columns)
+    return PopulationTrace(times, populations, success, mode, labels=labels, scales=scales)
+
+
 def quantum_evolve(
     model: LindbladModel,
     rho0,
@@ -205,55 +253,44 @@ def quantum_evolve(
     point_index)``) from the same amplitudes, postselects on the ancilla
     and estimates populations from the surviving counts.
     """
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    if mode == "sampled" and shots < 1:
-        raise ValueError("shots must be >= 1")
     grid = _validated_times(times)
-    rho_init = as_matrix(rho0, name="rho0")
-    r = model.dim
-    if rho_init.shape != (r, r):
-        raise ValueError(f"rho0 has shape {rho_init.shape}, expected ({r}, {r})")
     generator = _real_generator(model)
     components = _decoupled_blocks(generator)
-    order = np.concatenate(components)
     blocks = [generator[np.ix_(c, c)] for c in components]
-    v0 = vectorize(rho_init)
-    input_norm = float(np.linalg.norm(v0))
-    if input_norm == 0.0:
-        raise ValueError("rho0 must be non-zero")
-    system_input = _to_hermitian_basis(v0, r)[order] / input_norm
-
-    state = np.zeros(2 * padded_dimension(r * r), dtype=np.complex128)
-    state[: r * r] = system_input
-
-    def run_chunk(first: int, chunk: list[np.ndarray]):
-        circ = build_svd_circuit(*chunk)
-        conditioned, success = run_exact(circ, state)
-        coords = np.empty((r * r, conditioned.shape[0]), dtype=np.complex128)
-        coords[order] = conditioned[:, : r * r].T
-        vecs = _from_hermitian_basis(coords, r).T  # one row vec(rho) per point
-        if mode == "exact":
-            vecs *= (circ.scale * input_norm)[:, None]
-            # a copy: a view would keep every chunk's vecs alive to the end
-            return np.real(vecs[:, :: r + 1]).copy(), success, circ.scale
-        results = [
-            sample(vec_t, shots, substream_seed(seed, first + i))
-            for i, vec_t in enumerate(vecs)
-        ]
-        populations = [estimate_populations(result, r) for result in results]
-        postselected = [result.postselected_shots / result.shots for result in results]
-        return populations, postselected, circ.scale
-
     chunks = _chunks(_propagators(blocks, grid), _CHUNK)
-    populations, success, scales = zip(
-        *map(run_chunk, range(0, grid.size, _CHUNK), chunks)
-    )
-    return PopulationTrace(
-        times=grid,
-        populations=np.concatenate(populations, dtype=float),
-        success_prob=np.concatenate(success, dtype=float),
-        mode=mode,
-        labels=model.labels,
-        scales=np.concatenate(scales, dtype=float),
-    )
+    seeds = (substream_seed(seed, i) for i in range(grid.size))
+    return _run_chunks(chunks, components, rho0, grid, model.labels, mode, shots, seeds)
+
+
+def evolve_family(anchors, weights, rho0, t, mode="exact", shots=DEFAULT_SHOTS, seed=0):
+    """Propagate ``rho0`` to the one time ``t`` under each member of a
+    family of generators of one dimension, and read out populations.
+
+    Member ``j``'s generator is ``sum_i weights[j, i] G_i``, with ``G_i``
+    that of ``anchors[i]``; row ``j`` is what ``quantum_evolve`` gives for
+    it at ``[t]`` with the run seed ``substream_seed(seed, j)``.  The block
+    partition is taken once, from the union of the anchors' patterns, and
+    members run ``_CHUNK`` at a time; a row depends neither on the other
+    members nor on the chunk it falls in.
+    """
+    w = as_matrix(weights, name="weights")
+    if w.shape[0] < 1 or w.shape[1] != len(anchors):
+        raise ValueError(f"weights has shape {w.shape}, expected (>= 1, {len(anchors)})")
+    grid = _validated_times(np.full(w.shape[0], t))
+    generators = [_real_generator(anchor) for anchor in anchors]
+    components = _decoupled_blocks(*generators)
+    anchor_blocks = [[g[np.ix_(c, c)] for g in generators] for c in components]
+
+    def propagators(rows: np.ndarray) -> list[np.ndarray]:
+        stacks = []
+        for blocks in anchor_blocks:
+            # term by term, so that a row's sum is the same in any chunk
+            stack = rows[:, 0, None, None] * blocks[0]
+            for weight, block in zip(rows.T[1:], blocks[1:]):
+                stack += weight[:, None, None] * block
+            stacks.append(propagator(stack, grid[0]))
+        return stacks
+
+    chunks = (propagators(w[first : first + _CHUNK]) for first in range(0, grid.size, _CHUNK))
+    seeds = (substream_seed(substream_seed(seed, j), 0) for j in range(grid.size))
+    return _run_chunks(chunks, components, rho0, grid, anchors[0].labels, mode, shots, seeds)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lsvd.circuit import as_unitary, build_svd_circuit, estimate_resources
+from lsvd.circuit import build_svd_circuit, estimate_resources
 from lsvd.cli import main as cli_main
 from lsvd.dilation import dilate
 from lsvd.lindblad import build_superoperator, classical_evolve, lindblad_rhs, propagator
@@ -26,7 +26,7 @@ from lsvd.models import (
 )
 from lsvd.pipeline import quantum_evolve, qubit_counts
 
-from conftest import random_density, random_model
+from conftest import as_unitary, dense_u, dense_vdag, random_density, random_model
 
 FMO_GRID = np.arange(0, 401) * 5.0  # 0..2000 fs, step 5 fs
 RPM_GRID = np.arange(0, 572) * 1.75e-3  # 0..~1 ms, step 1.75e-3 ms
@@ -145,10 +145,10 @@ def test_criterion_4_dilation_unit_suite():
         eye = np.eye(n)
         worst["unitarity"] = max(
             worst["unitarity"],
-            np.linalg.norm(circuit.u.conj().T @ circuit.u - eye),
-            np.linalg.norm(circuit.vdag @ circuit.vdag.conj().T - eye),
+            np.linalg.norm(dense_u(circuit).conj().T @ dense_u(circuit) - eye),
+            np.linalg.norm(dense_vdag(circuit) @ dense_vdag(circuit).conj().T - eye),
         )
-        recon = (circuit.u * (circuit.sigma * circuit.scale)) @ circuit.vdag
+        recon = (dense_u(circuit) * (circuit.sigma * circuit.scale)) @ dense_vdag(circuit)
         worst["reconstruction"] = max(
             worst["reconstruction"],
             np.linalg.norm(recon - m_padded) / np.linalg.norm(m_padded),

@@ -8,7 +8,6 @@ import lsvd
 import lsvd.circuit
 from lsvd.circuit import (
     apply_circuit,
-    as_unitary,
     build_svd_circuit,
     estimate_resources,
     run_exact,
@@ -18,7 +17,14 @@ from lsvd.errors import BlockIdentityViolationError, ConvergenceFailureError
 from lsvd.lindblad import build_superoperator, classical_evolve, propagator, vectorize
 from lsvd.models import FMOParams, builtin_model, fmo_model
 
-from conftest import random_complex, random_model, random_unitary
+from conftest import (
+    as_unitary,
+    dense_u,
+    dense_vdag,
+    random_complex,
+    random_model,
+    random_unitary,
+)
 
 
 def ancilla_zero_input(system_state, n):
@@ -66,11 +72,11 @@ class TestBuild:
             sigma_plus = dilate(circuit.sigma)
             hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
             ops = [
-                np.kron(np.eye(2), circuit.vdag),
+                np.kron(np.eye(2), dense_vdag(circuit)),
                 np.kron(hadamard, np.eye(n)),
                 np.diag(np.concatenate([sigma_plus, sigma_plus.conj()])),
                 np.kron(hadamard, np.eye(n)),
-                np.kron(np.eye(2), circuit.u),
+                np.kron(np.eye(2), dense_u(circuit)),
             ]
             composed = np.eye(2 * n, dtype=complex)
             for op in ops:
@@ -115,7 +121,7 @@ class TestBuild:
 class TestBlocks:
     @staticmethod
     def padded_product(circuit):
-        return (circuit.u * (circuit.sigma * circuit.scale)) @ circuit.vdag
+        return (dense_u(circuit) * (circuit.sigma * circuit.scale)) @ dense_vdag(circuit)
 
     @pytest.mark.parametrize("sizes", [[5, 3, 1], [4, 4], [1, 1, 1], [2, 7]])
     def test_matches_the_dense_direct_sum(self, rng, sizes):
@@ -131,12 +137,12 @@ class TestBlocks:
         np.testing.assert_allclose(
             self.padded_product(split), self.padded_product(dense), atol=1e-12, rtol=0
         )
-        assert split.u.dtype == split.vdag.dtype == np.float64
+        assert dense_u(split).dtype == dense_vdag(split).dtype == np.float64
 
     def test_one_complex_block_makes_complex_factors(self, rng):
         blocks = [rng.normal(size=(2, 2)), random_complex(rng, 3)]
         circuit = build_svd_circuit(*blocks)
-        assert circuit.u.dtype == circuit.vdag.dtype == np.complex128
+        assert dense_u(circuit).dtype == dense_vdag(circuit).dtype == np.complex128
         np.testing.assert_allclose(
             self.padded_product(circuit)[:5, :5], scipy.linalg.block_diag(*blocks), atol=1e-12
         )
@@ -169,8 +175,8 @@ class TestStacked:
             np.testing.assert_array_equal(stacked.sigma[j], single.sigma)
             np.testing.assert_array_equal(stacked.rank[j], single.rank)
             assert stacked.scale[j] == single.scale
-            np.testing.assert_array_equal(stacked.u[j], single.u)
-            np.testing.assert_array_equal(stacked.vdag[j], single.vdag)
+            np.testing.assert_array_equal(dense_u(stacked)[j], dense_u(single))
+            np.testing.assert_array_equal(dense_vdag(stacked)[j], dense_vdag(single))
             one_conditioned, one_success = run_exact(single, state)
             np.testing.assert_array_equal(conditioned[j], one_conditioned)
             assert success[j] == one_success

@@ -8,7 +8,7 @@ from lsvd.errors import SigmaOutOfRangeError
 from lsvd.lindblad import build_superoperator, propagator
 from lsvd.models import FMOParams, fmo_model
 
-from conftest import random_complex, random_unitary
+from conftest import dense_u, dense_vdag, random_complex, random_unitary
 
 
 def padded(m, n):
@@ -23,7 +23,7 @@ def dilated_diagonal(sigma_plus):
 
 
 def reconstruction(circuit):
-    return (circuit.u * (circuit.sigma * circuit.scale)) @ circuit.vdag
+    return (dense_u(circuit) * (circuit.sigma * circuit.scale)) @ dense_vdag(circuit)
 
 
 class TestPad:
@@ -40,7 +40,7 @@ class TestPad:
         circuit = build_svd_circuit(m)
         assert circuit.n == 32
         np.testing.assert_allclose(reconstruction(circuit), padded(m, 32), atol=1e-10)
-        for factor in (circuit.u, circuit.vdag):
+        for factor in (dense_u(circuit), dense_vdag(circuit)):
             np.testing.assert_array_equal(factor[25:, 25:], np.eye(7))
             np.testing.assert_array_equal(factor[:25, 25:], np.zeros((25, 7)))
             np.testing.assert_array_equal(factor[25:, :25], np.zeros((7, 25)))
@@ -66,8 +66,8 @@ class TestPad:
     def test_5x5_real_input_keeps_float64_factors(self, rng):
         m = rng.normal(size=(5, 5))
         circuit = build_svd_circuit(m)
-        assert circuit.u.dtype == np.float64
-        assert circuit.vdag.dtype == np.float64
+        assert dense_u(circuit).dtype == np.float64
+        assert dense_vdag(circuit).dtype == np.float64
         np.testing.assert_allclose(reconstruction(circuit), padded(m, 8), atol=1e-10)
 
     def test_sigma_descending_then_padding_entries(self, rng):

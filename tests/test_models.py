@@ -1,16 +1,31 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lsvd.lindblad
 import lsvd.models
+import lsvd.numerics
+import lsvd.pipeline
 from lsvd.lindblad import (
+    build_superoperator,
     classical_evolve,
+    devectorize,
+    lindblad_rhs,
     load_model,
     model_to_dict,
+    vectorize,
     wavenumber_to_angular_frequency,
 )
 from lsvd.models import (
     BUILTIN_MODELS,
+    RPM_DEFAULT_HYPERFINE_AZ,
+    RPM_DEFAULT_T_END,
     RPM_GAMMA_DISS_HIGH,
+    RPM_GAMMA_DISS_MID,
     FMOParams,
     RPMParams,
     builtin_model,
@@ -23,6 +38,9 @@ from lsvd.models import (
     yields,
 )
 from lsvd.pipeline import quantum_evolve, qubit_counts
+from lsvd.sampler import substream_seed
+
+from conftest import random_density
 
 
 class TestFMOParams:
@@ -220,13 +238,121 @@ class TestThetaSweep:
         np.testing.assert_allclose(sampled.phi_t, exact.phi_t, atol=0.02)
 
     def test_out_of_range_rejected(self, monkeypatch):
-        def no_pipeline(*args, **kwargs):
-            raise AssertionError("an orientation ran before the grid was checked")
+        def no_work(*args, **kwargs):
+            raise AssertionError("a model or the sweep ran before the grid was checked")
 
-        monkeypatch.setattr(lsvd.models, "quantum_evolve", no_pipeline)
+        monkeypatch.setattr(lsvd.models, "rpm_model", no_work)
+        monkeypatch.setattr(lsvd.models, "evolve_family", no_work)
         for thetas in ([4.0], [0.0, np.pi + 1e-10], [0.0, -1e-13]):
             with pytest.raises(ValueError, match="theta must lie"):
                 theta_sweep(RPMParams(), thetas=thetas)
+
+
+def sweep_rows(sweep):
+    return [
+        np.array([sweep.phi_s[j], sweep.phi_t[j], sweep.success_prob[j], sweep.scales[j]]).tobytes()
+        for j in range(sweep.thetas.size)
+    ]
+
+
+class TestSweepFamily:
+    """The orientations run as one family of generators, a chunk at a time;
+    an orientation's row must not depend on the others or on its chunk."""
+
+    # theta = 0 and pi first, so that every prefix of two or more holds both
+    GRID = np.concatenate(
+        [[0.0, np.pi], np.deg2rad(np.linspace(9.0, 171.0, 2 * lsvd.pipeline._CHUNK + 1))]
+    )
+    RUN = {"shots": 512, "seed": 3}
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_every_prefix_gives_the_full_runs_rows(self, mode):
+        full = sweep_rows(theta_sweep(RPMParams(), thetas=self.GRID, mode=mode, **self.RUN))
+        for length in range(1, self.GRID.size):
+            prefix = theta_sweep(RPMParams(), thetas=self.GRID[:length], mode=mode, **self.RUN)
+            assert sweep_rows(prefix) == full[:length]
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("chunk", [1, 3, 32])
+    def test_chunk_size_does_not_change_a_row(self, monkeypatch, mode, chunk):
+        full = sweep_rows(theta_sweep(RPMParams(), thetas=self.GRID, mode=mode, **self.RUN))
+        monkeypatch.setattr(lsvd.pipeline, "_CHUNK", chunk)
+        rechunked = theta_sweep(RPMParams(), thetas=self.GRID, mode=mode, **self.RUN)
+        assert sweep_rows(rechunked) == full
+
+    def test_sampled_rows_keep_their_substreams(self):
+        # away from theta = 0 and pi a one-orientation model has the family's
+        # partition, so orientation j draws what a one-point run seeded with
+        # substream_seed(seed, j) draws
+        thetas = np.deg2rad([20.0, 65.0, 110.0])
+        sweep = theta_sweep(RPMParams(), thetas=thetas, mode="sampled", shots=4096, seed=9)
+        for j, theta in enumerate(thetas):
+            model, rho0 = rpm_model(RPMParams(theta=float(theta)))
+            one = quantum_evolve(
+                model, rho0, [RPM_DEFAULT_T_END], mode="sampled", shots=4096,
+                seed=substream_seed(9, j),
+            )
+            phi_s, phi_t = yields(one)
+            assert (sweep.phi_s[j], sweep.phi_t[j]) == (phi_s[0], phi_t[0])
+
+    def test_weights_must_have_one_column_per_anchor(self):
+        model, rho0 = rpm_model(RPMParams())
+        for weights in (np.ones((4, 2)), np.ones((0, 1)), np.ones(3)):
+            with pytest.raises(ValueError, match="weights"):
+                lsvd.pipeline.evolve_family([model], weights, rho0, 1.0)
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        phi=st.floats(0.0, 2.0 * np.pi),
+        b0=st.floats(0.0, 1e-4),
+        gamma_diss=st.one_of(st.just(0.0), st.floats(1.0, RPM_GAMMA_DISS_HIGH)),
+    )
+    def test_rows_match_one_model_per_orientation(self, seed, phi, b0, gamma_diss):
+        rng = np.random.default_rng(seed)
+        tensor = rng.normal(size=(3, 3)) * RPM_DEFAULT_HYPERFINE_AZ
+        base = RPMParams(hyperfine=tensor + tensor.T, b0=b0, phi=phi, gamma_diss=gamma_diss)
+        thetas = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, size=3)])
+        sweep = theta_sweep(base, thetas=thetas)
+        for j, theta in enumerate(thetas):
+            model, rho0 = rpm_model(replace(base, theta=float(theta)))
+            one = quantum_evolve(model, rho0, [RPM_DEFAULT_T_END])
+            phi_s, phi_t = yields(one)
+            np.testing.assert_allclose(
+                [sweep.phi_s[j], sweep.phi_t[j], sweep.success_prob[j]],
+                [phi_s[0], phi_t[0], one.success_prob[0]],
+                rtol=0,
+                atol=1e-10,
+            )
+
+    @pytest.mark.parametrize("gamma_diss", [0.0, RPM_GAMMA_DISS_MID])
+    def test_default_grid_matches_an_independent_reference(self, monkeypatch, gamma_diss):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the reference called numerics.expm")
+
+        base = RPMParams(gamma_diss=gamma_diss)
+        rng = np.random.default_rng(17)
+        reference = []
+        with monkeypatch.context() as patch:
+            patch.setattr(lsvd.numerics, "expm", forbidden)
+            patch.setattr(lsvd.lindblad, "expm", forbidden)
+            for theta in default_theta_grid():
+                model, rho0 = rpm_model(replace(base, theta=float(theta)))
+                superop = build_superoperator(model)
+                rho = random_density(rng, model.dim)
+                np.testing.assert_allclose(
+                    superop @ vectorize(rho),
+                    vectorize(lindblad_rhs(model, rho)),
+                    rtol=0,
+                    atol=1e-10 * np.linalg.norm(superop),
+                )
+                vec_t = scipy.linalg.expm(superop * RPM_DEFAULT_T_END) @ vectorize(rho0)
+                rho_t = devectorize(vec_t, model.dim).real
+                reference.append([rho_t[8, 8], rho_t[9, 9]])
+        sweep = theta_sweep(base)
+        np.testing.assert_allclose(
+            np.column_stack([sweep.phi_s, sweep.phi_t]), reference, rtol=0, atol=1e-10
+        )
 
 
 class TestBuiltinModels:

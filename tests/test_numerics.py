@@ -6,7 +6,7 @@ from lsvd.errors import ConvergenceFailureError, ToleranceUnachievableError
 from lsvd.lindblad import build_superoperator
 from lsvd.models import FMO_DEFAULT_T_END, RPM_DEFAULT_T_END, builtin_model
 from lsvd.numerics import DEFAULT_TOL, expm, svd
-from lsvd.pipeline import _real_generator
+from lsvd.pipeline import _decoupled_blocks, _real_generator
 
 from conftest import random_complex, random_unitary
 
@@ -92,6 +92,55 @@ class TestExpm:
             assert result.dtype == a.dtype
             relative = np.linalg.norm(result - reference) / np.linalg.norm(reference)
             assert relative <= max(1, squarings) * DEFAULT_TOL
+
+
+class TestStackedExpm:
+    """A stack is exponentiated matrix by matrix: each slice gets the
+    squarings and Taylor terms it would get alone."""
+
+    @staticmethod
+    def mixed_stack(rng):
+        model, _ = builtin_model("rpm")
+        generator = _real_generator(model)
+        block = _decoupled_blocks(generator)[0]
+        slow = generator[np.ix_(block, block)] * RPM_DEFAULT_T_END  # t = 1 ms
+        small = rng.normal(size=slow.shape)
+        small *= 0.3 / np.linalg.norm(small, 1)  # below the 0.5 radius: no squaring
+        return np.stack([np.zeros_like(slow), slow, small, slow / 7.0])
+
+    def test_each_slice_is_bitwise_its_own_call(self, rng):
+        stack = self.mixed_stack(rng)
+        # the compass block needs about 16 squarings, the small one none
+        assert np.log2(np.linalg.norm(stack[1], 1) / 0.5) > 14
+        result = expm(stack)
+        assert result.shape == stack.shape and result.dtype == np.float64
+        for matrix, stacked in zip(stack, result):
+            np.testing.assert_array_equal(stacked, expm(matrix))
+        np.testing.assert_array_equal(result[0], np.eye(stack.shape[-1]))
+        deeper = expm(stack.reshape((2, 2) + stack.shape[1:]))
+        np.testing.assert_array_equal(deeper.reshape(stack.shape), result)
+
+    def test_field_is_kept(self, rng):
+        real = rng.normal(size=(3, 5, 5))
+        assert expm(real).dtype == np.float64
+        complex_stack = real + 1j * rng.normal(size=real.shape)
+        result = expm(complex_stack)
+        assert result.dtype == np.complex128
+        for matrix, stacked in zip(complex_stack, result):
+            np.testing.assert_array_equal(stacked, expm(matrix))
+
+    def test_one_non_finite_slice_rejected(self, rng):
+        stack = self.mixed_stack(rng)
+        stack[2, 3, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            expm(stack)
+
+    def test_one_slice_over_the_squaring_cap_rejected(self, rng):
+        stack = self.mixed_stack(rng)
+        stack[3] *= 1e30
+        norm = f"{np.linalg.norm(stack[3], 1):.3e}".replace("+", r"\+")
+        with pytest.raises(ToleranceUnachievableError, match=f"matrix 1-norm {norm} would need"):
+            expm(stack)
 
 
 class TestSvd:
