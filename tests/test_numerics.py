@@ -1,14 +1,33 @@
+from dataclasses import replace
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
 from lsvd.errors import ConvergenceFailureError, ToleranceUnachievableError
 from lsvd.lindblad import build_superoperator
-from lsvd.models import FMO_DEFAULT_T_END, RPM_DEFAULT_T_END, builtin_model
+from lsvd.models import (
+    FMO_DEFAULT_T_END,
+    RPM_DEFAULT_T_END,
+    RPMParams,
+    builtin_model,
+    default_theta_grid,
+    rpm_model,
+)
 from lsvd.numerics import DEFAULT_TOL, expm, svd
 from lsvd.pipeline import _decoupled_blocks, _real_generator
 
 from conftest import random_complex, random_unitary
+
+# The documented scaling target of expm: Higham's theta_13 for the [13/13]
+# Padé approximant.
+THETA_13 = 5.371920351148152
+
+
+def documented_squarings(a) -> int:
+    """The documented s: the smallest s >= 0 with ||a||_1 / 2**s <= theta_13."""
+    return max(0, int(np.ceil(np.log2(np.linalg.norm(a, 1) / THETA_13))))
 
 
 class TestExpm:
@@ -61,10 +80,6 @@ class TestExpm:
         with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 3\)"):
             expm(np.zeros((2, 3)))
 
-    def test_bad_tol_raises(self):
-        with pytest.raises(ValueError):
-            expm(np.eye(2), tol=0.0)
-
     def test_tolerance_unachievable_reports_residual(self):
         with pytest.raises(
             ToleranceUnachievableError, match=r"achievable relative residual \d\.\d{3}e\+\d+"
@@ -85,18 +100,36 @@ class TestExpm:
         # the column-stacked generator and its real Hermitian-basis form
         for generator in (build_superoperator(model), _real_generator(model)):
             a = generator * t
-            # s as documented: the smallest s >= 0 with ||a||_1 / 2**s <= 0.5
-            squarings = max(0, int(np.ceil(np.log2(np.linalg.norm(a, 1) / 0.5))))
             reference = scipy.linalg.expm(a)
             result = expm(a)
             assert result.dtype == a.dtype
             relative = np.linalg.norm(result - reference) / np.linalg.norm(reference)
-            assert relative <= max(1, squarings) * DEFAULT_TOL
+            assert relative <= max(1, documented_squarings(a)) * DEFAULT_TOL
+
+    @pytest.mark.parametrize(
+        "name, t, size",
+        [
+            ("rpm", RPM_DEFAULT_T_END, 8),
+            ("rpm-dissipative", RPM_DEFAULT_T_END, 8),
+            ("fmo7", FMO_DEFAULT_T_END, 14),
+        ],
+    )
+    def test_documented_bound_against_mpmath(self, name, t, size):
+        # a 40-digit reference that shares nothing with numpy's or scipy's
+        # expm, on one decoupled block of the real generator
+        model, _ = builtin_model(name)
+        generator = _real_generator(model)
+        block = next(c for c in _decoupled_blocks(generator) if c.size == size)
+        a = generator[np.ix_(block, block)] * t
+        with mpmath.workdps(40):
+            reference = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+        relative = np.linalg.norm(expm(a) - reference) / np.linalg.norm(reference)
+        assert relative <= max(1, documented_squarings(a)) * DEFAULT_TOL
 
 
 class TestStackedExpm:
     """A stack is exponentiated matrix by matrix: each slice gets the
-    squarings and Taylor terms it would get alone."""
+    squarings it would get alone."""
 
     @staticmethod
     def mixed_stack(rng):
@@ -105,13 +138,13 @@ class TestStackedExpm:
         block = _decoupled_blocks(generator)[0]
         slow = generator[np.ix_(block, block)] * RPM_DEFAULT_T_END  # t = 1 ms
         small = rng.normal(size=slow.shape)
-        small *= 0.3 / np.linalg.norm(small, 1)  # below the 0.5 radius: no squaring
+        small *= 3.0 / np.linalg.norm(small, 1)  # below theta_13: no squaring
         return np.stack([np.zeros_like(slow), slow, small, slow / 7.0])
 
     def test_each_slice_is_bitwise_its_own_call(self, rng):
         stack = self.mixed_stack(rng)
-        # the compass block needs about 16 squarings, the small one none
-        assert np.log2(np.linalg.norm(stack[1], 1) / 0.5) > 14
+        # after the zero matrix: the compass block needs 13 squarings, the small one none
+        assert [documented_squarings(matrix) for matrix in stack[1:]] == [13, 0, 10]
         result = expm(stack)
         assert result.shape == stack.shape and result.dtype == np.float64
         for matrix, stacked in zip(stack, result):
@@ -119,6 +152,21 @@ class TestStackedExpm:
         np.testing.assert_array_equal(result[0], np.eye(stack.shape[-1]))
         deeper = expm(stack.reshape((2, 2) + stack.shape[1:]))
         np.testing.assert_array_equal(deeper.reshape(stack.shape), result)
+
+    def test_equal_squarings_square_the_whole_stack(self):
+        # eight sweep orientations of the 34x34 compass block, each needing
+        # the same squarings
+        generators = [
+            _real_generator(rpm_model(replace(RPMParams(), theta=float(theta)))[0])
+            for theta in default_theta_grid()[:8]
+        ]
+        block = _decoupled_blocks(*generators)[0]
+        stack = np.stack([g[np.ix_(block, block)] for g in generators]) * RPM_DEFAULT_T_END
+        assert block.size == 34
+        assert {documented_squarings(matrix) for matrix in stack} == {13}
+        result = expm(stack)
+        for matrix, stacked in zip(stack, result):
+            np.testing.assert_array_equal(stacked, expm(matrix))
 
     def test_field_is_kept(self, rng):
         real = rng.normal(size=(3, 5, 5))
