@@ -36,11 +36,12 @@ axes.
 :func:`build_svd_circuit` does the whole per-point job: it takes the SVD
 of each diagonal block of the square propagator once, in the block's own
 field (``numerics.svd`` checks reconstruction and the unitarity of both
-factors), orders the singular values descending with the padding ones
-last, divides them by max(1, sigma_max) and checks once more, on the
-assembled circuit, only what no SVD can vouch for: the dilated branches
-and the op application path.  :func:`run_exact` returns the ancilla-0
-amplitudes that both readout modes start from.
+factors), keeps each singular value on the row of its block factors,
+with a one for each padding row, divides them by max(1, sigma_max) and
+checks once more, on the assembled circuit, only what no SVD can vouch
+for: the dilated branches and the op application path.
+:func:`run_exact` returns the ancilla-0 amplitudes that both readout
+modes start from.
 The circuit stores sigma; each use derives Sigma_+ from it through
 ``dilation.dilate`` and Sigma_- as the conjugate.  A real propagator
 gives real orthogonal factors, which are applied to the real and
@@ -74,20 +75,18 @@ class SVDCircuit:
     ``m_i`` in order, real for real blocks, with each run of consecutive
     blocks of one size ``s`` stacked into one array of shape ``(..., count,
     s, s)``, so that the run is applied in one product.  ``sigma``,
-    shape ``(..., n)``, lies in [0, 1]: the propagator's own singular
-    values divided by ``scale``, descending, then one entry ``1/scale`` per
-    padding row.  ``rank[..., i]`` is the position in ``sigma`` of the
-    singular value that belongs to row ``i`` of the block factors (the
-    padding rows last), and ``scale`` has shape ``...``.  ``u @ diag(sigma
-    * scale) @ vdag`` is the propagator padded with an identity block to
-    n = 2^k, where ``u`` and ``vdag`` are the direct sums of the block
-    factors, padded with ``I`` and ordered as ``sigma``.
+    shape ``(..., n)``, lies in [0, 1] and is in block-row order: each
+    block's own singular values (descending) divided by ``scale``, blocks
+    in order, then one entry ``1/scale`` per padding row, so ``sigma[...,
+    i]`` belongs to row ``i`` of the block factors.  ``scale`` has shape
+    ``...``.  ``u @ diag(sigma * scale) @ vdag`` is the propagator padded
+    with an identity block to n = 2^k, where ``u`` and ``vdag`` are the
+    direct sums of the block factors, padded with ``I``.
     """
 
     u_blocks: tuple[np.ndarray, ...]
     sigma: np.ndarray
     vdag_blocks: tuple[np.ndarray, ...]
-    rank: np.ndarray
     scale: np.ndarray | float
 
     @property
@@ -120,11 +119,6 @@ def _runs(parts: list[np.ndarray]) -> tuple[np.ndarray, ...]:
         )
         for run in runs
     )
-
-
-def _sigma_by_row(circuit: SVDCircuit) -> np.ndarray:
-    """``sigma`` in the row order of the block factors."""
-    return np.take_along_axis(circuit.sigma, circuit.rank, axis=-1)
 
 
 def _on_system(runs: tuple[np.ndarray, ...], blocks: np.ndarray) -> np.ndarray:
@@ -166,7 +160,7 @@ def apply_circuit(circuit: SVDCircuit, state) -> np.ndarray:
         raise ValueError(
             f"state has length {amps.shape[-1]}, expected {2 * n} for d={circuit.d} qubits"
         )
-    sigma_plus = dilate(_sigma_by_row(circuit))
+    sigma_plus = dilate(circuit.sigma)
     halves = np.stack([amps[..., :n], amps[..., n:]], axis=-1)
     blocks = _on_system(circuit.vdag_blocks, halves)
     _ancilla_hadamard(blocks)
@@ -210,9 +204,7 @@ def _check_block_identity(circuit: SVDCircuit) -> None:
     probes = probes.reshape((_NUM_PROBES,) + (1,) * (sigma.ndim - 1) + (n,))
     states = np.concatenate([probes, np.zeros_like(probes)], axis=-1)
     got = apply_circuit(circuit, states)[..., :n]
-    column = _sigma_by_row(circuit)[..., None] * _on_system(
-        circuit.vdag_blocks, probes[..., None]
-    )
+    column = sigma[..., None] * _on_system(circuit.vdag_blocks, probes[..., None])
     want = _on_system(circuit.u_blocks, column)[..., 0]
     deviation = float(np.max(np.linalg.norm(got - want, axis=-1)))
     if deviation > _BLOCK_TOL:
@@ -231,9 +223,9 @@ def build_svd_circuit(*blocks) -> SVDCircuit:
     against each matrix's own norm, and unitarity of both factors checked
     to 1e-12); the direct sum of the block SVDs is an SVD of the direct
     sum, with the padding identity as the last block, up to n = 2^k.  The
-    blocks' singular values are ordered descending ahead of the padding
-    ones and divided by ``scale = max(1, sigma_max)``.  The dilation of
-    sigma (which rejects values outside [0, 1]) and the block identity
+    singular values keep that block-row order, with a one for each padding
+    row, and are divided by ``scale = max(1, sigma_max)``.  The dilation
+    of sigma (which rejects values outside [0, 1]) and the block identity
     (ancilla-0 block equals the diag-sigma sandwich) are verified to 1e-10
     at every point of the assembled circuit before it is returned.
     """
@@ -244,14 +236,10 @@ def build_svd_circuit(*blocks) -> SVDCircuit:
     batch, dim = raw.shape[:-1], raw.shape[-1]
     n = padded_dimension(dim)
     scale = np.maximum(1.0, raw.max(axis=-1))
-    sigma_by_row = np.concatenate([raw, np.ones(batch + (n - dim,))], axis=-1) / scale[..., None]
-    padding = np.broadcast_to(np.arange(dim, n), batch + (n - dim,))
-    order = np.concatenate([np.argsort(-raw, axis=-1, kind="stable"), padding], axis=-1)
     circuit = SVDCircuit(
         u_blocks=_runs([u for u, _, _ in factors]),
-        sigma=np.take_along_axis(sigma_by_row, order, axis=-1),
+        sigma=np.concatenate([raw, np.ones(batch + (n - dim,))], axis=-1) / scale[..., None],
         vdag_blocks=_runs([vdag for _, _, vdag in factors]),
-        rank=np.argsort(order, axis=-1),
         scale=scale,
     )
     _check_block_identity(circuit)

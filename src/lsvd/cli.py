@@ -17,7 +17,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -211,10 +211,10 @@ def _cmd_fmo(args) -> int:
 
 
 def _rpm_params(args) -> RPMParams:
+    """The compass flags shared by ``rpm`` and ``sweep``; theta stays pi/2."""
     return RPMParams(
         hyperfine=np.diag([0.0, 0.0, args.hyperfine_az]),
         b0=args.b0,
-        theta=np.deg2rad(args.theta),
         gamma_shelf=args.gamma_shelf,
         gamma_diss=args.gamma_diss,
     )
@@ -236,6 +236,8 @@ def _rpm_param_dict(params: RPMParams) -> dict:
 def _cmd_sweep(args) -> int:
     if not args.theta_step > 0:
         raise ValueError("--theta-step must be positive")
+    if not (np.isfinite(args.t_end) and args.t_end >= 0):
+        raise ValueError("--t-end must be finite and non-negative")
     base = _rpm_params(args)
     params = {**_rpm_param_dict(base), "theta_step_deg": args.theta_step}
     config = _config(args, "sweep", "rpm", None, "rpm_sweep", params)
@@ -267,7 +269,7 @@ def _cmd_rpm(args) -> int:
             )
         params = {"model_file": args.model}
     else:
-        base = _rpm_params(args)
+        base = replace(_rpm_params(args), theta=np.deg2rad(args.theta))
         model, rho0 = rpm_model(base)
         params = _rpm_param_dict(base)
     return _run_trace(args, "rpm", model, rho0, params)
@@ -332,7 +334,6 @@ def _add_run_flags(parser: argparse.ArgumentParser, t_end: float, dt: float | No
 
 def _add_rpm_flags(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(model_flags=())
-    parser.add_argument("--theta", type=float, default=90.0, action=_ModelFlag, help="field orientation in degrees")
     parser.add_argument("--b0", type=float, default=RPM_DEFAULT_B0, action=_ModelFlag, help="field magnitude in tesla")
     parser.add_argument("--hyperfine-az", type=float, default=RPM_DEFAULT_HYPERFINE_AZ, action=_ModelFlag, help="axial hyperfine component in rad/s")
     parser.add_argument("--gamma-shelf", type=float, default=RPM_DEFAULT_GAMMA_SHELF, action=_ModelFlag, help="shelving rate in 1/s")
@@ -362,11 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rpm = sub.add_parser("rpm", help="radical-pair yields trace")
     _add_rpm_flags(p_rpm)
+    p_rpm.add_argument("--theta", type=float, default=90.0, action=_ModelFlag, help="field orientation in degrees")
     p_rpm.add_argument("--model", help="model file overriding the built-in")
     _add_run_flags(p_rpm, RPM_DEFAULT_T_END, RPM_DEFAULT_DT)
     p_rpm.set_defaults(func=_cmd_rpm)
 
-    p_sweep = sub.add_parser("sweep", help="orientation sweep of the compass yields")
+    # no abbreviations, or --theta would be taken for --theta-step
+    p_sweep = sub.add_parser("sweep", help="orientation sweep of the compass yields", allow_abbrev=False)
     p_sweep.add_argument("--theta-step", type=float, default=THETA_DEFAULT_STEP_DEG, help="sweep step in degrees")
     _add_rpm_flags(p_sweep)
     _add_run_flags(p_sweep, RPM_DEFAULT_T_END)

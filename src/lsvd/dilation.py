@@ -18,7 +18,7 @@ two of which live here:
    the blocks' factors and lets the padding rows pass through, so neither
    the n x n matrix nor its n x n factors are formed.
 2. The SVD of the unpadded matrix, block by block, with the singular
-   values (sorted descending across the blocks) divided by
+   values (each on its block's row, in no global order) divided by
    s = max(1, sigma_max) so all of them land in [0, 1].  Propagators of
    non-unital dynamics routinely have sigma_max > 1; the division is
    exactly invertible (recorded in ``SVDCircuit.scale``) and drops out of

@@ -11,7 +11,7 @@ class LsvdError(Exception):
 
 
 class ToleranceUnachievableError(LsvdError):
-    """The matrix exponential could not meet the requested tolerance."""
+    """The matrix exponential would need more squarings than its hard cap."""
 
 
 class ConvergenceFailureError(LsvdError):

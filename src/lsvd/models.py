@@ -371,16 +371,18 @@ def theta_sweep(
 ) -> ThetaSweepResult:
     """Run the full pipeline at each orientation and collect shelf yields.
 
-    Every orientation is checked against the ``RPMParams`` theta bounds
-    before any model is built.  Only the Zeeman term depends on theta and
-    the generator is linear in the field, so with anchors at the base phi,
-    ``G(theta) = w_0 G(0) + w_1 G(pi) + w_2 G(pi/2)`` for ``w = ((1 + cos
-    theta - sin theta)/2, (1 - cos theta - sin theta)/2, sin theta)``,
-    exactly (1, 0, 0) at theta = 0.  ``evolve_family`` runs that family a
+    ``thetas`` must be non-empty, and every orientation is checked against
+    the ``RPMParams`` theta bounds before any model is built.  Only the
+    Zeeman term depends on theta and the generator is linear in the field,
+    so with anchors at the base phi, ``G(theta) = w_0 G(0) + w_1 G(pi) +
+    w_2 G(pi/2)`` for ``w = ((1 + cos theta - sin theta)/2, (1 - cos theta
+    - sin theta)/2, sin theta)``, exactly (1, 0, 0) at theta = 0.  ``evolve_family`` runs that family a
     chunk of orientations at a time; orientation ``j`` samples from the
     substream ``substream_seed(substream_seed(seed, j), 0)``.
     """
     grid = default_theta_grid() if thetas is None else np.asarray(thetas, dtype=float).ravel()
+    if grid.size == 0:
+        raise ValueError("thetas must be non-empty")
     for theta in grid:
         replace(base, theta=float(theta))  # raises on an out-of-range theta
     anchors = [rpm_model(replace(base, theta=theta)) for theta in (0.0, np.pi, np.pi / 2)]

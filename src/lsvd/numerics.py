@@ -75,8 +75,9 @@ def expm(a) -> Matrix:
     carries the error made so far into the next, so the bound grows with
     ``s``.  This is a measured bound, not a proof; it holds against a
     40-digit ``mpmath.expm`` for the bundled generators' blocks at their
-    largest default times.  Squarings of a strongly non-normal ``a`` can
-    amplify error faster.
+    largest default times, and for the orientation sweep's 32 x 32 block
+    at theta = 0.  Squarings of a strongly non-normal ``a`` can amplify
+    error faster.
 
     Raises:
         ValueError: if ``a`` is not square or has a non-finite entry.

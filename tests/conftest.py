@@ -58,15 +58,13 @@ def direct_sum_with_identity(runs, n):
 
 
 def dense_u(circuit):
-    """Dense ``u_1 ⊕ u_2 ⊕ … ⊕ I`` of a circuit, its columns ordered as ``sigma``."""
-    dense = direct_sum_with_identity(circuit.u_blocks, circuit.n)
-    return np.take_along_axis(dense, np.argsort(circuit.rank)[..., None, :], axis=-1)
+    """Dense ``u_1 ⊕ u_2 ⊕ … ⊕ I`` of a circuit."""
+    return direct_sum_with_identity(circuit.u_blocks, circuit.n)
 
 
 def dense_vdag(circuit):
-    """Dense ``vdag_1 ⊕ vdag_2 ⊕ … ⊕ I`` of a circuit, its rows ordered as ``sigma``."""
-    dense = direct_sum_with_identity(circuit.vdag_blocks, circuit.n)
-    return np.take_along_axis(dense, np.argsort(circuit.rank)[..., :, None], axis=-2)
+    """Dense ``vdag_1 ⊕ vdag_2 ⊕ … ⊕ I`` of a circuit."""
+    return direct_sum_with_identity(circuit.vdag_blocks, circuit.n)
 
 
 def as_unitary(circuit):

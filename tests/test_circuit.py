@@ -131,8 +131,16 @@ class TestBlocks:
         dim = sum(sizes)
         assert split.n == dense.n
         assert split.scale == pytest.approx(dense.scale, rel=1e-14)
-        np.testing.assert_allclose(split.sigma, dense.sigma, atol=1e-14, rtol=0)
-        assert np.all(np.diff(split.sigma[:dim]) <= 0.0)
+        np.testing.assert_allclose(
+            np.sort(split.sigma[:dim])[::-1], dense.sigma[:dim], atol=1e-14, rtol=0
+        )
+        offset = 0
+        for block in blocks:
+            segment = split.sigma[offset : offset + block.shape[0]]
+            assert np.all(np.diff(segment) <= 0.0)
+            own = np.linalg.svd(block, compute_uv=False) / split.scale
+            np.testing.assert_allclose(segment, own, atol=1e-14, rtol=0)
+            offset += block.shape[0]
         np.testing.assert_array_equal(split.sigma[dim:], 1.0 / split.scale)
         np.testing.assert_allclose(
             self.padded_product(split), self.padded_product(dense), atol=1e-12, rtol=0
@@ -167,13 +175,12 @@ class TestStacked:
         stacked = build_svd_circuit(*blocks)
         state = ancilla_zero_input(np.full(9, 1.0 / 3.0, dtype=complex), 16)
         conditioned, success = run_exact(stacked, state)
-        assert stacked.sigma.shape == stacked.rank.shape == (4, 16)
+        assert stacked.sigma.shape == (4, 16)
         assert stacked.scale.shape == success.shape == (4,)
         assert conditioned.shape == (4, 16)
         for j in range(4):
             single = build_svd_circuit(*(block[j] for block in blocks))
             np.testing.assert_array_equal(stacked.sigma[j], single.sigma)
-            np.testing.assert_array_equal(stacked.rank[j], single.rank)
             assert stacked.scale[j] == single.scale
             np.testing.assert_array_equal(dense_u(stacked)[j], dense_u(single))
             np.testing.assert_array_equal(dense_vdag(stacked)[j], dense_vdag(single))

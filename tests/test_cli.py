@@ -216,6 +216,9 @@ class TestOutputContracts:
         capsys.readouterr()
         assert run("evolve") == 2
         assert "--model" in capsys.readouterr().err
+        # a sweep sets theta itself, and --theta is no abbreviation of --theta-step
+        assert run("sweep", "--theta", "30") == 2
+        assert "unrecognized arguments: --theta 30" in capsys.readouterr().err
         assert run("rpm", "--sweep-theta") == 2
         assert run("sweep", "--theta-step", "0") == 2
         assert run("fmo", "--t-end", "inf") == 2
@@ -250,6 +253,17 @@ class TestOutputContracts:
     def test_bad_theta_step_names_the_flag(self, step, capsys):
         assert run("sweep", "--theta-step", step) == 2
         assert capsys.readouterr().err == "error: --theta-step must be positive\n"
+
+    @pytest.mark.parametrize("t_end", ["-1", "nan", "inf"])
+    def test_bad_sweep_t_end_names_the_flag(self, t_end, capsys):
+        assert run("sweep", "--theta-step", "90", "--t-end", t_end) == 2
+        assert capsys.readouterr().err == "error: --t-end must be finite and non-negative\n"
+
+    def test_sweep_t_end_zero_is_valid(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--theta-step", "90", "--t-end", "0", "--out", str(out)) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 3
 
     def test_missing_model_file_exit_2(self):
         assert run("evolve", "--model", "/nonexistent/model.json") == 2

@@ -71,10 +71,17 @@ class TestPad:
         np.testing.assert_allclose(reconstruction(circuit), padded(m, 8), atol=1e-10)
 
     def test_sigma_descending_then_padding_entries(self, rng):
-        m = 3.0 * random_complex(rng, 5)
-        circuit = build_svd_circuit(m)
+        """sigma is in block-row order: descending within each block, blocks
+        in order, then one ``1/scale`` per padding row."""
+        blocks = [0.1 * random_complex(rng, 3), 3.0 * random_complex(rng, 2)]
+        circuit = build_svd_circuit(*blocks)
         assert circuit.scale > 1.0
-        assert np.all(np.diff(circuit.sigma[:5]) <= 0)
+        # the small block comes first, so a global sort would reorder sigma
+        assert circuit.sigma[2] < circuit.sigma[3]
+        for segment, block in zip((circuit.sigma[:3], circuit.sigma[3:5]), blocks):
+            assert np.all(np.diff(segment) <= 0)
+            own = np.linalg.svd(block, compute_uv=False) / circuit.scale
+            np.testing.assert_allclose(segment, own, atol=1e-14, rtol=0)
         np.testing.assert_array_equal(circuit.sigma[5:], np.full(3, 1.0 / circuit.scale))
 
     def test_rectangular_rejected(self):

@@ -247,6 +247,16 @@ class TestThetaSweep:
             with pytest.raises(ValueError, match="theta must lie"):
                 theta_sweep(RPMParams(), thetas=thetas)
 
+    def test_empty_grid_rejected(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a model or the sweep ran for an empty grid")
+
+        monkeypatch.setattr(lsvd.models, "rpm_model", no_work)
+        monkeypatch.setattr(lsvd.models, "evolve_family", no_work)
+        for thetas in ([], np.empty((0, 3))):
+            with pytest.raises(ValueError, match="^thetas must be non-empty$"):
+                theta_sweep(RPMParams(), thetas=thetas)
+
 
 def sweep_rows(sweep):
     return [

@@ -112,14 +112,23 @@ class TestExpm:
             ("rpm", RPM_DEFAULT_T_END, 8),
             ("rpm-dissipative", RPM_DEFAULT_T_END, 8),
             ("fmo7", FMO_DEFAULT_T_END, 14),
+            ("rpm-sweep-theta0", RPM_DEFAULT_T_END, 32),
         ],
     )
     def test_documented_bound_against_mpmath(self, name, t, size):
         # a 40-digit reference that shares nothing with numpy's or scipy's
         # expm, on one decoupled block of the real generator
-        model, _ = builtin_model(name)
-        generator = _real_generator(model)
-        block = next(c for c in _decoupled_blocks(generator) if c.size == size)
+        if name == "rpm-sweep-theta0":
+            # the sweep's blocks come from the union of its three anchors'
+            # patterns, and its member at theta = 0 is the first anchor
+            generators = [
+                _real_generator(rpm_model(replace(RPMParams(), theta=theta))[0])
+                for theta in (0.0, np.pi, np.pi / 2)
+            ]
+        else:
+            generators = [_real_generator(builtin_model(name)[0])]
+        generator = generators[0]
+        block = next(c for c in _decoupled_blocks(*generators) if c.size == size)
         a = generator[np.ix_(block, block)] * t
         with mpmath.workdps(40):
             reference = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
