@@ -2,10 +2,11 @@
 
 The package builds the vectorized generator of a Lindblad model,
 exponentiates it, dilates the SVD of the propagator into a unitary
-register program, and emulates that program exactly or with finite shots,
-validated against a classical Liouville-space reference.  Two benchmark
-model families (exciton transport with a sink, and a radical-pair
-compass with shelving yields) ship ready to run from the ``lsvd`` CLI.
+register program, and emulates that program exactly or with finite shots;
+``classical_evolve`` gives the same populations without the circuit.  Two
+benchmark model families (exciton transport with a sink, and a
+radical-pair compass with shelving yields) ship ready to run from the
+``lsvd`` CLI.
 """
 
 __version__ = "0.1.0"
@@ -32,8 +33,6 @@ from .lindblad import (
     LindbladModel,
     PopulationTrace,
     build_superoperator,
-    classical_evolve,
-    devectorize,
     lindblad_rhs,
     load_model,
     model_from_dict,
@@ -58,7 +57,7 @@ from .models import (
     yields,
 )
 from .numerics import DEFAULT_TOL, expm, svd
-from .pipeline import quantum_evolve, qubit_counts
+from .pipeline import classical_evolve, quantum_evolve, qubit_counts
 from .sampler import (
     DEFAULT_SHOTS,
     RNG_ALGORITHM,

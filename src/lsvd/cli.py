@@ -307,7 +307,7 @@ def _cmd_resources(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         model = load_model(args.model_file)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"FAIL model ({exc})")
         return 2
     print(f"PASS model ({model.dim} levels, {len(model.channels)} channels)")

@@ -12,9 +12,8 @@ into a linear flow on length-r² vectors generated by
         + sum_i gamma_i (C_i*⊗C_i - 1/2 I⊗C_i†C_i - 1/2 C_i^T C_i*⊗I)
       = I⊗A + A*⊗I + sum_i gamma_i C_i*⊗C_i,   A = -iH - 1/2 sum_i gamma_i C_i†C_i
 
-so that vec(rho(t)) = exp(L t) vec(rho(0)).  ``classical_evolve`` follows
-exactly this route and is the reference every circuit-based result in
-this package is validated against.
+so that vec(rho(t)) = exp(L t) vec(rho(0)).  ``lindblad_rhs`` keeps the
+matrix form, written independently, so that tests can check L against it.
 
 Units: hbar = 1 throughout.  Each model declares its time unit ("fs" for
 the exciton models, "ms" for the spin models); Hamiltonians are stored in
@@ -26,11 +25,10 @@ cm^-1 values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LsvdError
 from .numerics import as_matrix, expm
 
 SPEED_OF_LIGHT_CM_PER_S = 2.99792458e10
@@ -117,7 +115,7 @@ class PopulationTrace:
 
     ``populations`` has shape ``(len(times), r)``; ``success_prob`` holds
     the ancilla-0 weight per time point (the postselected fraction in
-    sampled mode, 1.0 for the classical oracle).  ``mode`` is one of
+    sampled mode, 1.0 for ``classical_evolve``).  ``mode`` is one of
     ``"classical"``, ``"exact"`` or ``"sampled"``.  ``scales`` records the
     dilation scale factor per time point for circuit-based modes.
     """
@@ -128,7 +126,6 @@ class PopulationTrace:
     mode: str
     labels: tuple[str, ...] | None = None
     scales: np.ndarray | None = None
-    states: list[np.ndarray] | None = field(default=None, repr=False)
 
 
 def vectorize(rho) -> np.ndarray:
@@ -140,14 +137,6 @@ def vectorize(rho) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"rho must be square, got shape {m.shape}")
     return m.flatten(order="F")
-
-
-def devectorize(v, r: int) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    vec = np.asarray(v, dtype=np.complex128).ravel()
-    if vec.size != r * r:
-        raise ValueError(f"vector of length {vec.size} cannot fill a {r}x{r} matrix")
-    return vec.reshape((r, r), order="F").copy()
 
 
 def build_superoperator(model: LindbladModel) -> np.ndarray:
@@ -203,65 +192,6 @@ def propagator(superop, t: float) -> np.ndarray:
     return expm(m * float(t))
 
 
-def _validated_times(times) -> np.ndarray:
-    arr = np.array(times, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("times must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("times must be finite")
-    if arr[0] < 0:
-        raise ValueError("times must be non-negative")
-    if np.any(np.diff(arr) < 0):
-        raise ValueError("times must be sorted ascending")
-    return arr
-
-
-def classical_evolve(
-    model: LindbladModel,
-    rho0,
-    times,
-    *,
-    store_states: bool = False,
-) -> PopulationTrace:
-    """Propagate ``rho0`` through Liouville space and record populations.
-
-    For each output time the full propagator exp(L t) is evaluated fresh
-    and applied to vec(rho0); populations are the real diagonal of the
-    devectorized result.  The trace of every output state is checked to
-    stay within 1e-8 of one.  This is the classical reference ("oracle")
-    for the circuit pipeline.
-    """
-    grid = _validated_times(times)
-    rho_init = as_matrix(rho0, name="rho0")
-    r = model.dim
-    if rho_init.shape != (r, r):
-        raise ValueError(f"rho0 has shape {rho_init.shape}, expected ({r}, {r})")
-    superop = build_superoperator(model)
-    v0 = vectorize(rho_init)
-
-    populations = np.empty((grid.size, r), dtype=float)
-    states: list[np.ndarray] | None = [] if store_states else None
-    for i, t in enumerate(grid):
-        rho_t = devectorize(propagator(superop, t) @ v0, r)
-        trace_defect = abs(np.trace(rho_t) - 1.0)
-        if trace_defect > 1e-8:
-            raise LsvdError(
-                f"propagated state lost trace normalization at t={t} "
-                f"(defect {trace_defect:.3e})"
-            )
-        populations[i] = np.real(np.diag(rho_t))
-        if states is not None:
-            states.append(rho_t)
-    return PopulationTrace(
-        times=grid,
-        populations=populations,
-        success_prob=np.ones(grid.size),
-        mode="classical",
-        labels=model.labels,
-        states=states,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Model files
 #
@@ -282,7 +212,12 @@ def _matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def _matrix_from_pairs(obj, r: int, *, name: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{name} must be an {r}x{r} matrix of [re, im] pairs: {exc}"
+        ) from exc
     if arr.shape != (r, r, 2):
         raise ValueError(
             f"{name} must be an {r}x{r} matrix of [re, im] pairs, got shape {arr.shape}"
@@ -321,22 +256,33 @@ def model_from_dict(data: dict) -> LindbladModel:
     if "hamiltonian" not in data:
         raise ValueError("model file is missing 'hamiltonian'")
     hamiltonian = _matrix_from_pairs(data["hamiltonian"], r, name="hamiltonian")
+    raw_channels = data.get("channels", [])
+    if not isinstance(raw_channels, list):
+        raise ValueError(f"'channels' must be a list of channel objects, got {raw_channels!r}")
     channels = []
-    for idx, raw in enumerate(data.get("channels", [])):
-        if "operator" not in raw or "rate" not in raw:
-            raise ValueError(f"channel {idx} must have 'operator' and 'rate'")
+    for idx, raw in enumerate(raw_channels):
+        if not isinstance(raw, dict) or "operator" not in raw or "rate" not in raw:
+            raise ValueError(f"channel {idx} must be an object with 'operator' and 'rate'")
+        try:
+            rate = float(raw["rate"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"channel {idx} 'rate' must be a number, got {raw['rate']!r}"
+            ) from exc
         channels.append(
             Channel(
                 operator=_matrix_from_pairs(raw["operator"], r, name=f"channel {idx} operator"),
-                rate=float(raw["rate"]),
+                rate=rate,
                 label=str(raw.get("label", "")),
             )
         )
-    labels = tuple(str(s) for s in data.get("labels", ()))
+    labels = data.get("labels", [])
+    if not isinstance(labels, list):
+        raise ValueError(f"'labels' must be a list of level names, got {labels!r}")
     return LindbladModel(
         hamiltonian=hamiltonian,
         channels=tuple(channels),
-        labels=labels,
+        labels=tuple(str(s) for s in labels),
         time_unit=str(data.get("time_unit", "1")),
     )
 

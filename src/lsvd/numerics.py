@@ -26,7 +26,7 @@ from .errors import ConvergenceFailureError, ToleranceUnachievableError
 
 Matrix = NDArray[np.float64] | NDArray[np.complex128]
 
-#: Default relative tolerance for ``svd`` and of the measured ``expm``
+#: Relative tolerance of ``svd``'s checks and of the measured ``expm``
 #: bound.  Propagators handled by this package are at most a few hundred
 #: rows, so near-machine precision is cheap and every downstream tolerance
 #: is derived from this one.
@@ -127,7 +127,7 @@ def _squared_defect(product: Matrix, target=0.0) -> np.ndarray:
     return np.add.reduce(product, axis=(-2, -1)).real
 
 
-def svd(a, tol: float = DEFAULT_TOL):
+def svd(a):
     """Singular value decomposition ``a = U diag(sigma) Vdag`` of a square
     matrix, or of each matrix of a stack ``(..., m, m)``.
 
@@ -136,8 +136,9 @@ def svd(a, tol: float = DEFAULT_TOL):
     float64 (orthogonal) for real input and complex128 (unitary) for
     complex input.  For every matrix, the reconstruction residual against
     that matrix's own norm and the departures of ``u``/``vdag`` from
-    unitarity (Frobenius norms) are checked against ``tol``; a miss raises
-    ``ConvergenceFailureError`` that gives the worst residual of the stack.
+    unitarity (Frobenius norms) are checked against ``DEFAULT_TOL``; a
+    miss raises ``ConvergenceFailureError`` that gives the worst residual
+    of the stack.
 
     Factor matrices are not unique (degenerate singular values admit
     arbitrary unitary mixing), so callers should only ever compare
@@ -145,8 +146,6 @@ def svd(a, tol: float = DEFAULT_TOL):
     """
     m = as_matrix(a, stacked=True)
     _require_square(m)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     try:
         u, sigma, vdag = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
@@ -163,8 +162,8 @@ def svd(a, tol: float = DEFAULT_TOL):
         ),
     )
     worst = float(np.sqrt(worst_squared.max()))
-    if not worst <= tol:  # a NaN factor fails too
+    if not worst <= DEFAULT_TOL:  # a NaN factor fails too
         raise ConvergenceFailureError(
-            f"SVD accuracy contract missed: residual {worst:.3e} > tol {tol:.3e}"
+            f"SVD accuracy contract missed: residual {worst:.3e} > tol {DEFAULT_TOL:.3e}"
         )
     return u, sigma, vdag

@@ -42,6 +42,11 @@ into its table rows as soon as its circuits have run and is released
 before the next one is stacked, so memory holds one chunk at a time
 however long the grid.  Chunks run serially, in the order of the grid or
 of the family; sampling substreams are keyed by seed and point index.
+
+``classical_evolve`` runs the same chain on the plain column-stacked L, as
+one block, with no Hermitian basis and no circuit.  It shares the
+generator and the chain with ``quantum_evolve``, so it is a cheap
+classical trace, not an independent reference for it.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ from .errors import LsvdError
 from .lindblad import (
     LindbladModel,
     PopulationTrace,
-    _validated_times,
     build_superoperator,
     propagator,
     vectorize,
@@ -78,6 +82,19 @@ def qubit_counts(dim: int) -> tuple[int, int]:
     """(system qubits k, total qubits d) for an r-level model: n = 2^k >= r²."""
     k = padded_dimension(dim * dim).bit_length() - 1
     return k, k + 1
+
+
+def _validated_times(times) -> np.ndarray:
+    arr = np.array(times, dtype=float).ravel()
+    if arr.size == 0:
+        raise ValueError("times must be non-empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("times must be finite")
+    if arr[0] < 0:
+        raise ValueError("times must be non-negative")
+    if np.any(np.diff(arr) < 0):
+        raise ValueError("times must be sorted ascending")
+    return arr
 
 
 def _hermitian_pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,8 +216,9 @@ def _run_chunks(chunks, components, rho0, times, labels, mode, shots, seeds):
     ``rho0`` pass."""
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    if mode == "sampled" and shots < 1:
-        raise ValueError("shots must be >= 1")
+    if mode == "sampled" and not 1 <= shots <= np.iinfo(np.int64).max:
+        # numpy's multinomial draws counts as int64
+        raise ValueError(f"shots must be between 1 and 2**63 - 1, got {shots}")
     rho_init = as_matrix(rho0, name="rho0")
     r = len(labels)
     if rho_init.shape != (r, r):
@@ -231,6 +249,42 @@ def _run_chunks(chunks, components, rho0, times, labels, mode, shots, seeds):
     columns = zip(*map(run_chunk, chunks))
     populations, success, scales = (np.concatenate(column, dtype=float) for column in columns)
     return PopulationTrace(times, populations, success, mode, labels=labels, scales=scales)
+
+
+def classical_evolve(model: LindbladModel, rho0, times) -> PopulationTrace:
+    """Propagate ``rho0`` through Liouville space and record populations.
+
+    The propagators exp(L t) of the column-stacked generator are chained
+    along the ascending grid by ``_propagators``, as ``quantum_evolve``
+    chains its blocks, with no Hermitian basis, no blocks and no circuit;
+    populations are the real diagonal of exp(L t) vec(rho0).  The trace
+    of every output state is checked to stay within 1e-8 of one.
+    """
+    grid = _validated_times(times)
+    rho_init = as_matrix(rho0, name="rho0")
+    r = model.dim
+    if rho_init.shape != (r, r):
+        raise ValueError(f"rho0 has shape {rho_init.shape}, expected ({r}, {r})")
+    v0 = vectorize(rho_init)
+    diagonal = np.arange(r) * (r + 1)
+    populations = np.empty((grid.size, r), dtype=float)
+    chain = _propagators([build_superoperator(model)], grid)
+    for i, (t, (prop,)) in enumerate(zip(grid, chain)):
+        diag_t = (prop @ v0)[diagonal]
+        trace_defect = abs(diag_t.sum() - 1.0)
+        if trace_defect > 1e-8:
+            raise LsvdError(
+                f"propagated state lost trace normalization at t={t} "
+                f"(defect {trace_defect:.3e})"
+            )
+        populations[i] = diag_t.real
+    return PopulationTrace(
+        times=grid,
+        populations=populations,
+        success_prob=np.ones(grid.size),
+        mode="classical",
+        labels=model.labels,
+    )
 
 
 def quantum_evolve(

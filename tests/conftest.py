@@ -1,11 +1,17 @@
 """Shared generators for randomized tests (all seeded, never time-based),
-and the dense reference forms of a circuit's factors and program."""
+the dense reference forms of a circuit's factors and program, and the
+scipy reference for propagated states."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 
+import lsvd.lindblad
+import lsvd.numerics
+import lsvd.pipeline
 from lsvd.dilation import dilate
-from lsvd.lindblad import Channel, LindbladModel
+from lsvd.lindblad import Channel, LindbladModel, build_superoperator, lindblad_rhs
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -80,6 +86,66 @@ def as_unitary(circuit):
     composite = np.kron(_HADAMARD, eye_n) @ composite
     composite = np.kron(np.eye(2, dtype=np.complex128), dense_u(circuit)) @ composite
     return composite
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the reference called the package's expm or propagator")
+
+
+def _vec(rho):
+    return np.asarray(rho, dtype=np.complex128).flatten(order="F")
+
+
+def reference_states(model, rho0, times):
+    """Density matrices rho(t) at each time of the ascending ``times``,
+    shape ``(len(times), r, r)``, from scipy alone.
+
+    ``build_superoperator(model)`` is first checked against the matrix-form
+    ``lindblad_rhs`` on random states, to 1e-10 relative to the terms L is
+    summed from (L itself can be pure rounding, as for a 1-level model
+    with a channel).  It is then split into the connected components of
+    its nonzero pattern, and each component's part of vec(rho0) is chained
+    along the grid with one ``scipy.linalg.expm`` per distinct gap.  The
+    package's ``expm`` and ``propagator`` raise while this runs, so the
+    reference shares no propagation code with what it checks.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lsvd.numerics, "expm", _forbidden)
+        patch.setattr(lsvd.lindblad, "expm", _forbidden)
+        patch.setattr(lsvd.pipeline, "propagator", _forbidden)
+        superop = build_superoperator(model)
+        r = model.dim
+        terms = np.linalg.norm(model.hamiltonian) + sum(
+            ch.rate * np.linalg.norm(ch.operator) ** 2 for ch in model.channels
+        )
+        rng = np.random.default_rng(1729)
+        for _ in range(3):
+            rho = random_density(rng, r)
+            defect = np.linalg.norm(superop @ _vec(rho) - _vec(lindblad_rhs(model, rho)))
+            scale = terms * np.linalg.norm(rho)
+            assert defect <= 1e-10 * scale, f"L off lindblad_rhs by {defect / scale:.3e}"
+        count, labels = connected_components(superop != 0, connection="weak")
+        grid = np.asarray(times, dtype=float)
+        v0 = _vec(rho0)
+        states = np.empty((grid.size, r * r), dtype=np.complex128)
+        for component in range(count):
+            index = np.flatnonzero(labels == component)
+            block = superop[np.ix_(index, index)]
+            steps = {}
+            state, previous = v0[index], 0.0
+            for k, t in enumerate(grid):
+                gap = t - previous
+                if gap not in steps:
+                    steps[gap] = scipy.linalg.expm(block * gap)
+                state = steps[gap] @ state
+                states[k, index] = state
+                previous = t
+    return states.reshape(grid.size, r, r).transpose(0, 2, 1)
+
+
+def reference_populations(model, rho0, times):
+    """The real diagonals of :func:`reference_states`, shape ``(len(times), r)``."""
+    return np.diagonal(reference_states(model, rho0, times), axis1=1, axis2=2).real
 
 
 @pytest.fixture

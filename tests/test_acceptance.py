@@ -3,8 +3,9 @@
 Each test exercises one shipped guarantee end to end at its stated
 tolerance and prints a single PASS/FAIL line (visible with ``pytest -s``;
 captured output is replayed on failure).  The heavyweight shared inputs —
-classical reference traces and exact circuit runs for all four bundled
-models over their default grids — are computed once per session.
+scipy reference states, ``classical_evolve`` traces and exact circuit runs
+for all four bundled models over their default grids — are computed once
+per module.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import scipy.linalg
 from lsvd.circuit import build_svd_circuit, estimate_resources
 from lsvd.cli import main as cli_main
 from lsvd.dilation import dilate
-from lsvd.lindblad import build_superoperator, classical_evolve, lindblad_rhs, propagator
+from lsvd.lindblad import build_superoperator, lindblad_rhs, propagator
 from lsvd.models import (
     RPM_GAMMA_DISS_HIGH,
     RPM_GAMMA_DISS_MID,
@@ -24,9 +25,16 @@ from lsvd.models import (
     theta_sweep,
     yields,
 )
-from lsvd.pipeline import quantum_evolve, qubit_counts
+from lsvd.pipeline import classical_evolve, quantum_evolve, qubit_counts
 
-from conftest import as_unitary, dense_u, dense_vdag, random_density, random_model
+from conftest import (
+    as_unitary,
+    dense_u,
+    dense_vdag,
+    random_density,
+    random_model,
+    reference_states,
+)
 
 FMO_GRID = np.arange(0, 401) * 5.0  # 0..2000 fs, step 5 fs
 RPM_GRID = np.arange(0, 572) * 1.75e-3  # 0..~1 ms, step 1.75e-3 ms
@@ -40,32 +48,43 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def runs():
-    """Oracle trace (with states) and exact circuit trace per bundled model."""
+    """Reference states and populations, the ``classical_evolve`` trace and
+    the exact circuit trace per bundled model."""
     out = {}
     for name, grid in GRIDS.items():
         model, rho0 = builtin_model(name)
-        oracle = classical_evolve(model, rho0, grid, store_states=True)
-        exact = quantum_evolve(model, rho0, grid, mode="exact")
-        out[name] = {"model": model, "rho0": rho0, "oracle": oracle, "exact": exact}
+        states = reference_states(model, rho0, grid)
+        out[name] = {
+            "model": model,
+            "rho0": rho0,
+            "states": states,
+            "reference": np.diagonal(states, axis1=1, axis2=2).real,
+            "classical": classical_evolve(model, rho0, grid),
+            "exact": quantum_evolve(model, rho0, grid, mode="exact"),
+        }
     return out
 
 
 def test_criterion_1_algebraic_exactness(runs):
     worst = {}
     for name, data in runs.items():
-        err = np.max(np.abs(data["exact"].populations - data["oracle"].populations))
-        worst[name] = err
-    overall = max(worst.values())
+        worst[name] = tuple(
+            float(np.max(np.abs(data[trace].populations - data["reference"])))
+            for trace in ("exact", "classical")
+        )
+    overall = max(max(pair) for pair in worst.values())
     detail = (
-        "exact circuit vs classical oracle, max |Δpopulation| over default grids: "
-        + ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
+        "exact circuit / classical_evolve vs scipy reference, max |Δpopulation| "
+        "at every point of the default grids: "
+        + ", ".join(f"{k}={a:.2e}/{b:.2e}" for k, (a, b) in worst.items())
         + " (tolerance 1e-8)"
     )
     report(1, overall <= 1e-8, detail)
 
 
 def test_criterion_1_independent_oracle(runs):
-    """Exact circuit vs ``scipy.linalg.expm`` of a generator checked on its own.
+    """Exact circuit and the chained reference vs a fresh
+    ``scipy.linalg.expm`` per picked time, of a generator checked on its own.
 
     The generator is first compared with the matrix-form ``lindblad_rhs`` on
     random states, since the pipeline and ``classical_evolve`` share
@@ -93,11 +112,15 @@ def test_criterion_1_independent_oracle(runs):
         reference = np.array(
             [np.real((scipy.linalg.expm(superop * grid[i]) @ v0)[diagonal]) for i in picks]
         )
-        worst[name] = float(np.max(np.abs(data["exact"].populations[picks] - reference)))
+        worst[name] = max(
+            float(np.max(np.abs(data["exact"].populations[picks] - reference))),
+            float(np.max(np.abs(data["reference"][picks] - reference))),
+        )
     ok = generator_defect <= 1e-10 and max(worst.values()) <= 1e-10
     detail = (
-        f"generator vs lindblad_rhs {generator_defect:.1e} (<=1e-10); exact circuit vs "
-        "scipy expm, every 20th and the last point, max |Δpopulation|: "
+        f"generator vs lindblad_rhs {generator_defect:.1e} (<=1e-10); exact circuit and "
+        "chained reference vs fresh scipy expm, every 20th and the last point, "
+        "max |Δpopulation|: "
         + ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
         + " (tolerance 1e-10)"
     )
@@ -106,13 +129,13 @@ def test_criterion_1_independent_oracle(runs):
 
 def test_criterion_2_sampled_fidelity(runs):
     data = runs["fmo3"]
-    oracle = data["oracle"].populations
+    reference = data["reference"]
     grid_max = {}
     for shots in (2**15, 2**17, 2**19):
         sampled = quantum_evolve(
             data["model"], data["rho0"], FMO_GRID, mode="sampled", shots=shots, seed=0
         )
-        grid_max[shots] = float(np.max(np.abs(sampled.populations - oracle)))
+        grid_max[shots] = float(np.max(np.abs(sampled.populations - reference)))
     errors = [grid_max[2**15], grid_max[2**17], grid_max[2**19]]
     inversions = sum(1 for a, b in zip(errors, errors[1:]) if b > a)
     ok = grid_max[2**19] <= 0.02 and inversions <= 1
@@ -189,7 +212,7 @@ def test_criterion_5_physicality(runs):
     worst_herm = 0.0
     worst_eig = 0.0
     for data in runs.values():
-        for rho in data["oracle"].states:
+        for rho in data["states"]:
             worst_trace = max(worst_trace, abs(np.trace(rho) - 1.0))
             worst_herm = max(worst_herm, np.linalg.norm(rho - rho.conj().T))
             worst_eig = min(
@@ -197,7 +220,7 @@ def test_criterion_5_physicality(runs):
             )
     ok = worst_trace <= 1e-8 and worst_herm <= 1e-8 and worst_eig >= -1e-6
     detail = (
-        f"all oracle states, all models: |trace-1| {worst_trace:.1e} (<=1e-8), "
+        f"all reference states, all models: |trace-1| {worst_trace:.1e} (<=1e-8), "
         f"hermiticity {worst_herm:.1e} (<=1e-8), min eigenvalue {worst_eig:.1e} (>=-1e-6)"
     )
     report(5, ok, detail)

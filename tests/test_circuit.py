@@ -14,7 +14,7 @@ from lsvd.circuit import (
 )
 from lsvd.dilation import dilate
 from lsvd.errors import BlockIdentityViolationError, ConvergenceFailureError
-from lsvd.lindblad import build_superoperator, classical_evolve, propagator, vectorize
+from lsvd.lindblad import build_superoperator, propagator, vectorize
 from lsvd.models import FMOParams, builtin_model, fmo_model
 
 from conftest import (
@@ -24,6 +24,7 @@ from conftest import (
     random_complex,
     random_model,
     random_unitary,
+    reference_states,
 )
 
 
@@ -284,8 +285,8 @@ class TestRunExact:
         state = ancilla_zero_input(v0 / np.linalg.norm(v0), 32)
         conditioned, _ = run_exact(circuit, state)
         reconstructed = conditioned[:25] * circuit.scale * np.linalg.norm(v0)
-        oracle = classical_evolve(model, rho0, [t], store_states=True).states[0]
-        np.testing.assert_allclose(reconstructed, vectorize(oracle), atol=1e-10)
+        reference = reference_states(model, rho0, [t])[0]
+        np.testing.assert_allclose(reconstructed, vectorize(reference), atol=1e-10)
 
     def test_dimension_mismatch(self, rng):
         circuit = build_svd_circuit(np.eye(4))
@@ -307,13 +308,13 @@ def test_readme_one_point_by_hand():
     exec(snippet, namespace)
     ground = np.zeros((model.dim, model.dim))
     ground[0, 0] = 1.0
-    oracle = classical_evolve(model, ground, [100.0], store_states=True).states[0]
-    np.testing.assert_allclose(namespace["vec_rho_t"], vectorize(oracle), atol=1e-12)
+    reference = reference_states(model, ground, [100.0])[0]
+    np.testing.assert_allclose(namespace["vec_rho_t"], vectorize(reference), atol=1e-12)
     assert namespace["success"] == pytest.approx(
         np.linalg.norm(namespace["conditioned"]) ** 2, abs=1e-15
     )
     np.testing.assert_allclose(
-        namespace["populations"], np.real(np.diag(oracle)), atol=0.02
+        namespace["populations"], np.real(np.diag(reference)), atol=0.02
     )
 
 

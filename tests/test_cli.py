@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from lsvd.cli import main
-from lsvd.lindblad import classical_evolve, model_to_dict
+from lsvd.lindblad import model_to_dict
 from lsvd.models import FMOParams, builtin_model, builtin_model_path, fmo_model
+from lsvd.pipeline import classical_evolve
 
 from conftest import random_model
 
@@ -187,6 +188,31 @@ class TestValidateCommand:
     def test_unreadable_file(self, tmp_path):
         assert run("validate", str(tmp_path / "missing.json")) == 2
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("channels", 5, "'channels'"),
+            ("channels", [5], "channel 0"),
+            ("rate", [1], "channel 0 'rate'"),
+            ("labels", 5, "'labels'"),
+        ],
+        ids=["channels-number", "channel-number", "rate-list", "labels-number"],
+    )
+    def test_malformed_model_file_exits_2(self, key, value, field, tmp_path, capsys):
+        data = model_to_dict(builtin_model("fmo3")[0])
+        if key == "rate":
+            data["channels"][0]["rate"] = value
+        else:
+            data[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run("evolve", "--model", str(path), "--out", str(tmp_path / "run.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert run("validate", str(path)) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL model") and field in out
+
 
 class TestOutputContracts:
     def test_csv_and_json_carry_identical_values(self, tmp_path):
@@ -223,6 +249,11 @@ class TestOutputContracts:
         assert run("sweep", "--theta-step", "0") == 2
         assert run("fmo", "--t-end", "inf") == 2
         assert run("fmo", "--dt", "nan") == 2
+        capsys.readouterr()
+        # numpy's multinomial draws int64 counts
+        shots = ["--mode", "sampled", "--shots", "99999999999999999999", "--t-end", "5"]
+        assert run("fmo", *shots) == 2
+        assert "error: shots must be between 1 and 2**63 - 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -7,8 +7,6 @@ from lsvd.lindblad import (
     Channel,
     LindbladModel,
     build_superoperator,
-    classical_evolve,
-    devectorize,
     lindblad_rhs,
     load_model,
     model_from_dict,
@@ -20,8 +18,9 @@ from lsvd.lindblad import (
     wavenumber_to_angular_frequency,
 )
 from lsvd.models import FMOParams, fmo_model
+from lsvd.pipeline import classical_evolve
 
-from conftest import random_complex, random_density, random_model
+from conftest import random_complex, random_density, random_model, reference_states
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -49,22 +48,7 @@ class TestVectorize:
 
     def test_round_trip(self, rng):
         rho = random_density(rng, 5)
-        np.testing.assert_array_equal(devectorize(vectorize(rho), 5), rho)
-
-
-class TestDevectorize:
-    def test_basis_state(self):
-        rho = devectorize(np.array([1.0, 0, 0, 0]), 2)
-        np.testing.assert_array_equal(rho, np.diag([1.0, 0.0]))
-
-    def test_maximally_mixed(self):
-        np.testing.assert_array_equal(
-            devectorize(np.array([0.5, 0, 0, 0.5]), 2), np.eye(2) / 2
-        )
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="vector of length 5 cannot fill a 2x2 matrix"):
-            devectorize(np.zeros(5), 2)
+        np.testing.assert_array_equal(vectorize(rho).reshape((5, 5), order="F"), rho)
 
 
 class TestBuildSuperoperator:
@@ -124,8 +108,8 @@ class TestPropagator:
     def test_amplitude_damping_analytic(self, gamma, t):
         model = amplitude_damping(gamma)
         rho0 = np.array([[0.25, 0.1j], [-0.1j, 0.75]], dtype=complex)
-        rho_t = devectorize(
-            propagator(build_superoperator(model), t) @ vectorize(rho0), 2
+        rho_t = (propagator(build_superoperator(model), t) @ vectorize(rho0)).reshape(
+            (2, 2), order="F"
         )
         assert rho_t[1, 1].real == pytest.approx(np.exp(-gamma * t) * 0.75, abs=1e-12)
         assert rho_t[0, 0].real == pytest.approx(1 - np.exp(-gamma * t) * 0.75, abs=1e-12)
@@ -139,8 +123,8 @@ class TestPropagator:
             channels=(Channel(SIGMA_Z, gamma, "dephasing"),),
         )
         rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        rho_t = devectorize(
-            propagator(build_superoperator(model), t) @ vectorize(rho0), 2
+        rho_t = (propagator(build_superoperator(model), t) @ vectorize(rho0)).reshape(
+            (2, 2), order="F"
         )
         assert rho_t[0, 1].real == pytest.approx(0.5 * np.exp(-2 * gamma * t), abs=1e-12)
         assert rho_t[0, 0].real == pytest.approx(0.5, abs=1e-12)
@@ -159,8 +143,10 @@ class TestClassicalEvolve:
         full = classical_evolve(model, rho0, [0.8]).populations[-1]
         superop = build_superoperator(model)
         half = propagator(superop, 0.4)
-        rho_two = devectorize(half @ (half @ vectorize(rho0)), 3)
-        np.testing.assert_allclose(full, np.diag(rho_two).real, atol=1e-10)
+        vec_two = half @ (half @ vectorize(rho0))
+        np.testing.assert_allclose(
+            full, np.diag(vec_two.reshape((3, 3), order="F")).real, atol=1e-10
+        )
 
     def test_unsorted_times_rejected(self, rng):
         model = random_model(rng, 2)
@@ -176,8 +162,15 @@ class TestClassicalEvolve:
 
     def test_fmo3_hermiticity_positivity_along_trace(self):
         model, rho0 = fmo_model(FMOParams.default(3))
-        trace = classical_evolve(model, rho0, np.linspace(0, 2000, 21), store_states=True)
-        for rho in trace.states:
+        times = np.linspace(0, 2000, 21)
+        states = reference_states(model, rho0, times)
+        np.testing.assert_allclose(
+            classical_evolve(model, rho0, times).populations,
+            np.diagonal(states, axis1=1, axis2=2).real,
+            atol=1e-10,
+            rtol=0,
+        )
+        for rho in states:
             assert np.linalg.norm(rho - rho.conj().T) < 1e-8
             assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() > -1e-6
             assert abs(np.trace(rho) - 1.0) < 1e-8

@@ -7,14 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lsvd.circuit
-import lsvd.lindblad
 import lsvd.pipeline
 from lsvd.errors import LsvdError
-from lsvd.lindblad import Channel, LindbladModel, build_superoperator, classical_evolve
+from lsvd.lindblad import Channel, LindbladModel, build_superoperator
 from lsvd.models import builtin_model
-from lsvd.pipeline import quantum_evolve, qubit_counts
+from lsvd.pipeline import classical_evolve, quantum_evolve, qubit_counts
 
-from conftest import random_density, random_hermitian, random_model
+from conftest import (
+    random_density,
+    random_hermitian,
+    random_model,
+    reference_populations,
+    reference_states,
+)
 
 # t0 > 0, a repeated time (a zero gap) and a 1e-9 gap
 IRREGULAR_GRID = np.array([0.5, 0.5, 0.8, 0.81, 3.0, 3.0 + 1e-9, 7.0])
@@ -38,14 +43,17 @@ class TestInputChecks:
         [
             ({"mode": "nonsense"}, "mode must be"),
             ({"mode": "sampled", "shots": 0}, "shots must be"),
+            ({"mode": "sampled", "shots": 2**63}, r"shots must be between 1 and 2\*\*63 - 1"),
         ],
-        ids=["bad-mode", "no-shots"],
+        ids=["bad-mode", "no-shots", "shots-above-int64"],
     )
     def test_rejected_before_any_propagator(self, monkeypatch, kwargs, message):
         monkeypatch.setattr(lsvd.pipeline, "propagator", _no_propagator)
         model, rho0 = builtin_model("fmo3")
         with pytest.raises(ValueError, match=message):
             quantum_evolve(model, rho0, np.arange(401) * 5.0, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            lsvd.pipeline.evolve_family([model], np.ones((3, 1)), rho0, 5.0, **kwargs)
 
     @pytest.mark.parametrize("evolve", [quantum_evolve, classical_evolve])
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -53,7 +61,6 @@ class TestInputChecks:
         self, monkeypatch, evolve, bad
     ):
         monkeypatch.setattr(lsvd.pipeline, "propagator", _no_propagator)
-        monkeypatch.setattr(lsvd.lindblad, "propagator", _no_propagator)
         model, rho0 = builtin_model("fmo3")
         with pytest.raises(ValueError, match="times must be finite"):
             evolve(model, rho0, [0.0, bad])
@@ -65,8 +72,8 @@ class TestOneLevelModel:
         assert qubit_counts(model.dim) == (1, 2)
         times = np.arange(5) * 0.5
         quantum = quantum_evolve(model, [[1.0]], times)
-        oracle = classical_evolve(model, [[1.0]], times)
-        np.testing.assert_allclose(quantum.populations, oracle.populations, atol=1e-12)
+        reference = reference_populations(model, [[1.0]], times)
+        np.testing.assert_allclose(quantum.populations, reference, atol=1e-12)
         np.testing.assert_allclose(quantum.success_prob, 1.0, atol=1e-12)
 
 
@@ -74,16 +81,18 @@ class TestPropagatorChain:
     def test_irregular_grid_matches_oracle_fmo3(self):
         model, rho0 = builtin_model("fmo3")
         times = IRREGULAR_GRID * 100.0  # fs
-        quantum = quantum_evolve(model, rho0, times)
-        oracle = classical_evolve(model, rho0, times)
-        np.testing.assert_allclose(quantum.populations, oracle.populations, atol=1e-10, rtol=0)
+        reference = reference_populations(model, rho0, times)
+        for evolve in (quantum_evolve, classical_evolve):
+            trace = evolve(model, rho0, times)
+            np.testing.assert_allclose(trace.populations, reference, atol=1e-10, rtol=0)
 
     def test_irregular_grid_matches_oracle_random_model(self, rng):
         model = random_model(rng, 3)
         rho0 = random_density(rng, 3)
-        quantum = quantum_evolve(model, rho0, IRREGULAR_GRID)
-        oracle = classical_evolve(model, rho0, IRREGULAR_GRID)
-        np.testing.assert_allclose(quantum.populations, oracle.populations, atol=1e-10, rtol=0)
+        reference = reference_populations(model, rho0, IRREGULAR_GRID)
+        for evolve in (quantum_evolve, classical_evolve):
+            trace = evolve(model, rho0, IRREGULAR_GRID)
+            np.testing.assert_allclose(trace.populations, reference, atol=1e-10, rtol=0)
 
     def test_one_expm_per_distinct_gap(self, monkeypatch, rng):
         calls = []
@@ -142,8 +151,8 @@ class TestDecoupledBlocks:
         generator = lsvd.pipeline._real_generator(model)
         assert len(lsvd.pipeline._decoupled_blocks(generator)) >= 2
         quantum = quantum_evolve(model, rho0, IRREGULAR_GRID)
-        oracle = classical_evolve(model, rho0, IRREGULAR_GRID)
-        np.testing.assert_allclose(quantum.populations, oracle.populations, atol=1e-10, rtol=0)
+        reference = reference_populations(model, rho0, IRREGULAR_GRID)
+        np.testing.assert_allclose(quantum.populations, reference, atol=1e-10, rtol=0)
 
 
 class TestMemory:
@@ -242,9 +251,10 @@ class TestHermitianBasis:
         np.testing.assert_allclose(generator, rotated.real, atol=1e-13 * terms)
         # t = 0 first, then non-uniform gaps (zero gaps included)
         times = np.concatenate([[0.0], np.cumsum(gaps)])
-        quantum = quantum_evolve(model, rho0, times)
-        oracle = classical_evolve(model, rho0, times)
-        np.testing.assert_allclose(quantum.populations, oracle.populations, atol=1e-10, rtol=0)
+        reference = reference_populations(model, rho0, times)
+        for evolve in (quantum_evolve, classical_evolve):
+            trace = evolve(model, rho0, times)
+            np.testing.assert_allclose(trace.populations, reference, atol=1e-10, rtol=0)
 
     def test_imaginary_generator_rejected_before_any_propagator(self, monkeypatch):
         real_build = lsvd.pipeline.build_superoperator
@@ -272,7 +282,7 @@ class TestHermitianBasis:
         model, rho0 = builtin_model("fmo3")
         times = [0.0, 150.0, 700.0]
         trace = quantum_evolve(model, rho0, times, mode="sampled", shots=64)
-        states = classical_evolve(model, rho0, times, store_states=True).states
+        states = reference_states(model, rho0, times)
         norm = np.linalg.norm(rho0)
         for amps, scale, rho_t in zip(registers, trace.scales, states):
             np.testing.assert_allclose(
@@ -306,8 +316,8 @@ class TestHermitianBasis:
         model = LindbladModel(hamiltonian=h, channels=random_model(rng, 3).channels)
         rho0 = random_density(rng, 3)
         quantum = quantum_evolve(model, rho0, IRREGULAR_GRID)
-        oracle = classical_evolve(model, rho0, IRREGULAR_GRID)
-        np.testing.assert_allclose(quantum.populations, oracle.populations, atol=1e-10, rtol=0)
+        reference = reference_populations(model, rho0, IRREGULAR_GRID)
+        np.testing.assert_allclose(quantum.populations, reference, atol=1e-10, rtol=0)
 
     def test_rpm_grid_sends_real_unpadded_matrices_to_the_svd(self, monkeypatch):
         # one stacked float64 SVD per decoupled block of G per chunk of at

@@ -3,8 +3,9 @@ import pytest
 
 from lsvd.circuit import build_svd_circuit, run_exact
 from lsvd.errors import AllZeroDiagonalError
-from lsvd.lindblad import build_superoperator, classical_evolve, propagator, vectorize
+from lsvd.lindblad import build_superoperator, propagator, vectorize
 from lsvd.models import FMOParams, fmo_model
+from lsvd.pipeline import classical_evolve
 from lsvd.sampler import (
     ShotResult,
     estimate_populations,
