@@ -26,20 +26,21 @@ instead.
 The propagator is block diagonal (one block for a general matrix), and so
 are U and V†: the direct sums of the blocks' SVD factors, with an identity
 block for the padding rows up to n = 2^k.  The circuit keeps the block
-factors and applies them block by block, with the padding rows passing
-straight through; the dense n x n U and V† are never formed on the run
-path.  Every array of a circuit may carry leading axes: a stack of
-propagators, one per output time, is decomposed, checked and run in one
-call per step, and a single 2-D propagator is the stack with no leading
-axes.
+factors and applies them run by run, one product per run of consecutive
+equal-size blocks, with the padding rows passing straight through; the
+dense n x n U and V† are never formed on the run path.  Every array of a
+circuit may carry leading axes: a stack of propagators, one per output
+time, is decomposed, checked and run in one call per step, and a single
+2-D propagator is the stack with no leading axes.
 
-:func:`build_svd_circuit` does the whole per-point job: it takes the SVD
-of each diagonal block of the square propagator once, in the block's own
-field (``numerics.svd`` checks reconstruction and the unitarity of both
-factors), keeps each singular value on the row of its block factors,
-with a one for each padding row, divides them by max(1, sigma_max) and
-checks once more, on the assembled circuit, only what no SVD can vouch
-for: the dilated branches and the op application path.
+:func:`build_svd_circuit` does the whole per-point job: it stacks each
+run of consecutive equal-size diagonal blocks of the square propagator
+once, all runs in one field, and decomposes each run in one
+``numerics.svd`` call (which checks reconstruction and the unitarity of
+both factors of every block).  It keeps each singular value on the row of
+its block factors, with a one for each padding row, divides them by
+max(1, sigma_max) and checks once more, on the assembled circuit, only
+what no SVD can vouch for: the op application path.
 :func:`run_exact` returns the ancilla-0 amplitudes that both readout
 modes start from.
 The circuit stores sigma; each use derives Sigma_+ from it through
@@ -57,7 +58,7 @@ import numpy as np
 
 from .dilation import dilate, padded_dimension
 from .errors import BlockIdentityViolationError
-from .numerics import svd
+from .numerics import as_matrix, svd
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -71,14 +72,15 @@ class SVDCircuit:
     """The five-op program for a propagator ``m_1 ⊕ m_2 ⊕ …``, or for a
     stack of them: every array carries the stack's leading axes ``...``.
 
-    ``u_blocks`` and ``vdag_blocks`` hold the SVD factors of the blocks
-    ``m_i`` in order, real for real blocks, with each run of consecutive
-    blocks of one size ``s`` stacked into one array of shape ``(..., count,
-    s, s)``, so that the run is applied in one product.  ``sigma``,
-    shape ``(..., n)``, lies in [0, 1] and is in block-row order: each
-    block's own singular values (descending) divided by ``scale``, blocks
-    in order, then one entry ``1/scale`` per padding row, so ``sigma[...,
-    i]`` belongs to row ``i`` of the block factors.  ``scale`` has shape
+    ``u_blocks`` and ``vdag_blocks`` hold the blocks' factors, each run
+    stacked: one array ``(..., count, s, s)`` per run of consecutive blocks
+    ``m_i`` of one size ``s``, in order, as ``numerics.svd`` returns them
+    for the stacked run, so that the run is applied in one product.  They
+    are real unless a block is complex.  ``sigma``, shape ``(..., n)``,
+    lies in [0, 1] and is in block-row order: each block's own singular
+    values (descending) divided by ``scale``, blocks in order, then one
+    entry ``1/scale`` per padding row, so ``sigma[..., i]`` belongs to row
+    ``i`` of the block factors.  ``scale`` has shape
     ``...``.  ``u @ diag(sigma * scale) @ vdag`` is the propagator padded
     with an identity block to n = 2^k, where ``u`` and ``vdag`` are the
     direct sums of the block factors, padded with ``I``.
@@ -94,31 +96,16 @@ class SVDCircuit:
         """System register dimension 2^k."""
         return self.sigma.shape[-1]
 
-    @property
-    def k(self) -> int:
-        """System qubits."""
-        return self.n.bit_length() - 1
 
-    @property
-    def d(self) -> int:
-        """Register qubits: the system plus one ancilla."""
-        return self.k + 1
-
-
-def _runs(parts: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+def _runs(blocks) -> list[np.ndarray]:
     """Stack each run of consecutive equal-size blocks: (..., count, s, s),
-    all in one field (complex if any block is).
-
-    A run of one block is a view of it, not a copy.
-    """
+    all in one field (complex if any block is)."""
+    parts = [as_matrix(block, stacked=True) for block in blocks]
     dtype = np.result_type(*parts)
-    runs = [list(run) for _, run in itertools.groupby(parts, key=lambda part: part.shape[-1])]
-    return tuple(
-        (np.stack(run, axis=-3) if len(run) > 1 else run[0][..., None, :, :]).astype(
-            dtype, copy=False
-        )
-        for run in runs
-    )
+    return [
+        np.stack(list(run), axis=-3, dtype=dtype)
+        for _, run in itertools.groupby(parts, key=lambda part: part.shape[-2:])
+    ]
 
 
 def _on_system(runs: tuple[np.ndarray, ...], blocks: np.ndarray) -> np.ndarray:
@@ -157,9 +144,7 @@ def apply_circuit(circuit: SVDCircuit, state) -> np.ndarray:
     amps = np.asarray(state, dtype=np.complex128)
     n = circuit.n
     if amps.shape[-1] != 2 * n:
-        raise ValueError(
-            f"state has length {amps.shape[-1]}, expected {2 * n} for d={circuit.d} qubits"
-        )
+        raise ValueError(f"state has length {amps.shape[-1]}, expected {2 * n}")
     sigma_plus = dilate(circuit.sigma)
     halves = np.stack([amps[..., :n], amps[..., n:]], axis=-1)
     blocks = _on_system(circuit.vdag_blocks, halves)
@@ -183,19 +168,14 @@ def _ancilla_hadamard(blocks: np.ndarray) -> None:
 def _check_block_identity(circuit: SVDCircuit) -> None:
     """Verify the ancilla-0 block reproduces U diag(sigma) V† at every point.
 
-    The unitarity of U and V† is the SVD's own contract; this adds the two
-    checks it cannot make.  The branch-average identity covers the diagonal
-    algebra, and two deterministic pseudo-random probe states, sent
-    together through the circuits of every point in one call, exercise the
-    actual op application path.  Cost stays O(n²) per point.
+    The unitarity of U and V† is the SVD's own contract, and sigma =
+    raw / max(1, sigma_max) lies in [0, 1], where the dilated branches
+    average back to it exactly.  This adds the check neither can make: two
+    deterministic pseudo-random probe states, sent together through the
+    circuits of every point in one call, exercise the actual op
+    application path, dilation included.  Cost stays O(n²) per point.
     """
     sigma = circuit.sigma
-    sigma_plus = dilate(sigma)
-    branch_avg = 0.5 * (sigma_plus + sigma_plus.conj())
-    if np.max(np.abs(branch_avg - sigma)) > _BLOCK_TOL:
-        raise BlockIdentityViolationError(
-            "branch average of the dilated diagonal does not reproduce diag(sigma)"
-        )
     n = circuit.n
     draws = np.random.default_rng(_PROBE_SEED).normal(size=(_NUM_PROBES, 2, n))
     probes = draws[:, 0] + 1j * draws[:, 1]
@@ -218,28 +198,30 @@ def build_svd_circuit(*blocks) -> SVDCircuit:
 
     A single square propagator is the one-block call.  Each block may be a
     stack ``(..., s_i, s_i)``, all with the same leading axes, which the
-    circuit then carries; a 2-D block is the stack with none.  Each block
-    is decomposed by ``numerics.svd`` in its own field (reconstruction,
-    against each matrix's own norm, and unitarity of both factors checked
-    to 1e-12); the direct sum of the block SVDs is an SVD of the direct
-    sum, with the padding identity as the last block, up to n = 2^k.  The
-    singular values keep that block-row order, with a one for each padding
+    circuit then carries; a 2-D block is the stack with none.  Each run of
+    consecutive equal-size blocks is stacked, each run in one field
+    (complex if any block is), with one ``numerics.svd`` call per run
+    (reconstruction, against each matrix's own norm, and unitarity of
+    both factors checked to 1e-12); the direct sum of the block SVDs is an
+    SVD of the direct sum, with the padding identity as the last block, up
+    to n = 2^k.  The singular values keep that block-row order, with a one for each padding
     row, and are divided by ``scale = max(1, sigma_max)``.  The dilation
     of sigma (which rejects values outside [0, 1]) and the block identity
-    (ancilla-0 block equals the diag-sigma sandwich) are verified to 1e-10
-    at every point of the assembled circuit before it is returned.
+    (ancilla-0 block equals the diag-sigma sandwich, on two probe states)
+    are verified to 1e-10 at every point of the assembled circuit before
+    it is returned.
     """
     if not blocks:
         raise ValueError("build_svd_circuit needs at least one block")
-    factors = [svd(block) for block in blocks]
-    raw = np.concatenate([s for _, s, _ in factors], axis=-1)
+    u_runs, sigmas, vdag_runs = zip(*(svd(run) for run in _runs(blocks)))
+    raw = np.concatenate([s.reshape(s.shape[:-2] + (-1,)) for s in sigmas], axis=-1)
     batch, dim = raw.shape[:-1], raw.shape[-1]
     n = padded_dimension(dim)
     scale = np.maximum(1.0, raw.max(axis=-1))
     circuit = SVDCircuit(
-        u_blocks=_runs([u for u, _, _ in factors]),
+        u_blocks=u_runs,
         sigma=np.concatenate([raw, np.ones(batch + (n - dim,))], axis=-1) / scale[..., None],
-        vdag_blocks=_runs([vdag for _, _, vdag in factors]),
+        vdag_blocks=vdag_runs,
         scale=scale,
     )
     _check_block_identity(circuit)

@@ -52,6 +52,14 @@ from .pipeline import quantum_evolve, qubit_counts
 from .sampler import DEFAULT_SHOTS, RNG_ALGORITHM
 from .circuit import estimate_resources
 
+# Point i of a trace samples from substream_seed(seed, i); a sweep runs
+# orientation j as a one-point trace seeded with substream_seed(seed, j).
+_TRACE_SUBSTREAMS = "SeedSequence([seed mod 2^64, point-index]).generate_state(1, uint64)[0]"
+_SWEEP_SUBSTREAMS = (
+    "SeedSequence([s mod 2^64, 0]).generate_state(1, uint64)[0] for s = "
+    "SeedSequence([seed mod 2^64, orientation-index]).generate_state(1, uint64)[0]"
+)
+
 
 def _load_model_file(path: str) -> LindbladModel:
     try:
@@ -122,10 +130,7 @@ def _metadata(config: dict, model: LindbladModel, columns, extra: dict) -> dict:
         "rng": {
             "algorithm": RNG_ALGORITHM,
             "seed": config["seed"],
-            "substream_rule": (
-                "SeedSequence([seed mod 2^64, point-index])"
-                ".generate_state(1, uint64)[0]"
-            ),
+            "substream_rule": _TRACE_SUBSTREAMS,
         },
         "dilation": {
             "scale_rule": (
@@ -255,7 +260,8 @@ def _cmd_sweep(args) -> int:
         [np.rad2deg(result.thetas[i]), result.phi_s[i], result.phi_t[i], result.success_prob[i]]
         for i in range(result.thetas.size)
     ]
-    return _write_run(config, model, columns, rows, result.scales, t_end=result.t_end)
+    rng = {"algorithm": RNG_ALGORITHM, "seed": args.seed, "substream_rule": _SWEEP_SUBSTREAMS}
+    return _write_run(config, model, columns, rows, result.scales, t_end=result.t_end, rng=rng)
 
 
 def _cmd_rpm(args) -> int:

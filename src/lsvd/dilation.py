@@ -17,7 +17,8 @@ two of which live here:
    with the padding identity as the last block.  The circuit keeps only
    the blocks' factors and lets the padding rows pass through, so neither
    the n x n matrix nor its n x n factors are formed.
-2. The SVD of the unpadded matrix, block by block, with the singular
+2. The SVD of the unpadded matrix, run by run: each run of consecutive
+   equal-size blocks is decomposed in one stacked call, with the singular
    values (each on its block's row, in no global order) divided by
    s = max(1, sigma_max) so all of them land in [0, 1].  Propagators of
    non-unital dynamics routinely have sigma_max > 1; the division is

@@ -247,10 +247,11 @@ def model_from_dict(data: dict) -> LindbladModel:
     """Build a model from the file layout, with named validation errors."""
     if not isinstance(data, dict):
         raise ValueError("model file must contain a JSON object")
-    try:
-        r = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("model file is missing a valid 'dim' field") from exc
+    if "dim" not in data:
+        raise ValueError("model file is missing 'dim'")
+    r = data["dim"]
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise ValueError(f"'dim' must be an integer, got {r!r}")
     if r < 1:
         raise ValueError(f"'dim' must be positive, got {r}")
     if "hamiltonian" not in data:

@@ -97,6 +97,17 @@ def _validated_times(times) -> np.ndarray:
     return arr
 
 
+def _vec_rho0(rho0, r: int) -> np.ndarray:
+    """vec(rho0) for a finite, non-zero r x r ``rho0``."""
+    rho_init = as_matrix(rho0, name="rho0")
+    if rho_init.shape != (r, r):
+        raise ValueError(f"rho0 has shape {rho_init.shape}, expected ({r}, {r})")
+    v0 = vectorize(rho_init)
+    if np.linalg.norm(v0) == 0.0:
+        raise ValueError("rho0 must be non-zero")
+    return v0
+
+
 def _hermitian_pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
     """Column-stacked indices of (i, j) and (j, i) for every i < j."""
     i, j = np.triu_indices(r, 1)
@@ -219,15 +230,10 @@ def _run_chunks(chunks, components, rho0, times, labels, mode, shots, seeds):
     if mode == "sampled" and not 1 <= shots <= np.iinfo(np.int64).max:
         # numpy's multinomial draws counts as int64
         raise ValueError(f"shots must be between 1 and 2**63 - 1, got {shots}")
-    rho_init = as_matrix(rho0, name="rho0")
     r = len(labels)
-    if rho_init.shape != (r, r):
-        raise ValueError(f"rho0 has shape {rho_init.shape}, expected ({r}, {r})")
-    order = np.concatenate(components)
-    v0 = vectorize(rho_init)
+    v0 = _vec_rho0(rho0, r)
     input_norm = float(np.linalg.norm(v0))
-    if input_norm == 0.0:
-        raise ValueError("rho0 must be non-zero")
+    order = np.concatenate(components)
     state = np.zeros(2 * padded_dimension(r * r), dtype=np.complex128)
     state[: r * r] = _to_hermitian_basis(v0, r)[order] / input_norm
 
@@ -261,11 +267,8 @@ def classical_evolve(model: LindbladModel, rho0, times) -> PopulationTrace:
     of every output state is checked to stay within 1e-8 of one.
     """
     grid = _validated_times(times)
-    rho_init = as_matrix(rho0, name="rho0")
     r = model.dim
-    if rho_init.shape != (r, r):
-        raise ValueError(f"rho0 has shape {rho_init.shape}, expected ({r}, {r})")
-    v0 = vectorize(rho_init)
+    v0 = _vec_rho0(rho0, r)
     diagonal = np.arange(r) * (r + 1)
     populations = np.empty((grid.size, r), dtype=float)
     chain = _propagators([build_superoperator(model)], grid)

@@ -61,8 +61,6 @@ class TestBuild:
 
     def test_qubit_bookkeeping(self):
         circuit = build_svd_circuit(np.eye(32))
-        assert circuit.k == 5
-        assert circuit.d == 6
         assert circuit.n == 32
 
     def test_op_sequence_and_unitarity(self, rng):
@@ -98,7 +96,16 @@ class TestBuild:
         u = np.diag([2.0, 0.5, 1.0, 1.0]).astype(complex)
         sigma = np.array([0.9, 0.5, 0.3, 0.1])
         vdag = np.eye(4, dtype=complex)
-        monkeypatch.setattr(np.linalg, "svd", lambda m: (u, sigma, vdag))
+
+        def corrupt_svd(m):
+            # factors shaped like the stacked run numpy is handed
+            return (
+                np.broadcast_to(u, m.shape),
+                np.broadcast_to(sigma, m.shape[:-1]),
+                np.broadcast_to(vdag, m.shape),
+            )
+
+        monkeypatch.setattr(np.linalg, "svd", corrupt_svd)
         with pytest.raises(ConvergenceFailureError):
             build_svd_circuit(u * sigma)
 
@@ -107,7 +114,7 @@ class TestBuild:
             return dilate(sigma) + 1e-6
 
         monkeypatch.setattr(lsvd.circuit, "dilate", off_by_1e_6)
-        with pytest.raises(BlockIdentityViolationError, match="branch average"):
+        with pytest.raises(BlockIdentityViolationError, match="ancilla-0 block"):
             build_svd_circuit(np.diag([0.9, 0.5, 0.3, 0.1]))
 
     def test_probe_violation_rejected(self, monkeypatch):
@@ -159,6 +166,20 @@ class TestBlocks:
     def test_no_block_rejected(self):
         with pytest.raises(ValueError, match="at least one block"):
             build_svd_circuit()
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([np.eye(2), np.zeros(3)], r"matrix must be 2-D, got shape \(3,\)"),
+            ([np.eye(3), np.zeros((2, 3))], r"matrix must be square, got shape \(2, 3\)"),
+            ([np.eye(2), np.full((2, 2), np.nan)], "non-finite"),
+        ],
+        ids=["1-d", "non-square", "non-finite"],
+    )
+    def test_malformed_block_rejected(self, blocks, message):
+        # every block is checked on its own, whatever run it would join
+        with pytest.raises(ValueError, match=message):
+            build_svd_circuit(*blocks)
 
 
 def random_stack(rng, points, sizes):
@@ -221,7 +242,7 @@ class TestStacked:
 
         monkeypatch.setattr(lsvd.circuit, "dilate", one_point_off)
         build_svd_circuit(*(block[0] for block in random_stack(rng, 4, self.SIZES)))
-        with pytest.raises(BlockIdentityViolationError, match="branch average"):
+        with pytest.raises(BlockIdentityViolationError, match="ancilla-0 block"):
             build_svd_circuit(*random_stack(rng, 4, self.SIZES))
 
 

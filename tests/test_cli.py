@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lsvd.pipeline
 from lsvd.cli import main
 from lsvd.lindblad import model_to_dict
 from lsvd.models import FMOParams, builtin_model, builtin_model_path, fmo_model
 from lsvd.pipeline import classical_evolve
+from lsvd.sampler import substream_seed
 
 from conftest import random_model
 
@@ -68,6 +70,41 @@ class TestRpmCommand:
         assert run("sweep", "--theta-step", "90") == 0
         assert (tmp_path / "rpm_sweep_results.csv").is_file()
         assert (tmp_path / "rpm_sweep_results.csv.meta.json").is_file()
+
+    @pytest.mark.parametrize(
+        "argv, substream, rule",
+        [
+            (
+                ["sweep", "--theta-step", "45"],
+                lambda j: substream_seed(substream_seed(5, j), 0),
+                "SeedSequence([s mod 2^64, 0]).generate_state(1, uint64)[0] for s = "
+                "SeedSequence([seed mod 2^64, orientation-index]).generate_state(1, uint64)[0]",
+            ),
+            (
+                ["rpm", "--t-end", "0.02", "--dt", "0.005"],
+                lambda i: substream_seed(5, i),
+                "SeedSequence([seed mod 2^64, point-index]).generate_state(1, uint64)[0]",
+            ),
+        ],
+        ids=["sweep", "trace"],
+    )
+    def test_metadata_states_the_substreams_drawn(
+        self, argv, substream, rule, tmp_path, monkeypatch
+    ):
+        seeds = []
+        real_sample = lsvd.pipeline.sample
+
+        def recording_sample(vec, shots, seed):
+            seeds.append(seed)
+            return real_sample(vec, shots, seed)
+
+        monkeypatch.setattr(lsvd.pipeline, "sample", recording_sample)
+        out = tmp_path / "run.csv"
+        flags = ["--mode", "sampled", "--shots", "4096", "--seed", "5", "--out", str(out)]
+        assert run(*argv, *flags) == 0
+        assert seeds == [substream(j) for j in range(5)]
+        meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
+        assert meta["rng"]["substream_rule"] == rule
 
     def test_trace_headers(self, tmp_path):
         out = tmp_path / "rpm.csv"
@@ -195,8 +232,21 @@ class TestValidateCommand:
             ("channels", [5], "channel 0"),
             ("rate", [1], "channel 0 'rate'"),
             ("labels", 5, "'labels'"),
+            ("dim", 5.9, "'dim'"),
+            ("dim", 5.0, "'dim'"),
+            ("dim", "5", "'dim'"),
+            ("dim", True, "'dim'"),
         ],
-        ids=["channels-number", "channel-number", "rate-list", "labels-number"],
+        ids=[
+            "channels-number",
+            "channel-number",
+            "rate-list",
+            "labels-number",
+            "dim-fraction",
+            "dim-float",
+            "dim-string",
+            "dim-bool",
+        ],
     )
     def test_malformed_model_file_exits_2(self, key, value, field, tmp_path, capsys):
         data = model_to_dict(builtin_model("fmo3")[0])

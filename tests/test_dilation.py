@@ -110,7 +110,7 @@ class TestDecompose:
     def test_5x5_pads_to_8(self, rng):
         m = random_complex(rng, 5)
         circuit = build_svd_circuit(m)
-        assert (circuit.n, circuit.k, circuit.d) == (8, 3, 4)
+        assert circuit.n == 8
         np.testing.assert_allclose(reconstruction(circuit), padded(m, 8), atol=1e-10)
 
     def test_fmo3_propagator_reconstruction(self):

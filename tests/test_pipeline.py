@@ -44,16 +44,21 @@ class TestInputChecks:
             ({"mode": "nonsense"}, "mode must be"),
             ({"mode": "sampled", "shots": 0}, "shots must be"),
             ({"mode": "sampled", "shots": 2**63}, r"shots must be between 1 and 2\*\*63 - 1"),
+            ({"rho0": np.zeros((5, 5))}, "rho0 must be non-zero"),
         ],
-        ids=["bad-mode", "no-shots", "shots-above-int64"],
+        ids=["bad-mode", "no-shots", "shots-above-int64", "zero-rho0"],
     )
     def test_rejected_before_any_propagator(self, monkeypatch, kwargs, message):
         monkeypatch.setattr(lsvd.pipeline, "propagator", _no_propagator)
         model, rho0 = builtin_model("fmo3")
+        kwargs = {"rho0": rho0, **kwargs}
         with pytest.raises(ValueError, match=message):
-            quantum_evolve(model, rho0, np.arange(401) * 5.0, **kwargs)
+            quantum_evolve(model, times=np.arange(401) * 5.0, **kwargs)
         with pytest.raises(ValueError, match=message):
-            lsvd.pipeline.evolve_family([model], np.ones((3, 1)), rho0, 5.0, **kwargs)
+            lsvd.pipeline.evolve_family([model], np.ones((3, 1)), t=5.0, **kwargs)
+        if kwargs.keys() == {"rho0"}:  # classical_evolve has no mode or shots
+            with pytest.raises(ValueError, match=message):
+                classical_evolve(model, times=np.arange(401) * 5.0, **kwargs)
 
     @pytest.mark.parametrize("evolve", [quantum_evolve, classical_evolve])
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -320,8 +325,9 @@ class TestHermitianBasis:
         np.testing.assert_allclose(quantum.populations, reference, atol=1e-10, rtol=0)
 
     def test_rpm_grid_sends_real_unpadded_matrices_to_the_svd(self, monkeypatch):
-        # one stacked float64 SVD per decoupled block of G per chunk of at
-        # most _CHUNK points, and one propagator per distinct gap per block
+        # one stacked float64 SVD per run of equal-size blocks of G per chunk
+        # of at most _CHUNK points, and one propagator per distinct gap per
+        # block
         svd_inputs = []
         real_svd = lsvd.circuit.svd
 
@@ -340,14 +346,16 @@ class TestHermitianBasis:
         monkeypatch.setattr(lsvd.pipeline, "propagator", counting_propagator)
         model, rho0 = builtin_model("rpm")
         quantum_evolve(model, rho0, RPM_GRID)
-        sizes = BLOCK_SIZES["rpm"]
-        assert len(svd_inputs) % len(sizes) == 0
-        chunks = [svd_inputs[i : i + len(sizes)] for i in range(0, len(svd_inputs), len(sizes))]
+        runs = [(1, 34), (1, 32), (4, 8), (2, 1)]  # (count, size) of rpm's blocks
+        assert len(svd_inputs) == 72 * len(runs)
+        chunks = [svd_inputs[i : i + len(runs)] for i in range(0, len(svd_inputs), len(runs))]
         for chunk in chunks:
             points = chunk[0][1][0]
             assert 1 <= points <= lsvd.pipeline._CHUNK
-            assert chunk == [(np.dtype(np.float64), (points, size, size)) for size in sizes]
+            expected = [(np.dtype(np.float64), (points, count, s, s)) for count, s in runs]
+            assert chunk == expected
         assert sum(chunk[0][1][0] for chunk in chunks) == 572
+        assert sum(np.prod(shape[:-2]) for _, shape in svd_inputs) == 4576
         assert len(propagator_calls) == 12 * 8
 
 
