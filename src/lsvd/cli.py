@@ -30,11 +30,13 @@ from .lindblad import (
     trace_preservation_defect,
 )
 from .models import (
+    ELECTRON_GYROMAGNETIC,
     FMO_DEFAULT_DT,
     FMO_DEFAULT_GAMMA_DEPH,
     FMO_DEFAULT_GAMMA_DISS,
     FMO_DEFAULT_GAMMA_SINK,
     FMO_DEFAULT_T_END,
+    FMO_SITE_COUNTS,
     RPM_DEFAULT_B0,
     RPM_DEFAULT_DT,
     RPM_DEFAULT_GAMMA_SHELF,
@@ -52,8 +54,11 @@ from .pipeline import quantum_evolve, qubit_counts
 from .sampler import DEFAULT_SHOTS, RNG_ALGORITHM
 from .circuit import estimate_resources
 
-# Point i of a trace samples from substream_seed(seed, i); a sweep runs
-# orientation j as a one-point trace seeded with substream_seed(seed, j).
+# Point i of a trace samples from substream_seed(seed, i); a sweep's
+# orientation j draws from the substream of a one-point trace seeded with
+# substream_seed(seed, j), and its row equals that run's up to the rounding
+# of its amplitudes (a sampled row can differ where that rounding lands in a
+# bucket that is exactly zero in the one-point run).
 _TRACE_SUBSTREAMS = "SeedSequence([seed mod 2^64, point-index]).generate_state(1, uint64)[0]"
 _SWEEP_SUBSTREAMS = (
     "SeedSequence([s mod 2^64, 0]).generate_state(1, uint64)[0] for s = "
@@ -203,10 +208,11 @@ def _cmd_fmo(args) -> int:
             gamma_sink=args.gamma_sink,
         )
         model, rho0 = fmo_model(fmo)
+        h = fmo.hamiltonian_cm1
         params = {
             "n_sites": fmo.n_sites,
-            "site_energies_cm1": list(fmo.site_energies),
-            "couplings_cm1": [list(row) for row in fmo.couplings],
+            "site_energies_cm1": list(np.diag(h)),
+            "couplings_cm1": [list(row) for row in h - np.diag(np.diag(h))],
             "gamma_deph": fmo.gamma_deph,
             "gamma_diss": fmo.gamma_diss,
             "gamma_sink": fmo.gamma_sink,
@@ -231,7 +237,7 @@ def _rpm_param_dict(params: RPMParams) -> dict:
         "b0_tesla": params.b0,
         "theta_rad": params.theta,
         "phi_rad": params.phi,
-        "gyromagnetic_rad_per_s_per_T": params.gyromagnetic,
+        "gyromagnetic_rad_per_s_per_T": ELECTRON_GYROMAGNETIC,
         "gamma_shelf_per_s": params.gamma_shelf,
         "gamma_diss_per_s": params.gamma_diss,
         "initial_state": "electron singlet, mixed nucleus",
@@ -359,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fmo = sub.add_parser("fmo", help="exciton-transport population trace")
     p_fmo.set_defaults(model_flags=())
-    p_fmo.add_argument("--sites", type=int, choices=(3, 7), default=3, action=_ModelFlag)
+    p_fmo.add_argument("--sites", type=int, choices=FMO_SITE_COUNTS, default=3, action=_ModelFlag)
     p_fmo.add_argument("--gamma-deph", type=float, default=FMO_DEFAULT_GAMMA_DEPH, action=_ModelFlag, help="site dephasing rate in 1/fs")
     p_fmo.add_argument("--gamma-diss", type=float, default=FMO_DEFAULT_GAMMA_DISS, action=_ModelFlag, help="dissipation rate in 1/fs")
     p_fmo.add_argument("--gamma-sink", type=float, default=FMO_DEFAULT_GAMMA_SINK, action=_ModelFlag, help="sink transfer rate in 1/fs")

@@ -60,7 +60,7 @@ class LindbladModel:
     The Hamiltonian must be Hermitian (relative Frobenius defect below
     1e-10) and is stored as its Hermitian part (H + H†)/2, so the
     generator preserves Hermiticity to rounding; every channel operator
-    must be r x r and every rate non-negative.
+    must be r x r and every rate finite and non-negative.
     Instances are immutable after construction and safe to share across
     threads.
     """
@@ -89,9 +89,10 @@ class LindbladModel:
                     f"channel {idx} ({ch.label!r}) operator has shape {op.shape}, "
                     f"expected ({r}, {r})"
                 )
-            if not (ch.rate >= 0.0):
+            if not 0.0 <= ch.rate < np.inf:  # false for NaN too
                 raise ValueError(
-                    f"channel {idx} ({ch.label!r}) has negative rate {ch.rate}"
+                    f"channel {idx} ({ch.label!r}) has rate {ch.rate}, "
+                    "not a finite non-negative rate"
                 )
             op.setflags(write=False)
             channels.append(Channel(op, float(ch.rate), ch.label))

@@ -25,7 +25,8 @@ so the qualitative behaviour (complete sink transfer, a clearly
 orientation-dependent singlet yield, and its suppression under electron
 dephasing) is robust; no authoritative published values are bundled for
 them.  Every number is overridable through the dataclasses, the CLI
-flags, or a model file.
+flags, or a model file, except the CODATA electron gyromagnetic ratio
+``ELECTRON_GYROMAGNETIC``, a constant: ``b0`` alone sets the Zeeman term.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .lindblad import (
     save_model,
     wavenumber_to_angular_frequency,
 )
+from .numerics import as_matrix
 from .pipeline import evolve_family
 from .sampler import DEFAULT_SHOTS
 
@@ -51,6 +53,7 @@ from .sampler import DEFAULT_SHOTS
 FMO_DEFAULT_GAMMA_DEPH = 1.0e-2  # (100 fs)^-1 site dephasing
 FMO_DEFAULT_GAMMA_DISS = 1.0e-6  # (1 ns)^-1 recombination to the ground level
 FMO_DEFAULT_GAMMA_SINK = 1.0e-3  # (1 ps)^-1 transfer from site 3 to the sink
+FMO_SITE_COUNTS = (3, 7)  # the bundled 7-site Hamiltonian and its leading 3x3 block
 
 # --- compass defaults (SI units; converted to the ms time base internally)
 ELECTRON_GYROMAGNETIC = 1.76085963023e11  # rad s^-1 T^-1
@@ -83,72 +86,59 @@ def _site_hamiltonian_cm() -> np.ndarray:
     return np.asarray(data["hamiltonian"], dtype=float)
 
 
+def _require_finite_nonnegative(params, *names: str) -> None:
+    for name in names:
+        value = getattr(params, name)
+        if not 0.0 <= value < np.inf:  # false for NaN too
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class FMOParams:
-    """Exciton-network parameters: energies/couplings in cm^-1, rates in fs^-1."""
+    """Exciton-network parameters: the n x n site Hamiltonian in cm^-1 (site
+    energies on the diagonal, couplings off it; n = ``n_sites`` must be in
+    ``FMO_SITE_COUNTS``) and the rates in fs^-1."""
 
-    n_sites: int
-    site_energies: np.ndarray
-    couplings: np.ndarray
+    hamiltonian_cm1: np.ndarray
     gamma_deph: float = FMO_DEFAULT_GAMMA_DEPH
     gamma_diss: float = FMO_DEFAULT_GAMMA_DISS
     gamma_sink: float = FMO_DEFAULT_GAMMA_SINK
 
     def __post_init__(self):
-        if self.n_sites not in (3, 7):
-            raise ValueError(f"n_sites must be 3 or 7, got {self.n_sites}")
-        energies = np.asarray(self.site_energies, dtype=float).ravel()
-        couplings = np.asarray(self.couplings, dtype=float)
-        if energies.size != self.n_sites:
-            raise ValueError(f"expected {self.n_sites} site energies, got {energies.size}")
-        if couplings.shape != (self.n_sites, self.n_sites):
-            raise ValueError(f"couplings must be {self.n_sites}x{self.n_sites}")
-        if np.any(np.diag(couplings) != 0.0):
-            raise ValueError("couplings must have a zero diagonal")
-        if not np.allclose(couplings, couplings.T, atol=0.0):
-            raise ValueError("couplings must be symmetric")
-        for name in ("gamma_deph", "gamma_diss", "gamma_sink"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        energies.setflags(write=False)
-        couplings.setflags(write=False)
-        object.__setattr__(self, "site_energies", energies)
-        object.__setattr__(self, "couplings", couplings)
+        h = as_matrix(np.array(self.hamiltonian_cm1, dtype=float), name="hamiltonian_cm1")
+        if h.shape[0] != h.shape[1] or h.shape[0] not in FMO_SITE_COUNTS:
+            raise ValueError(f"hamiltonian_cm1 must be n x n, n in {FMO_SITE_COUNTS}, got {h.shape}")
+        _require_finite_nonnegative(self, "gamma_deph", "gamma_diss", "gamma_sink")
+        h.setflags(write=False)
+        object.__setattr__(self, "hamiltonian_cm1", h)
+
+    @property
+    def n_sites(self) -> int:
+        return self.hamiltonian_cm1.shape[0]
 
     @classmethod
     def default(cls, n_sites: int = 7, **overrides) -> "FMOParams":
         """Bundled parameter set, truncated to the leading sites for n_sites=3."""
-        full = _site_hamiltonian_cm()
-        block = full[:n_sites, :n_sites]
-        couplings = block - np.diag(np.diag(block))
-        return cls(
-            n_sites=n_sites,
-            site_energies=np.diag(block).copy(),
-            couplings=couplings,
-            **overrides,
-        )
+        if n_sites not in FMO_SITE_COUNTS:
+            raise ValueError(f"n_sites must be one of {FMO_SITE_COUNTS}, got {n_sites}")
+        return cls(_site_hamiltonian_cm()[:n_sites, :n_sites], **overrides)
 
 
 def fmo_model(params: FMOParams) -> tuple[LindbladModel, np.ndarray]:
     """Build the exciton-network model and its initial state.
 
-    Levels: ground = 0, sites 1..n (energies/couplings converted to rad/fs),
-    sink = n + 1; the Hamiltonian is zero on ground and sink.  Channels per
-    site i: dephasing |i><i| at gamma_deph and dissipation |0><i| at
-    gamma_diss; one sink channel |sink><3| at gamma_sink.  The initial
-    state is the excitation on site 1.
+    Levels: ground = 0, sites 1..n, sink = n + 1.  The site block holds the
+    site Hamiltonian converted to rad/fs; the Hamiltonian is zero on ground
+    and sink, and ``LindbladModel`` rejects a site Hamiltonian that is not
+    symmetric.  Channels per site i: dephasing |i><i| at gamma_deph and
+    dissipation |0><i| at gamma_diss; one sink channel |sink><3| at
+    gamma_sink.  The initial state is the excitation on site 1.
     """
     n = params.n_sites
     r = n + 2
     sink = r - 1
     hamiltonian = np.zeros((r, r), dtype=np.complex128)
-    for i in range(n):
-        hamiltonian[i + 1, i + 1] = wavenumber_to_angular_frequency(params.site_energies[i])
-        for j in range(n):
-            if i != j:
-                hamiltonian[i + 1, j + 1] = wavenumber_to_angular_frequency(
-                    params.couplings[i, j]
-                )
+    hamiltonian[1:sink, 1:sink] = wavenumber_to_angular_frequency(params.hamiltonian_cm1)
 
     def ketbra(row: int, col: int) -> np.ndarray:
         op = np.zeros((r, r), dtype=np.complex128)
@@ -179,8 +169,8 @@ class RPMParams:
 
     ``hyperfine`` is the 3x3 tensor coupling the nucleus to electron 1 in
     rad/s; ``b0`` in tesla; ``theta``/``phi`` orient the field in radians;
-    ``gyromagnetic`` in rad s^-1 T^-1; rates in s^-1.  The model builder
-    converts everything to the ms time base.
+    rates in s^-1; the electron gyromagnetic ratio is the constant
+    ``ELECTRON_GYROMAGNETIC``.  The builder converts to the ms time base.
     """
 
     hyperfine: np.ndarray = field(
@@ -189,20 +179,18 @@ class RPMParams:
     b0: float = RPM_DEFAULT_B0
     theta: float = np.pi / 2
     phi: float = 0.0
-    gyromagnetic: float = ELECTRON_GYROMAGNETIC
     gamma_shelf: float = RPM_DEFAULT_GAMMA_SHELF
     gamma_diss: float = 0.0
 
     def __post_init__(self):
-        tensor = np.asarray(self.hyperfine, dtype=float)
+        tensor = as_matrix(np.array(self.hyperfine, dtype=float), name="hyperfine")
         if tensor.shape != (3, 3):
             raise ValueError(f"hyperfine tensor must be 3x3, got {tensor.shape}")
-        if self.b0 < 0:
-            raise ValueError("b0 must be non-negative")
+        _require_finite_nonnegative(self, "b0", "gamma_shelf", "gamma_diss")
         if not (0.0 <= self.theta <= np.pi + 1e-12):
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if self.gamma_shelf < 0 or self.gamma_diss < 0:
-            raise ValueError("rates must be non-negative")
+        if not np.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         tensor.setflags(write=False)
         object.__setattr__(self, "hyperfine", tensor)
 
@@ -259,15 +247,14 @@ def rpm_model(params: RPMParams) -> tuple[LindbladModel, np.ndarray]:
     """Build the 10-level radical-pair model and its initial state.
 
     The spin block (indices 0-7, ordered nucleus ⊗ electron1 ⊗ electron2)
-    carries H = I·A·S1 + gamma B·(S1 + S2) with spin operators Pauli/2 and
-    B = b0 (cos phi sin theta, sin phi sin theta, cos theta); the shelves
-    are Hamiltonian-free.  Eight shelving channels project each
-    |nucleus, pair-state> configuration onto its shelf at equal rate
-    gamma_shelf.  When gamma_diss > 0, six additional channels apply each
-    Pauli to each electron, zero-padded to the shelf dimensions, at rate
-    gamma_diss.
-    The initial state is a pure electron singlet with a maximally mixed
-    nucleus.
+    carries H = I·A·S1 + gamma_e B·(S1 + S2) with spin operators Pauli/2,
+    gamma_e = ELECTRON_GYROMAGNETIC and B = b0 (cos phi sin theta,
+    sin phi sin theta, cos theta); the shelves are Hamiltonian-free.  Eight
+    shelving channels project each |nucleus, pair-state> configuration onto
+    its shelf at equal rate gamma_shelf.  When gamma_diss > 0, six
+    additional channels apply each Pauli to each electron, zero-padded to
+    the shelf dimensions, at rate gamma_diss.  The initial state is a pure
+    electron singlet with a maximally mixed nucleus.
     """
     r = RPM_LEVELS
     to_ms = 1e-3  # rad/s -> rad/ms and s^-1 -> ms^-1
@@ -280,7 +267,7 @@ def rpm_model(params: RPMParams) -> tuple[LindbladModel, np.ndarray]:
         ]
     )
     b_vec = params.b0 * field_dir
-    gamma_ms = params.gyromagnetic * to_ms
+    gamma_ms = ELECTRON_GYROMAGNETIC * to_ms
     tensor_ms = params.hyperfine * to_ms
 
     h_spin = np.zeros((8, 8), dtype=np.complex128)

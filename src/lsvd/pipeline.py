@@ -324,11 +324,14 @@ def evolve_family(anchors, weights, rho0, t, mode="exact", shots=DEFAULT_SHOTS, 
     family of generators of one dimension, and read out populations.
 
     Member ``j``'s generator is ``sum_i weights[j, i] G_i``, with ``G_i``
-    that of ``anchors[i]``; row ``j`` is what ``quantum_evolve`` gives for
-    it at ``[t]`` with the run seed ``substream_seed(seed, j)``.  The block
-    partition is taken once, from the union of the anchors' patterns, and
-    members run ``_CHUNK`` at a time; a row depends neither on the other
-    members nor on the chunk it falls in.
+    that of ``anchors[i]``.  The block partition is taken once, from the
+    union of the anchors' patterns, and members run ``_CHUNK`` at a time; a
+    row depends neither on the other members nor on the chunk it falls in.
+    Row ``j`` equals what ``quantum_evolve`` gives for member ``j`` at
+    ``[t]`` with the run seed ``substream_seed(seed, j)`` up to the rounding
+    of its amplitudes, drawn from the same substream: the shared partition
+    can be coarser than the member's own, so a sampled row can differ where
+    that rounding lands in a bucket that is exactly zero in the one-point run.
     """
     w = as_matrix(weights, name="weights")
     if w.shape[0] < 1 or w.shape[1] != len(anchors):

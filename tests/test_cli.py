@@ -236,6 +236,8 @@ class TestValidateCommand:
             ("dim", 5.0, "'dim'"),
             ("dim", "5", "'dim'"),
             ("dim", True, "'dim'"),
+            ("rate", float("nan"), "channel 0 ('dephasing_site1') has rate nan, not a finite"),
+            ("rate", float("inf"), "channel 0 ('dephasing_site1') has rate inf, not a finite"),
         ],
         ids=[
             "channels-number",
@@ -246,6 +248,8 @@ class TestValidateCommand:
             "dim-float",
             "dim-string",
             "dim-bool",
+            "rate-nan",
+            "rate-inf",
         ],
     )
     def test_malformed_model_file_exits_2(self, key, value, field, tmp_path, capsys):
@@ -329,6 +333,26 @@ class TestOutputContracts:
         assert config["output"] == str(out)
         assert meta["rng"]["seed"] == config["seed"] == 7
         assert len(meta["scale_factors"]) == len(rows) > 1
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["rpm", "--gamma-diss", "nan", "--t-end", "0.01"], "gamma_diss"),
+            (["sweep", "--gamma-diss", "nan", "--theta-step", "90"], "gamma_diss"),
+            (["fmo", "--gamma-deph", "nan"], "gamma_deph"),
+            (["fmo", "--gamma-sink", "inf"], "gamma_sink"),
+            (["rpm", "--gamma-shelf", "nan"], "gamma_shelf"),
+            (["rpm", "--b0", "nan"], "b0"),
+            (["rpm", "--hyperfine-az", "inf"], "hyperfine"),
+        ],
+        ids=["rpm-diss-nan", "sweep-diss-nan", "deph-nan", "sink-inf", "shelf-nan", "b0-nan", "hyperfine-inf"],
+    )
+    def test_non_finite_model_parameter_names_the_field(self, argv, field, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("step", ["nan", "0", "-1"])
     def test_bad_theta_step_names_the_flag(self, step, capsys):

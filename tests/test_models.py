@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,25 +35,41 @@ from conftest import reference_populations
 class TestFMOParams:
     def test_default_seven_sites(self):
         params = FMOParams.default(7)
-        assert params.site_energies.size == 7
-        assert params.couplings[0, 1] == params.couplings[1, 0] == -104.1
+        assert params.n_sites == 7
+        assert params.hamiltonian_cm1.shape == (7, 7)
+        assert params.hamiltonian_cm1[0, 1] == params.hamiltonian_cm1[1, 0] == -104.1
 
     def test_three_site_truncation(self):
         params = FMOParams.default(3)
-        np.testing.assert_array_equal(params.site_energies, [215.0, 220.0, 0.0])
-        assert params.couplings[1, 2] == 32.6
+        assert params.n_sites == 3
+        np.testing.assert_array_equal(np.diag(params.hamiltonian_cm1), [215.0, 220.0, 0.0])
+        assert params.hamiltonian_cm1[1, 2] == 32.6
 
     def test_bad_site_count_rejected(self):
-        with pytest.raises(ValueError):
-            FMOParams.default(5)
+        # 9 would otherwise slice silently down to the bundled 7x7 matrix
+        for n_sites in (5, 9):
+            with pytest.raises(ValueError, match="n_sites"):
+                FMOParams.default(n_sites)
 
     def test_asymmetric_couplings_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            FMOParams(
-                n_sites=3,
-                site_energies=np.zeros(3),
-                couplings=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-            )
+        params = FMOParams(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fmo_model(params)
+
+    @pytest.mark.parametrize(
+        "hamiltonian, message",
+        [
+            (np.diag([0.0, np.nan, 0.0]), "non-finite"),
+            (np.full((7, 7), np.inf), "non-finite"),
+            (np.zeros((5, 5)), "must be n x n"),
+            (np.zeros((3, 7)), "must be n x n"),
+            (np.zeros(3), "2-D"),
+        ],
+        ids=["nan", "inf", "five-sites", "not-square", "vector"],
+    )
+    def test_bad_hamiltonian_names_the_field(self, hamiltonian, message):
+        with pytest.raises(ValueError, match=f"^hamiltonian_cm1 .*{message}"):
+            FMOParams(hamiltonian)
 
 
 class TestFMOModel:
@@ -88,9 +105,7 @@ class TestFMOModel:
 
     def test_frozen_dynamics_without_rates_or_couplings(self):
         params = FMOParams(
-            n_sites=3,
-            site_energies=np.array([100.0, 50.0, 10.0]),
-            couplings=np.zeros((3, 3)),
+            np.diag([100.0, 50.0, 10.0]),
             gamma_deph=0.0,
             gamma_diss=0.0,
             gamma_sink=0.0,
@@ -131,6 +146,22 @@ class TestRPMParams:
     def test_negative_field_rejected(self):
         with pytest.raises(ValueError):
             RPMParams(b0=-1e-6)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("b0", np.inf),
+            ("phi", np.nan),
+            ("phi", -np.inf),
+            ("gamma_shelf", np.inf),
+            ("gamma_diss", np.nan),
+            ("hyperfine", np.diag([0.0, 0.0, np.inf])),
+        ],
+        ids=["b0-inf", "phi-nan", "phi-inf", "shelf-inf", "diss-nan", "hyperfine-inf"],
+    )
+    def test_non_finite_value_names_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            RPMParams(**{name: value})
 
 
 class TestRPMModel:
@@ -291,6 +322,30 @@ class TestSweepFamily:
             phi_s, phi_t = yields(one)
             assert (sweep.phi_s[j], sweep.phi_t[j]) == (phi_s[0], phi_t[0])
 
+    def test_theta_zero_row_equals_the_one_point_run_up_to_rounding(self, monkeypatch):
+        # the family's partition is coarser than theta = 0's own, so rounding
+        # dust lands in buckets that are exactly zero in the one-point run and
+        # the drawn counts may differ; amplitudes and substream must not
+        drawn = []
+        real_sample = lsvd.pipeline.sample
+
+        def recording_sample(conditioned, shots, seed):
+            drawn.append((np.array(conditioned), seed))
+            return real_sample(conditioned, shots, seed)
+
+        monkeypatch.setattr(lsvd.pipeline, "sample", recording_sample)
+        thetas = np.deg2rad([0.0, 45.0, 90.0, 135.0, 180.0])
+        theta_sweep(RPMParams(), thetas=thetas, mode="sampled", shots=4096, seed=5)
+        model, rho0 = rpm_model(RPMParams(theta=0.0))
+        quantum_evolve(
+            model, rho0, [RPM_DEFAULT_T_END], mode="sampled", shots=4096,
+            seed=substream_seed(5, 0),
+        )
+        assert len(drawn) == thetas.size + 1
+        (family, family_seed), (one, one_seed) = drawn[0], drawn[-1]
+        assert family_seed == one_seed == substream_seed(substream_seed(5, 0), 0)
+        np.testing.assert_allclose(family, one, rtol=0, atol=1e-15)
+
     def test_weights_must_have_one_column_per_anchor(self):
         model, rho0 = rpm_model(RPMParams())
         for weights in (np.ones((4, 2)), np.ones((0, 1)), np.ones(3)):
@@ -351,3 +406,18 @@ class TestBuiltinModels:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             builtin_model("nope")
+
+
+def test_readme_library_entry_points():
+    # the README's first library block, run as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library entry points\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    classical = namespace["classical"].populations
+    np.testing.assert_allclose(namespace["exact"].populations, classical, atol=1e-8)
+    np.testing.assert_allclose(namespace["sampled"].populations, classical, atol=0.02)
+    assert namespace["sweep"].thetas.size == 201
+    phi_s, phi_t = namespace["phi_s"], namespace["phi_t"]
+    assert phi_s.shape == phi_t.shape == (2,)
+    assert np.all(phi_s + phi_t <= 1.0 + 1e-10)
