@@ -19,13 +19,11 @@ from .circuit import (
     estimate_resources,
     run_exact,
 )
-from .dilation import dilate
 from .errors import (
     AllZeroDiagonalError,
     BlockIdentityViolationError,
     ConvergenceFailureError,
     LsvdError,
-    SigmaOutOfRangeError,
     ToleranceUnachievableError,
 )
 from .lindblad import (

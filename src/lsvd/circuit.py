@@ -44,7 +44,7 @@ what no SVD can vouch for: the op application path.
 :func:`run_exact` returns the ancilla-0 amplitudes that both readout
 modes start from.
 The circuit stores sigma; each use derives Sigma_+ from it through
-``dilation.dilate`` and Sigma_- as the conjugate.  A real propagator
+``_dilate`` and Sigma_- as the conjugate.  A real propagator
 gives real orthogonal factors, which are applied to the real and
 imaginary parts of the register in one real product.
 """
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import dilate, padded_dimension
+from .dilation import padded_dimension
 from .errors import BlockIdentityViolationError
 from .numerics import as_matrix, svd
 
@@ -84,6 +84,10 @@ class SVDCircuit:
     ``...``.  ``u @ diag(sigma * scale) @ vdag`` is the propagator padded
     with an identity block to n = 2^k, where ``u`` and ``vdag`` are the
     direct sums of the block factors, padded with ``I``.
+
+    Both invariants (sigma in [0, 1], unitary factors) are the ones
+    :func:`build_svd_circuit` establishes; a hand-built circuit is checked
+    for neither.
     """
 
     u_blocks: tuple[np.ndarray, ...]
@@ -133,19 +137,26 @@ def _on_system(runs: tuple[np.ndarray, ...], blocks: np.ndarray) -> np.ndarray:
     return out.view(np.complex128) if real else out
 
 
+def _dilate(sigma: np.ndarray) -> np.ndarray:
+    """Sigma_+ = sigma + i sqrt(1 - sigma²) for scaled singular values in
+    [0, 1]; Sigma_- is its conjugate.  Both lie on the unit circle, average
+    back to sigma exactly, and are ±i at sigma = 0."""
+    return sigma + 1j * np.sqrt(1 - sigma**2)
+
+
 def apply_circuit(circuit: SVDCircuit, state) -> np.ndarray:
     """Apply the five ops in order to 2^d statevectors, shape (..., 2^d).
 
     The state's leading axes broadcast against the circuit's.  System ops
     act on both ancilla blocks, the ancilla Hadamard mixes the blocks, and
-    the dilated diagonal scales them elementwise; this is the blockwise
-    form of the full 2^d x 2^d products.
+    the dilated diagonal, ``_dilate(sigma)`` and its conjugate, scales them
+    elementwise; this is the blockwise form of the full 2^d x 2^d products.
     """
     amps = np.asarray(state, dtype=np.complex128)
     n = circuit.n
     if amps.shape[-1] != 2 * n:
         raise ValueError(f"state has length {amps.shape[-1]}, expected {2 * n}")
-    sigma_plus = dilate(circuit.sigma)
+    sigma_plus = _dilate(circuit.sigma)
     halves = np.stack([amps[..., :n], amps[..., n:]], axis=-1)
     blocks = _on_system(circuit.vdag_blocks, halves)
     _ancilla_hadamard(blocks)
@@ -205,11 +216,12 @@ def build_svd_circuit(*blocks) -> SVDCircuit:
     both factors checked to 1e-12); the direct sum of the block SVDs is an
     SVD of the direct sum, with the padding identity as the last block, up
     to n = 2^k.  The singular values keep that block-row order, with a one for each padding
-    row, and are divided by ``scale = max(1, sigma_max)``.  The dilation
-    of sigma (which rejects values outside [0, 1]) and the block identity
-    (ancilla-0 block equals the diag-sigma sandwich, on two probe states)
-    are verified to 1e-10 at every point of the assembled circuit before
-    it is returned.
+    row, and are divided by ``scale = max(1, sigma_max)``.  LAPACK returns
+    sigma >= 0 and every quotient x / scale has 0 <= x <= scale, so each
+    scaled value lies in [0, 1] exactly and its dilation needs no guard.
+    The block identity (ancilla-0 block equals the diag-sigma sandwich, on
+    two probe states) is verified to 1e-10 at every point of the assembled
+    circuit before it is returned.
     """
     if not blocks:
         raise ValueError("build_svd_circuit needs at least one block")

@@ -18,10 +18,6 @@ class ConvergenceFailureError(LsvdError):
     """A decomposition failed to converge or missed its accuracy contract."""
 
 
-class SigmaOutOfRangeError(LsvdError):
-    """A singular value fell outside [0, 1] beyond the allowed slack."""
-
-
 class BlockIdentityViolationError(LsvdError):
     """The assembled circuit does not reproduce U.diag(sigma).V† on the
     ancilla-0 block (internal consistency failure)."""

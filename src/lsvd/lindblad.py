@@ -116,16 +116,15 @@ class PopulationTrace:
 
     ``populations`` has shape ``(len(times), r)``; ``success_prob`` holds
     the ancilla-0 weight per time point (the postselected fraction in
-    sampled mode, 1.0 for ``classical_evolve``).  ``mode`` is one of
-    ``"classical"``, ``"exact"`` or ``"sampled"``.  ``scales`` records the
-    dilation scale factor per time point for circuit-based modes.
+    sampled mode, 1.0 for ``classical_evolve``).  ``labels`` names the r
+    levels, as the model does.  ``scales`` records the dilation scale
+    factor per time point for circuit-based modes.
     """
 
     times: np.ndarray
     populations: np.ndarray
     success_prob: np.ndarray
-    mode: str
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...]
     scales: np.ndarray | None = None
 
 

@@ -93,11 +93,12 @@ def _require_finite_nonnegative(params, *names: str) -> None:
             raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FMOParams:
     """Exciton-network parameters: the n x n site Hamiltonian in cm^-1 (site
     energies on the diagonal, couplings off it; n = ``n_sites`` must be in
-    ``FMO_SITE_COUNTS``) and the rates in fs^-1."""
+    ``FMO_SITE_COUNTS``) and the rates in fs^-1.  Instances compare and
+    hash by identity, since an array field has no single truth value."""
 
     hamiltonian_cm1: np.ndarray
     gamma_deph: float = FMO_DEFAULT_GAMMA_DEPH
@@ -163,7 +164,7 @@ def fmo_model(params: FMOParams) -> tuple[LindbladModel, np.ndarray]:
     return model, rho0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RPMParams:
     """Radical-pair parameters in SI units.
 
@@ -171,6 +172,7 @@ class RPMParams:
     rad/s; ``b0`` in tesla; ``theta``/``phi`` orient the field in radians;
     rates in s^-1; the electron gyromagnetic ratio is the constant
     ``ELECTRON_GYROMAGNETIC``.  The builder converts to the ms time base.
+    Instances compare and hash by identity, as ``FMOParams`` do.
     """
 
     hyperfine: np.ndarray = field(
@@ -320,7 +322,7 @@ def rpm_model(params: RPMParams) -> tuple[LindbladModel, np.ndarray]:
 
 def yields(trace: PopulationTrace) -> tuple[np.ndarray, np.ndarray]:
     """Singlet and triplet yields: the shelf populations of a compass trace."""
-    if trace.labels is None or "S" not in trace.labels or "T" not in trace.labels:
+    if "S" not in trace.labels or "T" not in trace.labels:
         raise ValueError("trace does not carry compass shelf levels 'S' and 'T'")
     idx_s = trace.labels.index("S")
     idx_t = trace.labels.index("T")
@@ -344,7 +346,6 @@ class ThetaSweepResult:
     phi_t: np.ndarray
     success_prob: np.ndarray
     scales: np.ndarray
-    mode: str
     t_end: float
 
 
@@ -385,7 +386,6 @@ def theta_sweep(
         phi_t=phi_t,
         success_prob=trace.success_prob,
         scales=trace.scales,
-        mode=mode,
         t_end=float(t_end),
     )
 

@@ -254,7 +254,7 @@ def _run_chunks(chunks, components, rho0, times, labels, mode, shots, seeds):
 
     columns = zip(*map(run_chunk, chunks))
     populations, success, scales = (np.concatenate(column, dtype=float) for column in columns)
-    return PopulationTrace(times, populations, success, mode, labels=labels, scales=scales)
+    return PopulationTrace(times, populations, success, labels, scales)
 
 
 def classical_evolve(model: LindbladModel, rho0, times) -> PopulationTrace:
@@ -285,7 +285,6 @@ def classical_evolve(model: LindbladModel, rho0, times) -> PopulationTrace:
         times=grid,
         populations=populations,
         success_prob=np.ones(grid.size),
-        mode="classical",
         labels=model.labels,
     )
 

@@ -24,9 +24,9 @@ constant because the populations of a physical state sum to one.  The
 square root makes the estimator slightly biased at low counts (E[sqrt(x)]
 < sqrt(E[x])); with the default 2**19 shots the bias is far below the
 statistical error.  Off-diagonal (coherence) indices are sampled and kept
-in ``ShotResult.counts`` for diagnostics but play no role in the
-estimator.  Because the estimate is normalized, it is invariant under the
-dilation scale factor.
+in ``ShotResult.counts``, the count array exactly as numpy's multinomial
+draw returns it, but play no role in the estimator.  Because the estimate
+is normalized, it is invariant under the dilation scale factor.
 
 The functions here take bare amplitudes and their counts and know nothing
 of models or time grids; the pipeline folds their estimates into a
@@ -77,15 +77,14 @@ def substream_seed(seed: int, index: int) -> int:
 class ShotResult:
     """Counts from measuring one final register state.
 
-    ``counts`` maps the index of a kept (ancilla-0) amplitude -> count
-    (indices with zero count are omitted); ``postselected_shots`` is their
+    ``counts`` holds one int64 count per kept (ancilla-0) amplitude, in
+    amplitude order, zeros included; ``postselected_shots`` is their
     total, and the remaining ``shots - postselected_shots`` were discarded.
     """
 
     shots: int
-    counts: dict[int, int]
+    counts: np.ndarray
     postselected_shots: int
-    seed: int
 
 
 def sample(conditioned, shots: int, seed: int) -> ShotResult:
@@ -108,12 +107,7 @@ def sample(conditioned, shots: int, seed: int) -> ShotResult:
 
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
     kept = rng.multinomial(shots, np.append(probs, max(0.0, 1.0 - weight)))[:-1]
-    return ShotResult(
-        shots=int(shots),
-        counts={int(i): int(c) for i, c in enumerate(kept) if c},
-        postselected_shots=int(kept.sum()),
-        seed=int(seed) & _MASK64,
-    )
+    return ShotResult(shots=int(shots), counts=kept, postselected_shots=int(kept.sum()))
 
 
 def estimate_populations(result: ShotResult, r: int) -> np.ndarray:
@@ -122,15 +116,16 @@ def estimate_populations(result: ShotResult, r: int) -> np.ndarray:
     See the module docstring for the estimator and its justification.
 
     Raises:
-        ValueError: if no shot survived postselection.
+        ValueError: if fewer than r² counts are given, or if no shot
+            survived postselection.
         AllZeroDiagonalError: if postselected shots exist but none landed
             on a diagonal (population) index.
     """
+    if len(result.counts) < r * r:
+        raise ValueError(f"need {r * r} counts for {r} levels, got {len(result.counts)}")
     if result.postselected_shots <= 0:
         raise ValueError("no shots survived ancilla postselection")
-    raw = np.empty(r, dtype=float)
-    for i in range(r):
-        raw[i] = np.sqrt(result.counts.get(i * (r + 1), 0) / result.postselected_shots)
+    raw = np.sqrt(result.counts[: r * r : r + 1] / result.postselected_shots)
     total = raw.sum()
     if total == 0.0:
         raise AllZeroDiagonalError(

@@ -10,7 +10,6 @@ from scipy.sparse.csgraph import connected_components
 import lsvd.lindblad
 import lsvd.numerics
 import lsvd.pipeline
-from lsvd.dilation import dilate
 from lsvd.lindblad import Channel, LindbladModel, build_superoperator, lindblad_rhs
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
@@ -73,6 +72,12 @@ def dense_vdag(circuit):
     return direct_sum_with_identity(circuit.vdag_blocks, circuit.n)
 
 
+def dilated(sigma):
+    """Sigma_+ = sigma + i sqrt(1 - sigma²), written out here so that the
+    dense reference shares no code with the circuit it checks."""
+    return sigma + 1j * np.sqrt(1.0 - sigma**2)
+
+
 def as_unitary(circuit):
     """The full 2^d x 2^d operator of a single circuit's five ops, composed
     densely (small registers only)."""
@@ -80,7 +85,7 @@ def as_unitary(circuit):
     eye_n = np.eye(n, dtype=np.complex128)
     composite = np.kron(np.eye(2, dtype=np.complex128), dense_vdag(circuit))
     composite = np.kron(_HADAMARD, eye_n) @ composite
-    sigma_plus = dilate(circuit.sigma)
+    sigma_plus = dilated(circuit.sigma)
     diagonal = np.concatenate([sigma_plus, sigma_plus.conj()])
     composite = diagonal[:, None] * composite
     composite = np.kron(_HADAMARD, eye_n) @ composite

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lsvd.circuit import build_svd_circuit, estimate_resources
+from lsvd.circuit import _dilate, build_svd_circuit, estimate_resources
 from lsvd.cli import main as cli_main
-from lsvd.dilation import dilate
 from lsvd.lindblad import build_superoperator, lindblad_rhs, propagator
 from lsvd.models import (
     RPM_GAMMA_DISS_HIGH,
@@ -176,7 +175,7 @@ def test_criterion_4_dilation_unit_suite():
             worst["reconstruction"],
             np.linalg.norm(recon - m_padded) / np.linalg.norm(m_padded),
         )
-        sigma_plus = dilate(circuit.sigma)
+        sigma_plus = _dilate(circuit.sigma)
         sigma_minus = sigma_plus.conj()
         worst["modulus"] = max(
             worst["modulus"],

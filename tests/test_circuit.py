@@ -7,12 +7,12 @@ import scipy.linalg
 import lsvd
 import lsvd.circuit
 from lsvd.circuit import (
+    _dilate,
     apply_circuit,
     build_svd_circuit,
     estimate_resources,
     run_exact,
 )
-from lsvd.dilation import dilate
 from lsvd.errors import BlockIdentityViolationError, ConvergenceFailureError
 from lsvd.lindblad import build_superoperator, propagator, vectorize
 from lsvd.models import FMOParams, builtin_model, fmo_model
@@ -21,6 +21,7 @@ from conftest import (
     as_unitary,
     dense_u,
     dense_vdag,
+    dilated,
     random_complex,
     random_model,
     random_unitary,
@@ -68,7 +69,7 @@ class TestBuild:
         for m in (random_complex(rng, 8), rng.normal(size=(8, 8))):
             circuit = build_svd_circuit(m)
             n = circuit.n
-            sigma_plus = dilate(circuit.sigma)
+            sigma_plus = dilated(circuit.sigma)
             hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
             ops = [
                 np.kron(np.eye(2), dense_vdag(circuit)),
@@ -111,9 +112,9 @@ class TestBuild:
 
     def test_branch_average_violation_rejected(self, monkeypatch):
         def off_by_1e_6(sigma):
-            return dilate(sigma) + 1e-6
+            return _dilate(sigma) + 1e-6
 
-        monkeypatch.setattr(lsvd.circuit, "dilate", off_by_1e_6)
+        monkeypatch.setattr(lsvd.circuit, "_dilate", off_by_1e_6)
         with pytest.raises(BlockIdentityViolationError, match="ancilla-0 block"):
             build_svd_circuit(np.diag([0.9, 0.5, 0.3, 0.1]))
 
@@ -235,12 +236,12 @@ class TestStacked:
 
     def test_branch_average_violation_at_one_point_rejected(self, rng, monkeypatch):
         def one_point_off(sigma):
-            out = dilate(sigma)
+            out = _dilate(sigma)
             if out.ndim == 2:
                 out[1] += 1e-6
             return out
 
-        monkeypatch.setattr(lsvd.circuit, "dilate", one_point_off)
+        monkeypatch.setattr(lsvd.circuit, "_dilate", one_point_off)
         build_svd_circuit(*(block[0] for block in random_stack(rng, 4, self.SIZES)))
         with pytest.raises(BlockIdentityViolationError, match="ancilla-0 block"):
             build_svd_circuit(*random_stack(rng, 4, self.SIZES))
@@ -277,7 +278,7 @@ class TestRunExact:
     def test_success_unity_iff_unitary(self, rng):
         q = random_unitary(rng, 8)
         circuit = build_svd_circuit(q)
-        assert np.all(np.abs(dilate(circuit.sigma).real - 1.0) < 1e-10)
+        assert np.all(np.abs(_dilate(circuit.sigma).real - 1.0) < 1e-10)
         contraction = build_svd_circuit(q * 0.9)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi /= np.linalg.norm(psi)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lsvd.cli
 import lsvd.pipeline
 from lsvd.cli import main
 from lsvd.lindblad import model_to_dict
@@ -372,6 +373,15 @@ class TestOutputContracts:
 
     def test_missing_model_file_exit_2(self):
         assert run("evolve", "--model", "/nonexistent/model.json") == 2
+
+    def test_internal_key_error_is_not_reported_as_bad_input(self, monkeypatch, tmp_path):
+        # every configuration error is a ValueError; a KeyError is a bug
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(lsvd.cli, "quantum_evolve", broken)
+        with pytest.raises(KeyError, match="internal"):
+            run("fmo", "--sites", "3", "--out", str(tmp_path / "fmo.csv"))
 
 
 def test_package_runs_as_a_module():

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lsvd.circuit import build_svd_circuit, run_exact
-from lsvd.dilation import dilate
-from lsvd.errors import SigmaOutOfRangeError
+from lsvd.circuit import _dilate, build_svd_circuit, run_exact
 from lsvd.lindblad import build_superoperator, propagator
 from lsvd.models import FMOParams, fmo_model
 
@@ -129,16 +127,16 @@ class TestDecompose:
 
 class TestDilate:
     def test_unit_sigma_gives_identity(self):
-        sigma_plus = dilate(np.ones(4))
+        sigma_plus = _dilate(np.ones(4))
         np.testing.assert_allclose(np.diag(dilated_diagonal(sigma_plus)), np.eye(8), atol=1e-15)
 
     def test_zero_sigma_gives_plus_minus_i(self):
-        sigma_plus = dilate([0.0])
+        sigma_plus = _dilate(np.array([0.0]))
         np.testing.assert_allclose(sigma_plus, [1j])
         np.testing.assert_allclose(sigma_plus.conj(), [-1j])
 
     def test_three_four_five(self):
-        sigma_plus = dilate([0.6])
+        sigma_plus = _dilate(np.array([0.6]))
         assert sigma_plus[0] == pytest.approx(0.6 + 0.8j, abs=1e-15)
         assert sigma_plus.conj()[0] == pytest.approx(0.6 - 0.8j, abs=1e-15)
         assert abs(sigma_plus[0]) == pytest.approx(1.0, abs=1e-15)
@@ -147,13 +145,13 @@ class TestDilate:
     def test_unit_modulus_and_branch_average(self, seed):
         rng = np.random.default_rng(seed)
         sigma = np.sort(rng.uniform(0.0, 1.0, size=16))[::-1]
-        sigma_plus = dilate(sigma)
+        sigma_plus = _dilate(sigma)
         np.testing.assert_allclose(np.abs(sigma_plus), np.ones(16), atol=1e-12)
         # the postselected branch must reproduce diag(sigma) exactly
         np.testing.assert_array_equal(0.5 * (sigma_plus + sigma_plus.conj()), sigma)
 
     def test_block_diagonal_layout(self):
-        diagonal = dilated_diagonal(dilate([1.0, 0.6]))
+        diagonal = dilated_diagonal(_dilate(np.array([1.0, 0.6])))
         assert diagonal.shape == (4,)
         np.testing.assert_allclose(diagonal[:2], [1.0, 0.6 + 0.8j], atol=1e-15)
         np.testing.assert_allclose(diagonal[2:], [1.0, 0.6 - 0.8j], atol=1e-15)
@@ -161,12 +159,37 @@ class TestDilate:
         matrix = np.diag(diagonal)
         np.testing.assert_allclose(matrix.conj().T @ matrix, np.eye(4), atol=1e-14)
 
-    def test_slack_clamped(self):
-        sigma_plus = dilate([1.0 + 1e-13])
-        assert sigma_plus[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(SigmaOutOfRangeError):
-            dilate([1.5])
-        with pytest.raises(SigmaOutOfRangeError):
-            dilate([-0.1])
+class TestSigmaRange:
+    """Every circuit ``build_svd_circuit`` returns has sigma in [0, 1]
+    exactly, which is why ``_dilate`` carries no range guard."""
+
+    def test_built_sigma_in_unit_interval_exactly(self):
+        rng = np.random.default_rng(53)
+        seen = set()
+        for _ in range(120):
+            points = int(rng.integers(1, 4))
+            magnitude = 10.0 ** rng.uniform(-8.0, 8.0)
+            blocks = []
+            for size in rng.choice([1, 2, 3, 5], size=int(rng.integers(1, 4))):
+                block = rng.normal(size=(points, size, size))
+                if rng.random() < 0.5:
+                    block = block + 1j * rng.normal(size=block.shape)
+                blocks.append(magnitude * block)
+            if rng.random() < 0.5:
+                # ties at sigma_max: exact ones from a diagonal, near ones
+                # from a scaled unitary, both above every random block
+                top = 100.0 * magnitude
+                blocks.append(np.broadcast_to(top * np.eye(2), (points, 2, 2)))
+                blocks.append(np.broadcast_to(top * random_unitary(rng, 3), (points, 3, 3)))
+                seen.add("tie")
+            circuit = build_svd_circuit(*blocks)
+            dim = sum(block.shape[-1] for block in blocks)
+            seen.add("padded" if circuit.n > dim else "unpadded")
+            seen.add("scaled" if np.all(circuit.scale > 1.0) else "contractive")
+            seen.update("1x1" for block in blocks if block.shape[-1] == 1)
+            assert 0.0 <= circuit.sigma.min()
+            assert circuit.sigma.max() <= 1.0
+            with np.errstate(all="raise"):
+                assert np.all(np.isfinite(_dilate(circuit.sigma)))
+        assert seen == {"tie", "padded", "unpadded", "scaled", "contractive", "1x1"}

@@ -71,6 +71,12 @@ class TestFMOParams:
         with pytest.raises(ValueError, match=f"^hamiltonian_cm1 .*{message}"):
             FMOParams(hamiltonian)
 
+    def test_compares_and_hashes_by_identity(self):
+        params = FMOParams.default(3)
+        assert params == params
+        assert params != FMOParams.default(3)
+        assert len({params, params, FMOParams.default(3)}) == 2
+
 
 class TestFMOModel:
     def test_level_structure_and_qubits(self):
@@ -162,6 +168,13 @@ class TestRPMParams:
     def test_non_finite_value_names_the_field(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} "):
             RPMParams(**{name: value})
+
+    def test_compares_and_hashes_by_identity(self):
+        params = RPMParams()
+        assert params == params
+        assert RPMParams() != RPMParams()
+        assert hash(params) == hash(params)
+        assert len({params, params, RPMParams()}) == 2
 
 
 class TestRPMModel:

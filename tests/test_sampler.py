@@ -34,12 +34,13 @@ class TestSample:
         state = np.zeros(4)
         state[2] = 1.0
         result = sample(state, 1000, seed=3)
-        assert result.counts == {2: 1000}
+        assert result.counts.dtype == np.int64
+        np.testing.assert_array_equal(result.counts, [0, 0, 1000, 0])
         assert result.shots == 1000
         assert result.postselected_shots == 1000
         # no ancilla-0 weight: every shot lands in the discard bucket
         discarded = sample(np.zeros(4), 1000, seed=3)
-        assert discarded.counts == {}
+        np.testing.assert_array_equal(discarded.counts, np.zeros(4))
         assert discarded.postselected_shots == 0
 
     def test_uniform_superposition_within_binomial_band(self):
@@ -59,8 +60,9 @@ class TestSample:
         result = sample(state, shots, seed=13)
         sigma = np.sqrt(shots * 0.3 * 0.7)
         assert abs(result.postselected_shots - 0.3 * shots) < 5 * sigma
-        assert result.postselected_shots == sum(result.counts.values())
-        assert max(result.counts) < 25
+        assert result.postselected_shots == result.counts.sum()
+        # one count per kept amplitude: the discard bucket is not among them
+        assert result.counts.shape == (25,)
 
     def test_weight_above_one_rejected(self):
         state = np.full(4, 0.5)
@@ -74,18 +76,19 @@ class TestSample:
         state /= np.linalg.norm(state)
         first = sample(state, 4096, seed=99)
         second = sample(state, 4096, seed=99)
-        assert first.counts == second.counts
+        np.testing.assert_array_equal(first.counts, second.counts)
 
     def test_different_seeds_differ(self):
         state = np.full(4, 0.5)
-        assert sample(state, 4096, seed=1).counts != sample(state, 4096, seed=2).counts
+        first, second = sample(state, 4096, seed=1), sample(state, 4096, seed=2)
+        assert not np.array_equal(first.counts, second.counts)
 
     def test_counts_sum_to_shots(self):
         rng = np.random.default_rng(6)
         state = rng.normal(size=32) + 1j * rng.normal(size=32)
         state /= np.linalg.norm(state)
         result = sample(state, 12345, seed=0)
-        assert sum(result.counts.values()) == 12345
+        assert result.counts.sum() == 12345
 
     def test_substream_seeds(self):
         expected = np.random.SeedSequence([7, 3]).generate_state(1, np.uint64)[0]
@@ -103,7 +106,9 @@ class TestSample:
 
 class TestEstimatePopulations:
     def test_all_mass_on_first_level(self):
-        result = ShotResult(shots=100, counts={0: 100}, postselected_shots=100, seed=0)
+        counts = np.zeros(9, dtype=np.int64)
+        counts[0] = 100
+        result = ShotResult(shots=100, counts=counts, postselected_shots=100)
         np.testing.assert_array_equal(estimate_populations(result, 3), [1.0, 0.0, 0.0])
 
     def test_maximally_mixed_two_level(self):
@@ -120,6 +125,9 @@ class TestEstimatePopulations:
         populations = estimate_populations(result, 5)
         oracle = classical_evolve(model, rho0, [200.0]).populations[0]
         assert np.max(np.abs(populations - oracle)) < 0.02
+        # the per-level loop the diagonal slice replaced, in Python integers
+        raw = [np.sqrt(int(result.counts[i * 6]) / result.postselected_shots) for i in range(5)]
+        np.testing.assert_array_equal(populations, np.array(raw) / np.sum(raw))
 
     def test_error_shrinks_with_shots(self):
         model, rho0, circuit, conditioned = fmo3_conditioned(500.0)
@@ -145,11 +153,19 @@ class TestEstimatePopulations:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_no_postselected_shots_rejected(self):
-        result = ShotResult(shots=10, counts={}, postselected_shots=0, seed=0)
+        result = ShotResult(shots=10, counts=np.zeros(4, dtype=np.int64), postselected_shots=0)
         with pytest.raises(ValueError, match="postselection"):
             estimate_populations(result, 2)
 
     def test_all_zero_diagonal(self):
-        result = ShotResult(shots=10, counts={1: 10}, postselected_shots=10, seed=0)
+        counts = np.array([0, 10, 0, 0], dtype=np.int64)
+        result = ShotResult(shots=10, counts=counts, postselected_shots=10)
         with pytest.raises(AllZeroDiagonalError):
             estimate_populations(result, 2)
+
+    def test_fewer_than_r_squared_counts_rejected(self):
+        # a missing diagonal index must not read as a zero count
+        counts = np.array([5, 0, 0, 5, 0, 0, 0, 0], dtype=np.int64)
+        result = ShotResult(shots=10, counts=counts, postselected_shots=10)
+        with pytest.raises(ValueError, match="need 9 counts for 3 levels, got 8"):
+            estimate_populations(result, 3)
