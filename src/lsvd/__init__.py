@@ -12,20 +12,13 @@ radical-pair compass with shelving yields) ship ready to run from the
 __version__ = "0.1.0"
 
 from .circuit import (
-    ResourceEstimate,
     SVDCircuit,
     apply_circuit,
     build_svd_circuit,
     estimate_resources,
     run_exact,
 )
-from .errors import (
-    AllZeroDiagonalError,
-    BlockIdentityViolationError,
-    ConvergenceFailureError,
-    LsvdError,
-    ToleranceUnachievableError,
-)
+from .errors import LsvdError
 from .lindblad import (
     Channel,
     LindbladModel,

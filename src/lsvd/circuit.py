@@ -39,8 +39,10 @@ once, all runs in one field, and decomposes each run in one
 ``numerics.svd`` call (which checks reconstruction and the unitarity of
 both factors of every block).  It keeps each singular value on the row of
 its block factors, with a one for each padding row, divides them by
-max(1, sigma_max) and checks once more, on the assembled circuit, only
-what no SVD can vouch for: the op application path.
+max(1, sigma_max) and checks once more, on the assembled circuit, what no
+SVD can vouch for: that the op application path sends two probe states
+where the scaled input propagator does, a reference built from the input
+blocks alone and not from the factors it checks.
 :func:`run_exact` returns the ancilla-0 amplitudes that both readout
 modes start from.
 The circuit stores sigma; each use derives Sigma_+ from it through
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilation import padded_dimension
-from .errors import BlockIdentityViolationError
+from .errors import LsvdError
 from .numerics import as_matrix, svd
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -101,15 +103,15 @@ class SVDCircuit:
         return self.sigma.shape[-1]
 
 
-def _runs(blocks) -> list[np.ndarray]:
+def _runs(blocks) -> tuple[np.ndarray, ...]:
     """Stack each run of consecutive equal-size blocks: (..., count, s, s),
     all in one field (complex if any block is)."""
     parts = [as_matrix(block, stacked=True) for block in blocks]
     dtype = np.result_type(*parts)
-    return [
+    return tuple(
         np.stack(list(run), axis=-3, dtype=dtype)
         for _, run in itertools.groupby(parts, key=lambda part: part.shape[-2:])
-    ]
+    )
 
 
 def _on_system(runs: tuple[np.ndarray, ...], blocks: np.ndarray) -> np.ndarray:
@@ -176,31 +178,30 @@ def _ancilla_hadamard(blocks: np.ndarray) -> None:
     blocks *= _SQRT_HALF
 
 
-def _check_block_identity(circuit: SVDCircuit) -> None:
-    """Verify the ancilla-0 block reproduces U diag(sigma) V† at every point.
+def _check_block_identity(circuit: SVDCircuit, runs: tuple[np.ndarray, ...]) -> None:
+    """Verify the ancilla-0 block reproduces the scaled propagator at every
+    point.
 
-    The unitarity of U and V† is the SVD's own contract, and sigma =
-    raw / max(1, sigma_max) lies in [0, 1], where the dilated branches
-    average back to it exactly.  This adds the check neither can make: two
-    deterministic pseudo-random probe states, sent together through the
-    circuits of every point in one call, exercise the actual op
-    application path, dilation included.  Cost stays O(n²) per point.
+    ``runs`` are the stacked input blocks the circuit was built from, so
+    the reference ``(propagator ⊕ I) / scale`` shares no factor with what
+    it checks: two deterministic pseudo-random probe states, sent together
+    through the circuits of every point in one call, exercise the SVD
+    factors, their scaling and the actual op application path, dilation
+    included.  Cost stays O(n²) per point.
     """
-    sigma = circuit.sigma
     n = circuit.n
     draws = np.random.default_rng(_PROBE_SEED).normal(size=(_NUM_PROBES, 2, n))
     probes = draws[:, 0] + 1j * draws[:, 1]
     probes /= np.linalg.norm(probes, axis=-1, keepdims=True)
     # probes on a leading axis of their own, broadcast against the points
-    probes = probes.reshape((_NUM_PROBES,) + (1,) * (sigma.ndim - 1) + (n,))
+    probes = probes.reshape((_NUM_PROBES,) + (1,) * (circuit.sigma.ndim - 1) + (n,))
     states = np.concatenate([probes, np.zeros_like(probes)], axis=-1)
     got = apply_circuit(circuit, states)[..., :n]
-    column = sigma[..., None] * _on_system(circuit.vdag_blocks, probes[..., None])
-    want = _on_system(circuit.u_blocks, column)[..., 0]
+    want = _on_system(runs, probes[..., None])[..., 0] / np.expand_dims(circuit.scale, -1)
     deviation = float(np.max(np.linalg.norm(got - want, axis=-1)))
     if deviation > _BLOCK_TOL:
-        raise BlockIdentityViolationError(
-            f"ancilla-0 block deviates from U diag(sigma) V† by {deviation:.3e}"
+        raise LsvdError(
+            f"ancilla-0 block deviates from the scaled propagator by {deviation:.3e}"
         )
 
 
@@ -219,13 +220,14 @@ def build_svd_circuit(*blocks) -> SVDCircuit:
     row, and are divided by ``scale = max(1, sigma_max)``.  LAPACK returns
     sigma >= 0 and every quotient x / scale has 0 <= x <= scale, so each
     scaled value lies in [0, 1] exactly and its dilation needs no guard.
-    The block identity (ancilla-0 block equals the diag-sigma sandwich, on
-    two probe states) is verified to 1e-10 at every point of the assembled
-    circuit before it is returned.
+    The block identity (ancilla-0 block equals the scaled input propagator
+    padded with I, on two probe states) is verified to 1e-10 at every
+    point of the assembled circuit before it is returned.
     """
     if not blocks:
         raise ValueError("build_svd_circuit needs at least one block")
-    u_runs, sigmas, vdag_runs = zip(*(svd(run) for run in _runs(blocks)))
+    runs = _runs(blocks)
+    u_runs, sigmas, vdag_runs = zip(*(svd(run) for run in runs))
     raw = np.concatenate([s.reshape(s.shape[:-2] + (-1,)) for s in sigmas], axis=-1)
     batch, dim = raw.shape[:-1], raw.shape[-1]
     n = padded_dimension(dim)
@@ -236,7 +238,7 @@ def build_svd_circuit(*blocks) -> SVDCircuit:
         vdag_blocks=vdag_runs,
         scale=scale,
     )
-    _check_block_identity(circuit)
+    _check_block_identity(circuit, runs)
     return circuit
 
 
@@ -265,18 +267,9 @@ def run_exact(circuit: SVDCircuit, input_state) -> tuple[np.ndarray, np.ndarray 
     return conditioned, success
 
 
-@dataclass(frozen=True)
-class ResourceEstimate:
-    """Closed-form gate counts for a d-qubit register (order-of-magnitude)."""
-
-    qubits: int
-    diagonal_gates: int
-    unitary_gates_each: int
-    total: int
-
-
-def estimate_resources(d: int) -> ResourceEstimate:
-    """Evaluate the gate-count expressions for a d-qubit register.
+def estimate_resources(d: int) -> dict[str, int]:
+    """Closed-form gate counts for a d-qubit register, keyed in the order
+    ``qubits, diagonal_gates, unitary_gates_each, total``.
 
     diagonal_gates = 2^(d+1); unitary_gates_each = (d-1)² 2^(2d-2) for each
     of U and V†; total = d² 2^(2d-1).  These are asymptotic expressions
@@ -284,9 +277,9 @@ def estimate_resources(d: int) -> ResourceEstimate:
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    return ResourceEstimate(
-        qubits=d,
-        diagonal_gates=2 ** (d + 1),
-        unitary_gates_each=(d - 1) ** 2 * 2 ** (2 * d - 2),
-        total=d**2 * 2 ** (2 * d - 1),
-    )
+    return {
+        "qubits": d,
+        "diagonal_gates": 2 ** (d + 1),
+        "unitary_gates_each": (d - 1) ** 2 * 2 ** (2 * d - 2),
+        "total": d**2 * 2 ** (2 * d - 1),
+    }

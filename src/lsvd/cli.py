@@ -17,7 +17,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -131,7 +131,7 @@ def _metadata(config: dict, model: LindbladModel, columns, extra: dict) -> dict:
             ],
         },
         "qubits": {"system": k, "total": d},
-        "resource_estimate": asdict(estimate_resources(d)),
+        "resource_estimate": estimate_resources(d),
         "rng": {
             "algorithm": RNG_ALGORITHM,
             "seed": config["seed"],
@@ -247,6 +247,8 @@ def _rpm_param_dict(params: RPMParams) -> dict:
 def _cmd_sweep(args) -> int:
     if not args.theta_step > 0:
         raise ValueError("--theta-step must be positive")
+    if args.theta_step == np.inf:
+        raise ValueError("--theta-step must be finite")
     if not (np.isfinite(args.t_end) and args.t_end >= 0):
         raise ValueError("--t-end must be finite and non-negative")
     base = _rpm_params(args)
@@ -281,6 +283,8 @@ def _cmd_rpm(args) -> int:
             )
         params = {"model_file": args.model}
     else:
+        if not 0.0 <= args.theta <= 180.0:
+            raise ValueError("--theta must lie in [0, 180] degrees")
         base = replace(_rpm_params(args), theta=np.deg2rad(args.theta))
         model, rho0 = rpm_model(base)
         params = _rpm_param_dict(base)
@@ -300,7 +304,9 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_resources(args) -> int:
-    payload = asdict(estimate_resources(args.qubits))
+    if args.qubits < 2:
+        raise ValueError("--qubits must be at least 2")
+    payload = estimate_resources(args.qubits)
     out = args.out or f"resources_results.{args.format}"
     if args.format == "csv":
         columns = list(payload.keys())

@@ -1,27 +1,14 @@
-"""Exception types shared across the package.
+"""The package's one exception type for numeric failures.
 
-Numeric failures raised by this package derive from :class:`LsvdError`, so
-callers (notably the CLI) can tell them from usage errors such as a wrong
-shape, length or model, which are plain ``ValueError``s.
+Every numeric failure (an ``expm`` past its squaring cap, an SVD that does
+not converge or misses its accuracy contract, a circuit whose probe states
+miss the propagator, sampled counts with no population entry, a generator
+that breaks Hermiticity, a state that loses its trace) raises
+:class:`LsvdError`, and its message names the check that failed.  Usage
+errors such as a wrong shape, length or model are plain ``ValueError``s,
+so callers (notably the CLI) can tell the two apart.
 """
 
 
 class LsvdError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class ToleranceUnachievableError(LsvdError):
-    """The matrix exponential would need more squarings than its hard cap."""
-
-
-class ConvergenceFailureError(LsvdError):
-    """A decomposition failed to converge or missed its accuracy contract."""
-
-
-class BlockIdentityViolationError(LsvdError):
-    """The assembled circuit does not reproduce U.diag(sigma).V† on the
-    ancilla-0 block (internal consistency failure)."""
-
-
-class AllZeroDiagonalError(LsvdError):
-    """No counts were observed on any population (diagonal) index."""
+    """A numeric failure of this package; the message names the check."""

@@ -330,11 +330,12 @@ def yields(trace: PopulationTrace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_theta_grid(step_deg: float = THETA_DEFAULT_STEP_DEG) -> np.ndarray:
-    """Orientation grid 0..180 degrees inclusive, in radians (201 points
-    at the default 0.9-degree step)."""
-    if not step_deg > 0:
-        raise ValueError("step_deg must be positive")
-    return np.deg2rad(np.arange(0.0, 180.0 + step_deg / 2.0, step_deg))
+    """Orientation grid from 0 degrees in steps of ``step_deg``, 180
+    included when the step divides it, in radians (201 points at the
+    default 0.9-degree step)."""
+    if not 0 < step_deg < np.inf:
+        raise ValueError("step_deg must be positive and finite")
+    return np.deg2rad(np.arange(int(np.floor(180.0 / step_deg + 1e-9)) + 1) * step_deg)
 
 
 @dataclass
@@ -371,7 +372,7 @@ def theta_sweep(
     grid = default_theta_grid() if thetas is None else np.asarray(thetas, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("thetas must be non-empty")
-    for theta in grid:
+    for theta in (grid.min(), grid.max()):  # the bound is an interval; NaN reaches both
         replace(base, theta=float(theta))  # raises on an out-of-range theta
     anchors = [rpm_model(replace(base, theta=theta)) for theta in (0.0, np.pi, np.pi / 2)]
     cos, sin = np.cos(grid), np.sin(grid)

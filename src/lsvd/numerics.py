@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConvergenceFailureError, ToleranceUnachievableError
+from .errors import LsvdError
 
 Matrix = NDArray[np.float64] | NDArray[np.complex128]
 
@@ -81,9 +81,9 @@ def expm(a) -> Matrix:
 
     Raises:
         ValueError: if ``a`` is not square or has a non-finite entry.
-        ToleranceUnachievableError: if the squarings one matrix needs
-            exceed the hard cap (norm astronomically large); the message
-            gives the estimated achievable residual.
+        LsvdError: if the squarings one matrix needs exceed the hard
+            cap (norm astronomically large); the message gives the
+            estimated achievable residual.
     """
     m = as_matrix(a, stacked=True)
     _require_square(m)
@@ -94,7 +94,7 @@ def expm(a) -> Matrix:
     if squarings.max() > _MAX_SQUARINGS:
         worst = int(np.argmax(squarings))
         estimate = 2.0 ** squarings[worst] * np.finfo(float).eps
-        raise ToleranceUnachievableError(
+        raise LsvdError(
             f"matrix 1-norm {norms[worst]:.3e} would need {squarings[worst]} squarings "
             f"(cap {_MAX_SQUARINGS}); estimated achievable relative residual "
             f"{estimate:.3e}"
@@ -136,20 +136,24 @@ def svd(a):
     float64 (orthogonal) for real input and complex128 (unitary) for
     complex input.  For every matrix, the reconstruction residual against
     that matrix's own norm and the departures of ``u``/``vdag`` from
-    unitarity (Frobenius norms) are checked against ``DEFAULT_TOL``; a
-    miss raises ``ConvergenceFailureError`` that gives the worst residual
-    of the stack.
+    unitarity (Frobenius norms) are checked against ``DEFAULT_TOL``.
 
     Factor matrices are not unique (degenerate singular values admit
     arbitrary unitary mixing), so callers should only ever compare
     reconstructed products, never the factors themselves.
+
+    Raises:
+        ValueError: if ``a`` is not square or has a non-finite entry.
+        LsvdError: if LAPACK does not converge, or if a check misses
+            ``DEFAULT_TOL``; the message gives the worst residual of the
+            stack.
     """
     m = as_matrix(a, stacked=True)
     _require_square(m)
     try:
         u, sigma, vdag = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(f"SVD did not converge: {exc}") from exc
+        raise LsvdError(f"SVD did not converge: {exc}") from exc
 
     eye = np.eye(m.shape[-1])
     norm_squared = _squared_defect(m.copy())
@@ -163,7 +167,7 @@ def svd(a):
     )
     worst = float(np.sqrt(worst_squared.max()))
     if not worst <= DEFAULT_TOL:  # a NaN factor fails too
-        raise ConvergenceFailureError(
+        raise LsvdError(
             f"SVD accuracy contract missed: residual {worst:.3e} > tol {DEFAULT_TOL:.3e}"
         )
     return u, sigma, vdag

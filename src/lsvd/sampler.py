@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroDiagonalError
+from .errors import LsvdError
 
 #: Shot count used by the bundled experiments.
 DEFAULT_SHOTS = 2**19
@@ -118,7 +118,7 @@ def estimate_populations(result: ShotResult, r: int) -> np.ndarray:
     Raises:
         ValueError: if fewer than r² counts are given, or if no shot
             survived postselection.
-        AllZeroDiagonalError: if postselected shots exist but none landed
+        LsvdError: if postselected shots exist but none landed
             on a diagonal (population) index.
     """
     if len(result.counts) < r * r:
@@ -128,7 +128,7 @@ def estimate_populations(result: ShotResult, r: int) -> np.ndarray:
     raw = np.sqrt(result.counts[: r * r : r + 1] / result.postselected_shots)
     total = raw.sum()
     if total == 0.0:
-        raise AllZeroDiagonalError(
+        raise LsvdError(
             "no counts were observed on any diagonal index; populations are undefined"
         )
     return raw / total

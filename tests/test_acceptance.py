@@ -265,9 +265,9 @@ def test_criterion_8_resource_formulas():
     ok = True
     for d in range(2, 11):
         est = estimate_resources(d)
-        ok = ok and est.diagonal_gates == 2 ** (d + 1)
-        ok = ok and est.unitary_gates_each == (d - 1) ** 2 * 2 ** (2 * d - 2)
-        ok = ok and est.total == d**2 * 2 ** (2 * d - 1)
+        ok = ok and est["diagonal_gates"] == 2 ** (d + 1)
+        ok = ok and est["unitary_gates_each"] == (d - 1) ** 2 * 2 ** (2 * d - 2)
+        ok = ok and est["total"] == d**2 * 2 ** (2 * d - 1)
     report(8, ok, "closed-form gate counts exact for d in 2..10")
 
 

@@ -13,7 +13,7 @@ from lsvd.circuit import (
     estimate_resources,
     run_exact,
 )
-from lsvd.errors import BlockIdentityViolationError, ConvergenceFailureError
+from lsvd.errors import LsvdError
 from lsvd.lindblad import build_superoperator, propagator, vectorize
 from lsvd.models import FMOParams, builtin_model, fmo_model
 
@@ -107,7 +107,7 @@ class TestBuild:
             )
 
         monkeypatch.setattr(np.linalg, "svd", corrupt_svd)
-        with pytest.raises(ConvergenceFailureError):
+        with pytest.raises(LsvdError, match="accuracy contract missed"):
             build_svd_circuit(u * sigma)
 
     def test_branch_average_violation_rejected(self, monkeypatch):
@@ -115,7 +115,7 @@ class TestBuild:
             return _dilate(sigma) + 1e-6
 
         monkeypatch.setattr(lsvd.circuit, "_dilate", off_by_1e_6)
-        with pytest.raises(BlockIdentityViolationError, match="ancilla-0 block"):
+        with pytest.raises(LsvdError, match="ancilla-0 block"):
             build_svd_circuit(np.diag([0.9, 0.5, 0.3, 0.1]))
 
     def test_probe_violation_rejected(self, monkeypatch):
@@ -123,8 +123,23 @@ class TestBuild:
             return apply_circuit(circuit, state) + 1e-6
 
         monkeypatch.setattr(lsvd.circuit, "apply_circuit", off_by_1e_6)
-        with pytest.raises(BlockIdentityViolationError, match="ancilla-0 block"):
+        with pytest.raises(LsvdError, match="ancilla-0 block"):
             build_svd_circuit(np.diag([0.9, 0.5, 0.3, 0.1]))
+
+    @pytest.mark.parametrize(
+        "other",
+        [lambda run: 2.0 * run, lambda run: np.swapaxes(run, -1, -2)],
+        ids=["doubled", "transposed"],
+    )
+    def test_valid_factors_of_another_matrix_rejected(self, rng, monkeypatch, other):
+        # each passes the SVD's own checks; the transpose even has the same
+        # singular values, so only a reference built from the input shows it
+        def factors_of_other(run):
+            return lsvd.numerics.svd(other(run))
+
+        monkeypatch.setattr(lsvd.circuit, "svd", factors_of_other)
+        with pytest.raises(LsvdError, match="ancilla-0 block deviates from the scaled propagator"):
+            build_svd_circuit(rng.normal(size=(3, 3)), rng.normal(size=(2, 2)))
 
 
 class TestBlocks:
@@ -231,7 +246,7 @@ class TestStacked:
             return out
 
         monkeypatch.setattr(lsvd.circuit, "apply_circuit", one_point_off)
-        with pytest.raises(BlockIdentityViolationError, match="ancilla-0 block"):
+        with pytest.raises(LsvdError, match="ancilla-0 block"):
             build_svd_circuit(*random_stack(rng, 4, self.SIZES))
 
     def test_branch_average_violation_at_one_point_rejected(self, rng, monkeypatch):
@@ -243,7 +258,7 @@ class TestStacked:
 
         monkeypatch.setattr(lsvd.circuit, "_dilate", one_point_off)
         build_svd_circuit(*(block[0] for block in random_stack(rng, 4, self.SIZES)))
-        with pytest.raises(BlockIdentityViolationError, match="ancilla-0 block"):
+        with pytest.raises(LsvdError, match="ancilla-0 block"):
             build_svd_circuit(*random_stack(rng, 4, self.SIZES))
 
 
@@ -342,21 +357,27 @@ def test_readme_one_point_by_hand():
 
 class TestResources:
     def test_total_for_six_qubits(self):
-        assert estimate_resources(6).total == 36 * 2**11 == 73728
+        assert estimate_resources(6)["total"] == 36 * 2**11 == 73728
 
     def test_diagonal_for_eight_qubits(self):
-        assert estimate_resources(8).diagonal_gates == 512
+        assert estimate_resources(8)["diagonal_gates"] == 512
 
     def test_smallest_register(self):
-        assert estimate_resources(2).unitary_gates_each == 4
+        assert estimate_resources(2)["unitary_gates_each"] == 4
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_closed_forms(self, d):
         est = estimate_resources(d)
-        assert est.diagonal_gates == 2 ** (d + 1)
-        assert est.unitary_gates_each == (d - 1) ** 2 * 2 ** (2 * d - 2)
-        assert est.total == d**2 * 2 ** (2 * d - 1)
+        assert est["diagonal_gates"] == 2 ** (d + 1)
+        assert est["unitary_gates_each"] == (d - 1) ** 2 * 2 ** (2 * d - 2)
+        assert est["total"] == d**2 * 2 ** (2 * d - 1)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             estimate_resources(1)
+
+    def test_keys_in_table_order(self):
+        # the resources table and the run metadata keep this column order
+        assert list(estimate_resources(3)) == [
+            "qubits", "diagonal_gates", "unitary_gates_each", "total",
+        ]

@@ -66,6 +66,13 @@ class TestRpmCommand:
         assert len(rows) == 21
         assert float(rows[-1][0]) == 180.0
 
+    def test_sweep_grid_stops_at_180_degrees(self, tmp_path):
+        # a step that does not divide 180 must not overshoot it
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--theta-step", "50", "--out", str(out)) == 0
+        _, rows = read_csv(out)
+        assert [float(row[0]) for row in rows] == [0.0, 50.0, 100.0, 150.0]
+
     def test_sweep_writes_rpm_sweep_results_by_default(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run("sweep", "--theta-step", "90") == 0
@@ -359,6 +366,22 @@ class TestOutputContracts:
     def test_bad_theta_step_names_the_flag(self, step, capsys):
         assert run("sweep", "--theta-step", step) == 2
         assert capsys.readouterr().err == "error: --theta-step must be positive\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rpm", "--theta", "200"], "--theta must lie in [0, 180] degrees"),
+            (["rpm", "--theta", "-1"], "--theta must lie in [0, 180] degrees"),
+            (["rpm", "--theta", "nan"], "--theta must lie in [0, 180] degrees"),
+            (["resources", "--qubits", "1"], "--qubits must be at least 2"),
+            (["sweep", "--theta-step", "inf"], "--theta-step must be finite"),
+        ],
+        ids=["theta-200", "theta-negative", "theta-nan", "qubits-1", "theta-step-inf"],
+    )
+    def test_out_of_range_flag_names_the_flag(self, argv, message, tmp_path, capsys):
+        assert run(*argv, "--out", str(tmp_path / "out.json")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("t_end", ["-1", "nan", "inf"])
     def test_bad_sweep_t_end_names_the_flag(self, t_end, capsys):

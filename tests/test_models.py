@@ -245,6 +245,11 @@ class TestThetaSweep:
         assert grid[-1] == pytest.approx(np.pi)
         assert np.rad2deg(grid[1] - grid[0]) == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_step_rejected(self, step):
+        with pytest.raises(ValueError, match="^step_deg must be positive and finite$"):
+            default_theta_grid(step)
+
     def test_strong_dissipation_flattens_the_compass(self):
         thetas = np.deg2rad(np.linspace(0.0, 180.0, 13))
         sweep = theta_sweep(
@@ -273,7 +278,7 @@ class TestThetaSweep:
 
         monkeypatch.setattr(lsvd.models, "rpm_model", no_work)
         monkeypatch.setattr(lsvd.models, "evolve_family", no_work)
-        for thetas in ([4.0], [0.0, np.pi + 1e-10], [0.0, -1e-13]):
+        for thetas in ([4.0], [0.0, np.pi + 1e-10], [0.0, -1e-13], [0.0, np.nan, 1.0]):
             with pytest.raises(ValueError, match="theta must lie"):
                 theta_sweep(RPMParams(), thetas=thetas)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lsvd.errors import ConvergenceFailureError, ToleranceUnachievableError
+from lsvd.errors import LsvdError
 from lsvd.lindblad import build_superoperator
 from lsvd.models import (
     FMO_DEFAULT_T_END,
@@ -82,7 +82,7 @@ class TestExpm:
 
     def test_tolerance_unachievable_reports_residual(self):
         with pytest.raises(
-            ToleranceUnachievableError, match=r"achievable relative residual \d\.\d{3}e\+\d+"
+            LsvdError, match=r"achievable relative residual \d\.\d{3}e\+\d+"
         ):
             expm(np.eye(2) * 1e30)
 
@@ -196,7 +196,7 @@ class TestStackedExpm:
         stack = self.mixed_stack(rng)
         stack[3] *= 1e30
         norm = f"{np.linalg.norm(stack[3], 1):.3e}".replace("+", r"\+")
-        with pytest.raises(ToleranceUnachievableError, match=f"matrix 1-norm {norm} would need"):
+        with pytest.raises(LsvdError, match=f"matrix 1-norm {norm} would need"):
             expm(stack)
 
 
@@ -275,7 +275,7 @@ class TestSvd:
     def test_one_corrupted_matrix_rejected(self, rng, monkeypatch, j):
         stack = rng.normal(size=(4, 6, 6))
         self.perturb_one_matrix(monkeypatch, j, "u", 1.0 + 1e-9)
-        with pytest.raises(ConvergenceFailureError, match="accuracy contract missed"):
+        with pytest.raises(LsvdError, match="accuracy contract missed"):
             svd(stack)
         monkeypatch.undo()
         svd(stack)
@@ -286,7 +286,7 @@ class TestSvd:
         stack = rng.normal(size=(3, 6, 6)) * np.array([1e6, 1e-6, 1.0])[:, None, None]
         self.perturb_one_matrix(monkeypatch, 1, "sigma", 1.0 + 1e-9)
         with pytest.raises(
-            ConvergenceFailureError, match=r"residual 1\.000e-09 > tol 1\.000e-12"
+            LsvdError, match=r"residual 1\.000e-09 > tol 1\.000e-12"
         ):
             svd(stack)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lsvd.circuit import build_svd_circuit, run_exact
-from lsvd.errors import AllZeroDiagonalError
+from lsvd.errors import LsvdError
 from lsvd.lindblad import build_superoperator, propagator, vectorize
 from lsvd.models import FMOParams, fmo_model
 from lsvd.pipeline import classical_evolve
@@ -160,7 +160,7 @@ class TestEstimatePopulations:
     def test_all_zero_diagonal(self):
         counts = np.array([0, 10, 0, 0], dtype=np.int64)
         result = ShotResult(shots=10, counts=counts, postselected_shots=10)
-        with pytest.raises(AllZeroDiagonalError):
+        with pytest.raises(LsvdError, match="no counts were observed on any diagonal index"):
             estimate_populations(result, 2)
 
     def test_fewer_than_r_squared_counts_rejected(self):
