@@ -105,11 +105,14 @@ class SVDCircuit:
 
 def _runs(blocks) -> tuple[np.ndarray, ...]:
     """Stack each run of consecutive equal-size blocks: (..., count, s, s),
-    all in one field (complex if any block is)."""
-    parts = [as_matrix(block, stacked=True) for block in blocks]
-    dtype = np.result_type(*parts)
+    all in one field (complex if any block is), and validate each run once."""
+    parts = [np.asarray(block) for block in blocks]
+    for part in parts:
+        if part.ndim < 2:
+            as_matrix(part)  # raises: a block must be 2-D
+    dtype = np.result_type(np.float64, *parts)
     return tuple(
-        np.stack(list(run), axis=-3, dtype=dtype)
+        as_matrix(np.stack(list(run), axis=-3, dtype=dtype), stacked=True)
         for _, run in itertools.groupby(parts, key=lambda part: part.shape[-2:])
     )
 

@@ -64,6 +64,8 @@ _SWEEP_SUBSTREAMS = (
     "SeedSequence([s mod 2^64, 0]).generate_state(1, uint64)[0] for s = "
     "SeedSequence([seed mod 2^64, orientation-index]).generate_state(1, uint64)[0]"
 )
+# Most orientations one sweep may run, checked before its grid is built.
+_MAX_ORIENTATIONS = 10**6
 
 
 def _load_model_file(path: str) -> LindbladModel:
@@ -188,7 +190,7 @@ def _run_trace(args, command: str, model: LindbladModel, rho0, params: dict) -> 
         [trace.times[i], *trace.populations[i], trace.success_prob[i]]
         for i in range(trace.times.size)
     ]
-    return _write_run(config, model, columns, rows, trace.scales)
+    return _write_run(config, model, columns, rows, trace.scales, working_blocks=trace.working_blocks)
 
 
 def _cmd_fmo(args) -> int:
@@ -249,6 +251,12 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--theta-step must be positive")
     if args.theta_step == np.inf:
         raise ValueError("--theta-step must be finite")
+    count = np.floor(180.0 / args.theta_step + 1e-9) + 1  # default_theta_grid's rule
+    if count > _MAX_ORIENTATIONS:
+        raise ValueError(
+            f"--theta-step {args.theta_step!r} would sweep {count:.4g} orientations "
+            f"(at most {_MAX_ORIENTATIONS})"
+        )
     if not (np.isfinite(args.t_end) and args.t_end >= 0):
         raise ValueError("--t-end must be finite and non-negative")
     base = _rpm_params(args)
@@ -269,7 +277,10 @@ def _cmd_sweep(args) -> int:
         for i in range(result.thetas.size)
     ]
     rng = {"algorithm": RNG_ALGORITHM, "seed": args.seed, "substream_rule": _SWEEP_SUBSTREAMS}
-    return _write_run(config, model, columns, rows, result.scales, t_end=result.t_end, rng=rng)
+    return _write_run(
+        config, model, columns, rows, result.scales,
+        t_end=result.t_end, rng=rng, working_blocks=result.working_blocks,
+    )
 
 
 def _cmd_rpm(args) -> int:

@@ -118,7 +118,8 @@ class PopulationTrace:
     the ancilla-0 weight per time point (the postselected fraction in
     sampled mode, 1.0 for ``classical_evolve``).  ``labels`` names the r
     levels, as the model does.  ``scales`` records the dilation scale
-    factor per time point for circuit-based modes.
+    factor per time point for circuit-based modes, and ``working_blocks``
+    the blocks they ran on (``pipeline._working_basis``).
     """
 
     times: np.ndarray
@@ -126,6 +127,7 @@ class PopulationTrace:
     success_prob: np.ndarray
     labels: tuple[str, ...]
     scales: np.ndarray | None = None
+    working_blocks: dict | None = None
 
 
 def vectorize(rho) -> np.ndarray:

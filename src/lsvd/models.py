@@ -348,6 +348,7 @@ class ThetaSweepResult:
     success_prob: np.ndarray
     scales: np.ndarray
     t_end: float
+    working_blocks: dict | None = None  # as ``PopulationTrace.working_blocks``
 
 
 def theta_sweep(
@@ -388,6 +389,7 @@ def theta_sweep(
         success_prob=trace.success_prob,
         scales=trace.scales,
         t_end=float(t_end),
+        working_blocks=trace.working_blocks,
     )
 
 

@@ -11,30 +11,36 @@ off-diagonal pair, applied by index arithmetic.  The generator is rotated
 once per model, G = T† L T (its imaginary part must be rounding).
 
 The bundled models' G is sparse: its exact-nonzero pattern splits into
-decoupled blocks (rpm's 100 indices into 34, 32, 8, 8, 8, 8, 1 and 1).  A
-permutation P, found once per model, makes each block contiguous, so the
-working basis is T P and P† G P = G_1 ⊕ G_2 ⊕ ….  Since exp(⊕ G_i t) =
-⊕ exp(G_i t) and products of block-diagonal matrices stay block diagonal
-with exact zeros, all propagator and SVD work is real, unpadded and block
-by block; a generator with no such structure is one block.
+decoupled components (rpm's 100 indices into 34, 32, 8, 8, 8, 8, 1 and
+1), and a permutation P makes each contiguous.  An orthogonal Q, found
+once per model, splits each component further along its generator's
+symmetries (``_symmetry_split``), unless that would drop more than
+rounding off the new blocks; rpm's working blocks are then one of 12,
+36 of 2 and 16 of 1.  The working basis is T P Q, so Q^T P† G P Q =
+G_1 ⊕ G_2 ⊕ … and all propagator and SVD work is real, unpadded and
+block by block.  A family of generators keeps its components unsplit.
 
-The real propagator blocks are chained along the ascending grid:
-exp(G_i t_k) = exp(G_i (t_k - t_{k-1})) exp(G_i t_{k-1}), with one
-``expm`` per distinct time gap per block.  Each output time still gets its
-own freshly decomposed circuit implementing the full exp(G t_k), so
-postselection statistics are never compounded.  The circuits are built
+The real propagator is chained along the ascending grid component by
+component, each run of equal-size components stacked: exp(G_i t_k) =
+exp(G_i (t_k - t_{k-1})) exp(G_i t_{k-1}), with one ``expm`` per distinct
+time gap per run.  Q^T exp(G t) Q is taken per point, with its off-block
+rounding dropped, rather than the exponential of the rotated generator,
+whose rounding exp(G t) would amplify by ||G t||.  Each output time still
+gets its own freshly decomposed circuit implementing the full exp(G t_k),
+so postselection statistics are never compounded.  The circuits are built
 and run ``_CHUNK`` consecutive times at once: their propagator blocks are
 stacked along a leading point axis, one ``build_svd_circuit`` call
 decomposes and checks every point of the stack and one ``run_exact`` call
 runs them.  A point's row does not depend on the chunk it falls in.  A
 family of generators at one time, sum_i w_ji G_i per member j (a compass
 sweep's orientations), runs the same way: one partition from the union of
-the anchors' patterns, and one stacked ``expm`` per block per chunk of
-members.
+the anchors' patterns, and one stacked ``expm`` per run of components per
+chunk of members.
 
-The input state enters as P† T† vec(rho0) and T P is applied to the first
-r² ancilla-0 amplitudes of the output, so they are those of the circuit
-for exp(L t_k) with U = (T P U_R) ⊕ I and V† = (V_Rᵀ P† T†) ⊕ I.  Both
+The input state enters as Q^T P† T† vec(rho0) and T P Q is applied to the
+first r² ancilla-0 amplitudes of the output, so they are those of the
+circuit for exp(L t_k) with U = (T P Q U_R) ⊕ I and V† = (V_Rᵀ Q^T P† T†)
+⊕ I.  Both
 readout modes start from those r² amplitudes, as ``run_exact`` returns
 them: exact mode rescales them, sampled mode draws shots from them with
 the discarded ancilla-1 outcome as one extra bucket.  Each chunk is folded
@@ -50,6 +56,8 @@ classical trace, not an independent reference for it.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -76,6 +84,17 @@ _CHUNK = 8
 # Largest imaginary part of T† L T, relative to ||H||_F + sum_i gamma_i
 # ||C_i||_F², that is taken for rounding (random models reach 0.5 eps).
 _REAL_TOL = 1e-13
+
+# Symmetry detection (``_symmetry_split``): the seed of its draws; the
+# relative gap between eigenvalue clusters; the relative size of a zero
+# normal-matrix eigenvalue; the most unknowns of one normal matrix (8 bytes
+# times their square), above which a component is kept whole; and the
+# ridge of the Sylvester pass, whose null directions need no correction.
+_SPLIT_SEED = 0x5117
+_CLUSTER_TOL = 1e-8
+_NULL_TOL = 1e-9
+_MAX_UNKNOWNS = 360
+_RIDGE = 1e-10
 
 
 def qubit_counts(dim: int) -> tuple[int, int]:
@@ -130,19 +149,23 @@ def _from_hermitian_basis(c: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
+def _terms(model: LindbladModel) -> float:
+    """||H||_F + sum_i gamma_i ||C_i||_F², the size of the terms L is summed from."""
+    return np.linalg.norm(model.hamiltonian) + sum(
+        ch.rate * np.linalg.norm(ch.operator) ** 2 for ch in model.channels
+    )
+
+
 def _real_generator(model: LindbladModel) -> np.ndarray:
     """G = T† L T as float64; raises if its imaginary part exceeds rounding.
 
-    Rounding is measured against the size of the terms L is summed from,
-    not against L itself, whose entries can cancel to rounding (a 1-level
-    model's L is nothing else).
+    Rounding is measured against ``_terms``, not against L itself, whose
+    entries can cancel to rounding (a 1-level model's L is nothing else).
     """
     r = model.dim
     rows = _to_hermitian_basis(build_superoperator(model), r)  # T† L
     g = _to_hermitian_basis(rows.conj().T, r).conj().T  # (T† (T† L)†)† = T† L T
-    terms = np.linalg.norm(model.hamiltonian) + sum(
-        ch.rate * np.linalg.norm(ch.operator) ** 2 for ch in model.channels
-    )
+    terms = _terms(model)
     imag = float(np.max(np.abs(g.imag)))
     if imag > _REAL_TOL * terms:
         raise LsvdError(
@@ -178,11 +201,156 @@ def _decoupled_blocks(*generators: np.ndarray) -> list[np.ndarray]:
     return components
 
 
+def _cluster_labels(values: np.ndarray) -> np.ndarray:
+    """Cluster number of each of the ascending ``values``: a cluster ends
+    where the next gap exceeds ``_CLUSTER_TOL`` times the largest value."""
+    return np.cumsum(np.diff(values, prepend=values[0]) > _CLUSTER_TOL * np.abs(values).max())
+
+
+def _normal_matrix(words: np.ndarray, a, b, c, d) -> np.ndarray:
+    """K_ab^T K_cd summed over the ``words`` M, for K_ab the map from the
+    unknowns X[a_p, b_p] to X M - M X, without forming K; the index arrays
+    may carry leading axes, one system per index."""
+    a, b, c, d = a[..., :, None], b[..., :, None], c[..., None, :], d[..., None, :]
+    left, right = (np.add.reduce(x @ np.swapaxes(x, -1, -2)) for x in (words, np.swapaxes(words, -1, -2)))
+    total = (a == c) * left[b, d] + (b == d) * right[a, c]
+    for m in words:
+        total -= m[b, d] * m[a, c] + m[c, a] * m[d, b]
+    return total
+
+
+def _symmetry_split(blocks: list[np.ndarray]):
+    """An orthogonal Q and descending block sizes for which Q^T B Q is block
+    diagonal, up to rounding, for every B of ``blocks``; None when nothing
+    splits.
+
+    The words are the blocks' symmetric and antisymmetric parts, of unit
+    Frobenius norm.  Their commutant commutes with a random symmetric
+    combination of the words and their products, so it is block diagonal in
+    that combination's eigenbasis W, and it is the null space of the
+    commutator's normal matrix on those unknowns (Murota, Kanno, Kojima &
+    Kojima, Japan J. Indust. Appl. Math. 27, 125 (2010)).  The eigenspaces
+    V of a random symmetric null element reduce every word.  One
+    least-squares Sylvester pass per pair of blocks, applied as a Cayley
+    transform, cuts the off-block part of (W V)^T B (W V) to rounding.
+    The draws are seeded, so a model always gets the same basis.
+    """
+    words = np.array([
+        part / np.linalg.norm(part) for g in blocks for part in (g + g.T, g - g.T) if part.any()
+    ])
+    if words.size == 0:
+        return None
+    rng = np.random.default_rng(_SPLIT_SEED)
+    coeffs = rng.normal(size=(len(words) + 1, len(words)))
+    mix = np.tensordot(coeffs[0], words, 1)
+    for c, word in zip(coeffs[1:], words):
+        mix += np.tensordot(c, words, 1) @ word
+    values, w = np.linalg.eigh(mix + mix.T)
+    # symmetric unknowns X[a, b] = X[b, a], a <= b, within each cluster
+    label = _cluster_labels(values)
+    a, b = np.nonzero(np.triu(label[:, None] == label))
+    if a.size > _MAX_UNKNOWNS:
+        return None
+    words = w.T @ words @ w
+    sides = ((a, b), (b, a))
+    normal = sum(_normal_matrix(words, *row, *col) for row in sides for col in sides)
+    values, vectors = np.linalg.eigh(normal)
+    null = vectors[:, values <= _NULL_TOL * values[-1]]
+    element = np.zeros_like(mix)
+    element[a, b] = null @ rng.normal(size=null.shape[1])
+    values, v = np.linalg.eigh(element + element.T)
+    label = _cluster_labels(values)
+    counts = np.bincount(label)
+    sizes = sorted(counts.tolist(), reverse=True)
+    if len(sizes) == 1 or sizes[0] * sizes[1] > _MAX_UNKNOWNS:
+        return None
+    order = np.argsort(-counts[label], kind="stable")  # largest clusters first
+    v, label = v[:, order], label[order]
+
+    # Z of X M - M X = M_off, the words' off-block part, on each pair's
+    # unknowns; Z is skew and exp(Z) ~ cayley(Z) zeroes M_off to first order
+    words = v.T @ words @ v
+    off = np.where(label[:, None] != label, words, 0.0)
+    target = sum(o @ m.T - m.T @ o for o, m in zip(off, words))
+    starts, size = np.cumsum([0, *sizes]), np.array(sizes)
+    first, second = np.triu_indices(len(sizes), 1)
+    z = np.zeros_like(mix)
+    for si, sj in sorted(set(zip(size[first], size[second]))):
+        pick = (size[first] == si) & (size[second] == sj)
+        rows = starts[first[pick], None] + np.repeat(np.arange(si), sj)
+        cols = starts[second[pick], None] + np.tile(np.arange(sj), si)
+        normal = _normal_matrix(words, rows, cols, rows, cols) + _RIDGE * np.eye(si * sj)
+        z[rows, cols] = np.linalg.solve(normal, target[rows, cols][..., None])[..., 0]
+    z -= z.T
+    eye = np.eye(len(z))
+    return w @ v @ np.linalg.solve(eye - z / 2, eye + z / 2), sizes
+
+
+def _working_basis(generators: list[np.ndarray], terms: list[float], split: bool = True):
+    """The working basis T P Q of one model's generator, or of a family's
+    anchors, as ``(runs, (basis, rotate, record))``.
+
+    P makes each of ``_decoupled_blocks``' components contiguous.  With
+    ``split``, Q splits a component along ``_symmetry_split`` unless an
+    entry it drops off the new blocks exceeds the rounding
+    ``_real_generator`` allows (``_REAL_TOL`` times its generator's
+    ``terms``); elsewhere Q is the identity.  ``basis`` is P as an index
+    permutation when nothing splits, else the dense P Q, blocks ordered by
+    size, largest first.  ``runs[i]`` stacks generator i's equal-size
+    components ``(count, m, m)`` for ``propagator``; ``rotate``
+    maps such runs of propagators to the blocks of Q^T exp(G t) Q.  The
+    propagator is rotated, not the generator: exp(G t) would amplify the
+    rounding of a rotated G by ||G t||.  ``record`` lists the runs of
+    blocks as ``[size, count]`` and the largest dropped entry over its
+    generator's terms.
+    """
+    components = _decoupled_blocks(*generators)
+    rotations, spans, worst = [], [], 0.0
+    for index, c in enumerate(components):
+        parts = [g[np.ix_(c, c)] for g in generators]
+        q, sizes = (split and c.size > 1 and _symmetry_split(parts)) or (None, [c.size])
+        if q is not None:
+            label = np.repeat(np.arange(len(sizes)), sizes)
+            off = label[:, None] != label
+            dropped = max(np.abs((q.T @ p @ q)[off]).max() / t for p, t in zip(parts, terms))
+            if dropped <= _REAL_TOL:
+                worst = max(worst, dropped)
+            else:
+                q, sizes = None, [c.size]
+        rotations.append(q)
+        ends = itertools.accumulate(sizes)
+        spans += [(index, slice(end - size, end)) for end, size in zip(ends, sizes)]
+    spans.sort(key=lambda span: span[1].start - span[1].stop)  # stable: largest first
+    runs = [
+        [np.array([g[np.ix_(c, c)] for c in run]) for _, run in itertools.groupby(components, len)]
+        for g in generators
+    ]
+
+    def rotate(props: list[np.ndarray]) -> list[np.ndarray]:
+        each = [run[..., j, :, :] for run in props for j in range(run.shape[-3])]
+        each = [m if q is None else q.T @ m @ q for m, q in zip(each, rotations)]
+        return [each[index][..., span, span] for index, span in spans]
+
+    widths = [span.stop - span.start for _, span in spans]
+    record = {
+        "block_runs": [[size, len(list(run))] for size, run in itertools.groupby(widths)],
+        "max_dropped_over_terms": float(worst),
+    }
+    if all(q is None for q in rotations):
+        return runs, (np.concatenate(components), rotate, record)
+    basis = np.zeros((generators[0].shape[0],) * 2)
+    for (index, span), end, width in zip(spans, itertools.accumulate(widths), widths):
+        q = np.eye(components[index].size) if rotations[index] is None else rotations[index]
+        basis[components[index], end - width : end] = q[:, span]
+    return runs, (basis, rotate, record)
+
+
 def _propagators(blocks: list[np.ndarray], grid: np.ndarray):
     """Yield the blocks of exp(G t) for each time of the ascending ``grid``.
 
     ``blocks`` are the diagonal blocks of a block-diagonal generator, whose
-    propagator is the direct sum of the blocks' own.  The first time is
+    propagator is the direct sum of the blocks' own; each may be a run of
+    equal-size blocks stacked ``(count, s, s)``.  The first time is
     evaluated fresh; every later one is ``step @ previous`` block by block,
     with ``step = exp(G_i gap)`` for the float gap to the previous time
     (exact whenever neighbours lie within a factor of two), so the chain
@@ -219,10 +387,11 @@ def _chunks(propagators, size: int):
         yield [np.array(stack) for stack in zip(*points)]
 
 
-def _run_chunks(chunks, components, rho0, times, labels, mode, shots, seeds):
-    """Decompose, run and read out each chunk of stacked propagator blocks
-    (in the working basis of ``components``) in order, one row per entry
-    of ``times``; sampled points take their substreams from ``seeds`` in
+def _run_chunks(chunks, working, rho0, times, labels, mode, shots, seeds):
+    """Decompose, run and read out each chunk of stacked propagator runs
+    ``(points, count, m, m)`` in order, one row per entry of ``times``, in
+    the working basis ``working`` from ``_working_basis``, whose record the
+    trace keeps; sampled points take their substreams from ``seeds`` in
     order.  ``chunks`` is consumed only once ``mode``, ``shots`` and
     ``rho0`` pass."""
     if mode not in ("exact", "sampled"):
@@ -233,15 +402,20 @@ def _run_chunks(chunks, components, rho0, times, labels, mode, shots, seeds):
     r = len(labels)
     v0 = _vec_rho0(rho0, r)
     input_norm = float(np.linalg.norm(v0))
-    order = np.concatenate(components)
+    basis, rotate, record = working
+    permuted = basis.ndim == 1
+    coords = _to_hermitian_basis(v0, r)
     state = np.zeros(2 * padded_dimension(r * r), dtype=np.complex128)
-    state[: r * r] = _to_hermitian_basis(v0, r)[order] / input_norm
+    state[: r * r] = (coords[basis] if permuted else basis.T @ coords) / input_norm
 
     def run_chunk(chunk: list[np.ndarray]):
-        circ = build_svd_circuit(*chunk)
+        circ = build_svd_circuit(*rotate(chunk))
         conditioned, success = run_exact(circ, state)
-        coords = np.empty((r * r, conditioned.shape[0]), dtype=np.complex128)
-        coords[order] = conditioned[:, : r * r].T
+        if permuted:
+            coords = np.empty((r * r, conditioned.shape[0]), dtype=np.complex128)
+            coords[basis] = conditioned[:, : r * r].T
+        else:  # point by point, so that a row does not depend on its chunk
+            coords = (basis @ conditioned[:, : r * r, None])[..., 0].T
         vecs = _from_hermitian_basis(coords, r).T  # one row vec(rho) per point
         if mode == "exact":
             vecs *= (circ.scale * input_norm)[:, None]
@@ -254,7 +428,7 @@ def _run_chunks(chunks, components, rho0, times, labels, mode, shots, seeds):
 
     columns = zip(*map(run_chunk, chunks))
     populations, success, scales = (np.concatenate(column, dtype=float) for column in columns)
-    return PopulationTrace(times, populations, success, labels, scales)
+    return PopulationTrace(times, populations, success, labels, scales, record)
 
 
 def classical_evolve(model: LindbladModel, rho0, times) -> PopulationTrace:
@@ -310,12 +484,10 @@ def quantum_evolve(
     and estimates populations from the surviving counts.
     """
     grid = _validated_times(times)
-    generator = _real_generator(model)
-    components = _decoupled_blocks(generator)
-    blocks = [generator[np.ix_(c, c)] for c in components]
-    chunks = _chunks(_propagators(blocks, grid), _CHUNK)
+    (runs,), working = _working_basis([_real_generator(model)], [_terms(model)])
+    chunks = _chunks(_propagators(runs, grid), _CHUNK)
     seeds = (substream_seed(seed, i) for i in range(grid.size))
-    return _run_chunks(chunks, components, rho0, grid, model.labels, mode, shots, seeds)
+    return _run_chunks(chunks, working, rho0, grid, model.labels, mode, shots, seeds)
 
 
 def evolve_family(anchors, weights, rho0, t, mode="exact", shots=DEFAULT_SHOTS, seed=0):
@@ -337,19 +509,22 @@ def evolve_family(anchors, weights, rho0, t, mode="exact", shots=DEFAULT_SHOTS, 
         raise ValueError(f"weights has shape {w.shape}, expected (>= 1, {len(anchors)})")
     grid = _validated_times(np.full(w.shape[0], t))
     generators = [_real_generator(anchor) for anchor in anchors]
-    components = _decoupled_blocks(*generators)
-    anchor_blocks = [[g[np.ix_(c, c)] for g in generators] for c in components]
+    # unsplit, so that a row rounds as the one-point run of its member does,
+    # which would split along symmetries of its own
+    anchor_runs, working = _working_basis(
+        generators, [_terms(anchor) for anchor in anchors], split=False
+    )
 
     def propagators(rows: np.ndarray) -> list[np.ndarray]:
         stacks = []
-        for blocks in anchor_blocks:
+        for runs in zip(*anchor_runs):
             # term by term, so that a row's sum is the same in any chunk
-            stack = rows[:, 0, None, None] * blocks[0]
-            for weight, block in zip(rows.T[1:], blocks[1:]):
-                stack += weight[:, None, None] * block
+            stack = rows[:, 0, None, None, None] * runs[0]
+            for weight, run in zip(rows.T[1:], runs[1:]):
+                stack += weight[:, None, None, None] * run
             stacks.append(propagator(stack, grid[0]))
         return stacks
 
     chunks = (propagators(w[first : first + _CHUNK]) for first in range(0, grid.size, _CHUNK))
     seeds = (substream_seed(substream_seed(seed, j), 0) for j in range(grid.size))
-    return _run_chunks(chunks, components, rho0, grid, anchors[0].labels, mode, shots, seeds)
+    return _run_chunks(chunks, working, rho0, grid, anchors[0].labels, mode, shots, seeds)

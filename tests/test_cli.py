@@ -368,6 +368,24 @@ class TestOutputContracts:
         assert capsys.readouterr().err == "error: --theta-step must be positive\n"
 
     @pytest.mark.parametrize(
+        "step, count", [("1e-05", "1.8e+07"), ("1e-300", "1.8e+302")], ids=["1e-5", "1e-300"]
+    )
+    def test_theta_step_beyond_the_orientation_cap_is_refused_before_the_grid(
+        self, step, count, monkeypatch, tmp_path, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep's grid was built")
+
+        monkeypatch.setattr(lsvd.cli, "default_theta_grid", never)
+        monkeypatch.setattr(lsvd.cli, "theta_sweep", never)
+        assert run("sweep", "--theta-step", step, "--out", str(tmp_path / "s.csv")) == 2
+        assert capsys.readouterr().err == (
+            f"error: --theta-step {float(step)!r} would sweep {count} orientations "
+            f"(at most 1000000)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["rpm", "--theta", "200"], "--theta must lie in [0, 180] degrees"),

@@ -10,7 +10,7 @@ import lsvd.circuit
 import lsvd.pipeline
 from lsvd.errors import LsvdError
 from lsvd.lindblad import Channel, LindbladModel, build_superoperator
-from lsvd.models import builtin_model
+from lsvd.models import RPMParams, builtin_model, rpm_model
 from lsvd.pipeline import classical_evolve, quantum_evolve, qubit_counts
 
 from conftest import (
@@ -325,9 +325,9 @@ class TestHermitianBasis:
         np.testing.assert_allclose(quantum.populations, reference, atol=1e-10, rtol=0)
 
     def test_rpm_grid_sends_real_unpadded_matrices_to_the_svd(self, monkeypatch):
-        # one stacked float64 SVD per run of equal-size blocks of G per chunk
-        # of at most _CHUNK points, and one propagator per distinct gap per
-        # block
+        # one stacked float64 SVD per run of equal-size blocks of the split
+        # working basis per chunk of at most _CHUNK points, and one
+        # propagator per distinct gap per run of equal-size components
         svd_inputs = []
         real_svd = lsvd.circuit.svd
 
@@ -346,7 +346,7 @@ class TestHermitianBasis:
         monkeypatch.setattr(lsvd.pipeline, "propagator", counting_propagator)
         model, rho0 = builtin_model("rpm")
         quantum_evolve(model, rho0, RPM_GRID)
-        runs = [(1, 34), (1, 32), (4, 8), (2, 1)]  # (count, size) of rpm's blocks
+        runs = [(1, 12), (36, 2), (16, 1)]  # (count, size) of rpm's working blocks
         assert len(svd_inputs) == 72 * len(runs)
         chunks = [svd_inputs[i : i + len(runs)] for i in range(0, len(svd_inputs), len(runs))]
         for chunk in chunks:
@@ -355,8 +355,105 @@ class TestHermitianBasis:
             expected = [(np.dtype(np.float64), (points, count, s, s)) for count, s in runs]
             assert chunk == expected
         assert sum(chunk[0][1][0] for chunk in chunks) == 572
-        assert sum(np.prod(shape[:-2]) for _, shape in svd_inputs) == 4576
-        assert len(propagator_calls) == 12 * 8
+        assert sum(np.prod(shape[:-2]) for _, shape in svd_inputs) == 572 * 53
+        assert len(propagator_calls) == 12 * 4  # components 34, 32, 4 x 8, 2 x 1
+
+
+def _sweep_anchors():
+    return [rpm_model(RPMParams(theta=theta))[0] for theta in (0.0, np.pi, np.pi / 2)]
+
+
+def _split_cases():
+    """(name, generators, terms) for each bundled model that splits, and for
+    the sweep family's three anchors jointly."""
+    cases = []
+    for name in ("rpm", "rpm-dissipative"):
+        model, _ = builtin_model(name)
+        cases.append((name, [lsvd.pipeline._real_generator(model)], [lsvd.pipeline._terms(model)]))
+    anchors = _sweep_anchors()
+    generators = [lsvd.pipeline._real_generator(anchor) for anchor in anchors]
+    cases.append(("family", generators, [lsvd.pipeline._terms(anchor) for anchor in anchors]))
+    return cases
+
+
+class TestSymmetrySplit:
+    """Each decoupled component is split along its generators' symmetries by
+    an orthogonal Q, and kept whole when the entries Q drops exceed the
+    rounding ``_real_generator`` allows."""
+
+    # block sizes of each component of at least two indices, largest first
+    SPLITS = {
+        "rpm": [[12] + [2] * 8 + [1] * 6, [2] * 12 + [1] * 8] + [[2] * 4] * 4,
+        "rpm-dissipative": [[12] + [2] * 8 + [1] * 6, [6, 6, 3, 3, 3, 3, 2, 2, 1, 1, 1, 1]]
+        + [[2] * 4] * 4,
+        "family": [[21, 3, 3, 3, 3, 1], [12, 12, 4, 4]] + [[4, 4]] * 4,
+    }
+
+    @pytest.mark.parametrize("name, generators, terms", _split_cases(), ids=["rpm", "rpm-dissipative", "family"])
+    def test_q_is_orthogonal_and_drops_only_rounding(self, name, generators, terms):
+        splits = []
+        for c in lsvd.pipeline._decoupled_blocks(*generators):
+            if c.size < 2:
+                continue
+            blocks = [g[np.ix_(c, c)] for g in generators]
+            q, sizes = lsvd.pipeline._symmetry_split(blocks)
+            splits.append(sizes)
+            np.testing.assert_allclose(q.T @ q, np.eye(c.size), rtol=0, atol=1e-14)
+            label = np.repeat(np.arange(len(sizes)), sizes)
+            for block, size in zip(blocks, terms):
+                dropped = (q.T @ block @ q)[label[:, None] != label]
+                assert np.abs(dropped).max() <= lsvd.pipeline._REAL_TOL * size
+        assert splits == self.SPLITS[name]
+
+    def test_rpm_runs_and_record(self):
+        model, _ = builtin_model("rpm")
+        generator = lsvd.pipeline._real_generator(model)
+        (runs,), (basis, _, record) = lsvd.pipeline._working_basis(
+            [generator], [lsvd.pipeline._terms(model)]
+        )
+        np.testing.assert_allclose(basis.T @ basis, np.eye(100), rtol=0, atol=1e-14)
+        assert [run.shape for run in runs] == [(1, 34, 34), (1, 32, 32), (4, 8, 8), (2, 1, 1)]
+        assert record["block_runs"] == [[12, 1], [2, 36], [1, 16]]
+        assert 0 < record["max_dropped_over_terms"] <= lsvd.pipeline._REAL_TOL
+
+    def test_broken_symmetry_falls_back_to_whole_components(self):
+        # one Hamiltonian element and its mirror, 1e-6 of the largest entry
+        # off: the detection still finds a near split of the 32 component,
+        # which the gate refuses
+        model, rho0 = builtin_model("rpm")
+        h = model.hamiltonian.copy()
+        h[4, 6] += 1e-6 * np.abs(h).max()
+        h[6, 4] = h[4, 6].conj()
+        model = LindbladModel(h, model.channels, model.labels, model.time_unit)
+        generator = lsvd.pipeline._real_generator(model)
+        component = lsvd.pipeline._decoupled_blocks(generator)[1]
+        block = generator[np.ix_(component, component)]
+        q, sizes = lsvd.pipeline._symmetry_split([block])
+        label = np.repeat(np.arange(len(sizes)), sizes)
+        dropped = np.abs((q.T @ block @ q)[label[:, None] != label]).max()
+        assert dropped > 1e3 * lsvd.pipeline._REAL_TOL * lsvd.pipeline._terms(model)
+        grid = RPM_GRID[::40]
+        trace = quantum_evolve(model, rho0, grid)
+        assert [component.size, 1] in trace.working_blocks["block_runs"]  # kept whole
+        reference = reference_populations(model, rho0, grid)
+        np.testing.assert_allclose(trace.populations, reference, atol=1e-10, rtol=0)
+
+    def test_two_runs_are_bitwise_equal(self):
+        model, rho0 = builtin_model("rpm")
+        first, second = (quantum_evolve(model, rho0, RPM_GRID[:40]) for _ in range(2))
+        assert first.populations.tobytes() == second.populations.tobytes()
+        assert first.working_blocks == second.working_blocks
+
+    def test_family_keeps_its_components(self):
+        # a member's own split would round its row differently from the
+        # one-point run of that member
+        _, rho0 = rpm_model(RPMParams())
+        weights = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        trace = lsvd.pipeline.evolve_family(_sweep_anchors(), weights, rho0, 1.0)
+        assert trace.working_blocks == {
+            "block_runs": [[34, 1], [32, 1], [8, 4], [1, 2]],
+            "max_dropped_over_terms": 0.0,
+        }
 
 
 class TestChunks:
