@@ -14,6 +14,7 @@ from lsvd.models import RPMParams, builtin_model, rpm_model
 from lsvd.pipeline import classical_evolve, quantum_evolve, qubit_counts
 
 from conftest import (
+    random_complex,
     random_density,
     random_hermitian,
     random_model,
@@ -436,6 +437,26 @@ class TestSymmetrySplit:
         trace = quantum_evolve(model, rho0, grid)
         assert [component.size, 1] in trace.working_blocks["block_runs"]  # kept whole
         reference = reference_populations(model, rho0, grid)
+        np.testing.assert_allclose(trace.populations, reference, atol=1e-10, rtol=0)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(r=st.integers(3, 4), seed=st.integers(0, 2**32 - 1))
+    def test_swap_symmetric_random_models_split_and_match_oracle(self, r, seed):
+        # H and the channel set are invariant under swapping levels 1 and 2,
+        # so vec(rho) splits into the swap-even and swap-odd subspaces
+        rng = np.random.default_rng(seed)
+        swap = np.eye(r)[[0, 2, 1, *range(3, r)]]
+        h = random_hermitian(rng, r)
+        channels = []
+        for _ in range(2):
+            operator, rate = random_complex(rng, r), float(rng.uniform(0.1, 1.0))
+            channels += [Channel(operator, rate), Channel(swap @ operator @ swap, rate)]
+        model = LindbladModel((h + swap @ h @ swap) / 2, tuple(channels))
+        rho0 = random_density(rng, r)
+        trace = quantum_evolve(model, rho0, IRREGULAR_GRID)
+        even = (r - 2) ** 2 + 2 * r - 2  # pairs (i, j) the swap fixes, plus its 2-cycles
+        assert trace.working_blocks["block_runs"] == [[even, 1], [r * r - even, 1]]
+        reference = reference_populations(model, rho0, IRREGULAR_GRID)
         np.testing.assert_allclose(trace.populations, reference, atol=1e-10, rtol=0)
 
     def test_two_runs_are_bitwise_equal(self):
