@@ -501,6 +501,20 @@ class TestChunks:
         for length in range(1, times.size):
             assert rows(quantum_evolve(model, rho0, times[:length], **kwargs)) == full[:length]
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_split_working_basis_rows_do_not_depend_on_the_chunk(self, monkeypatch, mode, chunk):
+        # rpm's working basis is rotated, not permuted, on the way out
+        model, rho0 = builtin_model("rpm")
+        kwargs = {"mode": mode, "shots": 512, "seed": 3}
+
+        def rows(trace):
+            return np.concatenate([trace.populations.T, [trace.success_prob, trace.scales]]).tobytes()
+
+        full = quantum_evolve(model, rho0, RPM_GRID[:11], **kwargs)
+        monkeypatch.setattr(lsvd.pipeline, "_CHUNK", chunk)
+        assert rows(quantum_evolve(model, rho0, RPM_GRID[:11], **kwargs)) == rows(full)
+
     def test_each_chunk_makes_one_circuit(self, monkeypatch):
         calls = []
         real_build = lsvd.pipeline.build_svd_circuit
