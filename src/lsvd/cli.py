@@ -190,7 +190,9 @@ def _run_trace(args, command: str, model: LindbladModel, rho0, params: dict) -> 
         [trace.times[i], *trace.populations[i], trace.success_prob[i]]
         for i in range(trace.times.size)
     ]
-    return _write_run(config, model, columns, rows, trace.scales, working_blocks=trace.working_blocks)
+    return _write_run(
+        config, model, columns, rows, trace.scales, working_blocks=trace.working_blocks
+    )
 
 
 def _cmd_fmo(args) -> int:

@@ -212,7 +212,8 @@ def _normal_matrix(words: np.ndarray, a, b, c, d) -> np.ndarray:
     unknowns X[a_p, b_p] to X M - M X, without forming K; the index arrays
     may carry leading axes, one system per index."""
     a, b, c, d = a[..., :, None], b[..., :, None], c[..., None, :], d[..., None, :]
-    left, right = (np.add.reduce(x @ np.swapaxes(x, -1, -2)) for x in (words, np.swapaxes(words, -1, -2)))
+    transposed = np.swapaxes(words, -1, -2)
+    left, right = np.add.reduce(words @ transposed), np.add.reduce(transposed @ words)
     total = (a == c) * left[b, d] + (b == d) * right[a, c]
     for m in words:
         total -= m[b, d] * m[a, c] + m[c, a] * m[d, b]
