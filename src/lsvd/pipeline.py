@@ -24,30 +24,30 @@ The real propagator is chained along the ascending grid component by
 component, each run of equal-size components stacked: exp(G_i t_k) =
 exp(G_i (t_k - t_{k-1})) exp(G_i t_{k-1}), with one ``expm`` per distinct
 time gap per run.  Q^T exp(G t) Q is taken per point, with its off-block
-rounding dropped, rather than the exponential of the rotated generator,
-whose rounding exp(G t) would amplify by ||G t||.  Each output time still
-gets its own freshly decomposed circuit implementing the full exp(G t_k),
-so postselection statistics are never compounded.  The circuits are built
-and run ``_CHUNK`` consecutive times at once: their propagator blocks are
-stacked along a leading point axis, one ``build_svd_circuit`` call
-decomposes and checks every point of the stack and one ``run_exact`` call
-runs them.  A point's row does not depend on the chunk it falls in.  A
-family of generators at one time, sum_i w_ji G_i per member j (a compass
-sweep's orientations), runs the same way: one partition from the union of
-the anchors' patterns, and one stacked ``expm`` per run of components per
-chunk of members.
+rounding dropped and checked, rather than the exponential of the rotated
+generator, whose rounding exp(G t) would amplify by ||G t||.  Each output
+time still gets its own freshly decomposed circuit implementing the full
+exp(G t_k), so postselection statistics are never compounded.  The
+circuits are built and run ``_CHUNK`` consecutive times at once: their
+propagator blocks are stacked along a leading point axis, one
+``build_svd_circuit`` call decomposes and checks every point of the stack
+and one ``run_exact`` call runs them.  A point's row does not depend on
+the chunk it falls in.  A family of generators at one time, sum_i w_ji G_i
+per member j (a compass sweep's orientations), runs the same way: one
+partition from the union of the anchors' patterns, and one stacked
+``expm`` per run of components per chunk of members.
 
 The input state enters as Q^T P† T† vec(rho0) and T P Q is applied to the
 first r² ancilla-0 amplitudes of the output, so they are those of the
-circuit for exp(L t_k) with U = (T P Q U_R) ⊕ I and V† = (V_Rᵀ Q^T P† T†)
-⊕ I.  Both
-readout modes start from those r² amplitudes, as ``run_exact`` returns
-them: exact mode rescales them, sampled mode draws shots from them with
-the discarded ancilla-1 outcome as one extra bucket.  Each chunk is folded
-into its table rows as soon as its circuits have run and is released
-before the next one is stacked, so memory holds one chunk at a time
-however long the grid.  Chunks run serially, in the order of the grid or
-of the family; sampling substreams are keyed by seed and point index.
+circuit for exp(L t_k) with U = (T P Q U_R) ⊕ I and
+V† = (V_Rᵀ Q^T P† T†) ⊕ I.  Both readout modes start from those r²
+amplitudes, as ``run_exact`` returns them: exact mode rescales them,
+sampled mode draws shots from them with the discarded ancilla-1 outcome as
+one extra bucket.  Each chunk is folded into its table rows as soon as its
+circuits have run and is released before the next one is stacked, so
+memory holds one chunk at a time however long the grid.  Chunks run
+serially, in the order of the grid or of the family; sampling substreams
+are keyed by seed and point index.
 
 ``classical_evolve`` runs the same chain on the plain column-stacked L, as
 one block, with no Hermitian basis and no circuit.  It shares the
@@ -71,7 +71,7 @@ from .lindblad import (
     propagator,
     vectorize,
 )
-from .numerics import as_matrix
+from .numerics import DEFAULT_TOL, as_matrix
 from .sampler import DEFAULT_SHOTS, estimate_populations, sample, substream_seed
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -95,6 +95,12 @@ _CLUSTER_TOL = 1e-8
 _NULL_TOL = 1e-9
 _MAX_UNKNOWNS = 360
 _RIDGE = 1e-10
+
+# Largest entry a split may drop off a component of G, relative to the
+# terms L is summed from: a few ulps, the rounding G itself carries
+# (the bundled models drop at most 4.7e-16).  exp(G t) amplifies what is
+# dropped by up to ||G t||, as it does G's own rounding.
+_SPLIT_TOL = 1e-15
 
 
 def qubit_counts(dim: int) -> tuple[int, int]:
@@ -220,24 +226,24 @@ def _normal_matrix(words: np.ndarray, a, b, c, d) -> np.ndarray:
     return total
 
 
-def _symmetry_split(blocks: list[np.ndarray]):
+def _symmetry_split(block: np.ndarray):
     """An orthogonal Q and descending block sizes for which Q^T B Q is block
-    diagonal, up to rounding, for every B of ``blocks``; None when nothing
+    diagonal, up to rounding, for the square ``block`` B; None when nothing
     splits.
 
-    The words are the blocks' symmetric and antisymmetric parts, of unit
-    Frobenius norm.  Their commutant commutes with a random symmetric
-    combination of the words and their products, so it is block diagonal in
-    that combination's eigenbasis W, and it is the null space of the
+    The words are B's symmetric and antisymmetric parts, of unit Frobenius
+    norm.  Their commutant commutes with a random symmetric combination of
+    the words and their products, so it is block diagonal in that
+    combination's eigenbasis W, and it is the null space of the
     commutator's normal matrix on those unknowns (Murota, Kanno, Kojima &
     Kojima, Japan J. Indust. Appl. Math. 27, 125 (2010)).  The eigenspaces
-    V of a random symmetric null element reduce every word.  One
+    V of a random symmetric null element reduce both words.  One
     least-squares Sylvester pass per pair of blocks, applied as a Cayley
     transform, cuts the off-block part of (W V)^T B (W V) to rounding.
     The draws are seeded, so a model always gets the same basis.
     """
     words = np.array([
-        part / np.linalg.norm(part) for g in blocks for part in (g + g.T, g - g.T) if part.any()
+        part / np.linalg.norm(part) for part in (block + block.T, block - block.T) if part.any()
     ])
     if words.size == 0:
         return None
@@ -287,38 +293,39 @@ def _symmetry_split(blocks: list[np.ndarray]):
     return w @ v @ np.linalg.solve(eye - z / 2, eye + z / 2), sizes
 
 
-def _working_basis(generators: list[np.ndarray], terms: list[float], split: bool = True):
+def _working_basis(models: list[LindbladModel]):
     """The working basis T P Q of one model's generator, or of a family's
     anchors, as ``(runs, (basis, rotate, record))``.
 
-    P makes each of ``_decoupled_blocks``' components contiguous.  With
-    ``split``, Q splits a component along ``_symmetry_split`` unless an
-    entry it drops off the new blocks exceeds the rounding
-    ``_real_generator`` allows (``_REAL_TOL`` times its generator's
-    ``terms``); elsewhere Q is the identity.  ``basis`` is P as an index
-    permutation when nothing splits, else the dense P Q, blocks ordered by
-    size, largest first.  ``runs[i]`` stacks generator i's equal-size
-    components ``(count, m, m)`` for ``propagator``; ``rotate``
-    maps such runs of propagators to the blocks of Q^T exp(G t) Q.  The
-    propagator is rotated, not the generator: exp(G t) would amplify the
-    rounding of a rotated G by ||G t||.  ``record`` lists the runs of
-    blocks as ``[size, count]`` and the largest dropped entry over its
-    generator's terms.
+    P makes each of ``_decoupled_blocks``' components contiguous.  Q
+    splits a single model's component along ``_symmetry_split`` unless an
+    entry it drops off the new blocks exceeds ``_SPLIT_TOL`` times
+    ``_terms``; elsewhere, and for every component of a family, Q is the
+    identity.  ``basis`` is the dense P Q, blocks ordered by size, largest
+    first.  ``runs[i]`` stacks generator i's equal-size components
+    ``(count, m, m)`` for ``propagator``; ``rotate`` maps such runs of
+    propagators to the blocks of Q^T exp(G t) Q.  The propagator is
+    rotated, not the generator: exp(G t) would amplify the rounding of a
+    rotated G by ||G t||.  It amplifies what the split drops all the same,
+    so ``rotate`` raises if an entry it drops off a propagator exceeds
+    ``DEFAULT_TOL``, the accuracy ``expm`` promises relative to the whole
+    propagator, whose norm is at least one (it keeps the trace).
+    ``record`` lists the runs of blocks as ``[size, count]`` and the
+    largest entry dropped off the generator over its terms.
     """
+    generators = [_real_generator(model) for model in models]
     components = _decoupled_blocks(*generators)
-    rotations, spans, worst = [], [], 0.0
+    rotations, spans, worst = {}, [], 0.0  # rotations: index -> (Q, off-block mask)
     for index, c in enumerate(components):
-        parts = [g[np.ix_(c, c)] for g in generators]
-        q, sizes = (split and c.size > 1 and _symmetry_split(parts)) or (None, [c.size])
-        if q is not None:
-            label = np.repeat(np.arange(len(sizes)), sizes)
+        sizes, block = [c.size], generators[0][np.ix_(c, c)]
+        found = len(models) == 1 and c.size > 1 and _symmetry_split(block)
+        if found:
+            label = np.repeat(np.arange(len(found[1])), found[1])
             off = label[:, None] != label
-            dropped = max(np.abs((q.T @ p @ q)[off]).max() / t for p, t in zip(parts, terms))
-            if dropped <= _REAL_TOL:
-                worst = max(worst, dropped)
-            else:
-                q, sizes = None, [c.size]
-        rotations.append(q)
+            dropped = np.abs((found[0].T @ block @ found[0])[off]).max()
+            if dropped <= _SPLIT_TOL * _terms(models[0]):
+                rotations[index], sizes = (found[0], off), found[1]
+                worst = max(worst, dropped / _terms(models[0]))
         ends = itertools.accumulate(sizes)
         spans += [(index, slice(end - size, end)) for end, size in zip(ends, sizes)]
     spans.sort(key=lambda span: span[1].start - span[1].stop)  # stable: largest first
@@ -329,20 +336,25 @@ def _working_basis(generators: list[np.ndarray], terms: list[float], split: bool
 
     def rotate(props: list[np.ndarray]) -> list[np.ndarray]:
         each = [run[..., j, :, :] for run in props for j in range(run.shape[-3])]
-        each = [m if q is None else q.T @ m @ q for m, q in zip(each, rotations)]
+        for index, (q, off) in rotations.items():
+            each[index] = q.T @ each[index] @ q
+            dropped = np.abs(each[index][..., off]).max()
+            if dropped > DEFAULT_TOL:
+                raise LsvdError(
+                    f"symmetry split drops {dropped:.3e} of a propagator, more than "
+                    f"{DEFAULT_TOL:.0e}: the generator is only nearly symmetric"
+                )
         return [each[index][..., span, span] for index, span in spans]
 
     widths = [span.stop - span.start for _, span in spans]
+    basis = np.zeros((generators[0].shape[0],) * 2)
+    for (index, span), end, width in zip(spans, itertools.accumulate(widths), widths):
+        q = rotations[index][0] if index in rotations else np.eye(components[index].size)
+        basis[components[index], end - width : end] = q[:, span]
     record = {
         "block_runs": [[size, len(list(run))] for size, run in itertools.groupby(widths)],
         "max_dropped_over_terms": float(worst),
     }
-    if all(q is None for q in rotations):
-        return runs, (np.concatenate(components), rotate, record)
-    basis = np.zeros((generators[0].shape[0],) * 2)
-    for (index, span), end, width in zip(spans, itertools.accumulate(widths), widths):
-        q = np.eye(components[index].size) if rotations[index] is None else rotations[index]
-        basis[components[index], end - width : end] = q[:, span]
     return runs, (basis, rotate, record)
 
 
@@ -404,19 +416,14 @@ def _run_chunks(chunks, working, rho0, times, labels, mode, shots, seeds):
     v0 = _vec_rho0(rho0, r)
     input_norm = float(np.linalg.norm(v0))
     basis, rotate, record = working
-    permuted = basis.ndim == 1
-    coords = _to_hermitian_basis(v0, r)
     state = np.zeros(2 * padded_dimension(r * r), dtype=np.complex128)
-    state[: r * r] = (coords[basis] if permuted else basis.T @ coords) / input_norm
+    state[: r * r] = basis.T @ _to_hermitian_basis(v0, r) / input_norm
 
     def run_chunk(chunk: list[np.ndarray]):
         circ = build_svd_circuit(*rotate(chunk))
         conditioned, success = run_exact(circ, state)
-        if permuted:
-            coords = np.empty((r * r, conditioned.shape[0]), dtype=np.complex128)
-            coords[basis] = conditioned[:, : r * r].T
-        else:  # point by point, so that a row does not depend on its chunk
-            coords = (basis @ conditioned[:, : r * r, None])[..., 0].T
+        # point by point, so that a row does not depend on its chunk
+        coords = (basis @ conditioned[:, : r * r, None])[..., 0].T
         vecs = _from_hermitian_basis(coords, r).T  # one row vec(rho) per point
         if mode == "exact":
             vecs *= (circ.scale * input_norm)[:, None]
@@ -476,16 +483,18 @@ def quantum_evolve(
 
     One circuit per output time, built and run a chunk of times at once.
     The system register is initialized to the working-basis coordinates
-    P† T† vec(rho0)/||vec(rho0)|| zero-padded to the 2^k system dimension,
-    with the ancilla in |0>.  ``mode="exact"`` reads the conditioned
-    amplitudes directly and rescales by the dilation scale, reproducing
-    the classical result to rounding.  ``mode="sampled"`` measures
-    ``shots`` times per point (substream seed = ``substream_seed(seed,
-    point_index)``) from the same amplitudes, postselects on the ancilla
-    and estimates populations from the surviving counts.
+    Q^T P† T† vec(rho0)/||vec(rho0)|| zero-padded to the 2^k system
+    dimension, with the ancilla in |0>.  ``mode="exact"`` reads the
+    conditioned amplitudes directly and rescales by the dilation scale,
+    reproducing the classical result to rounding.  ``mode="sampled"``
+    measures ``shots`` times per point (substream seed =
+    ``substream_seed(seed, point_index)``) from the same amplitudes,
+    postselects on the ancilla and estimates populations from the
+    surviving counts.  Raises ``LsvdError`` if a symmetry split drops
+    more than ``expm``'s accuracy from a propagator (``_working_basis``).
     """
     grid = _validated_times(times)
-    (runs,), working = _working_basis([_real_generator(model)], [_terms(model)])
+    (runs,), working = _working_basis([model])
     chunks = _chunks(_propagators(runs, grid), _CHUNK)
     seeds = (substream_seed(seed, i) for i in range(grid.size))
     return _run_chunks(chunks, working, rho0, grid, model.labels, mode, shots, seeds)
@@ -509,12 +518,9 @@ def evolve_family(anchors, weights, rho0, t, mode="exact", shots=DEFAULT_SHOTS, 
     if w.shape[0] < 1 or w.shape[1] != len(anchors):
         raise ValueError(f"weights has shape {w.shape}, expected (>= 1, {len(anchors)})")
     grid = _validated_times(np.full(w.shape[0], t))
-    generators = [_real_generator(anchor) for anchor in anchors]
     # unsplit, so that a row rounds as the one-point run of its member does,
     # which would split along symmetries of its own
-    anchor_runs, working = _working_basis(
-        generators, [_terms(anchor) for anchor in anchors], split=False
-    )
+    anchor_runs, working = _working_basis(anchors)
 
     def propagators(rows: np.ndarray) -> list[np.ndarray]:
         stacks = []
