@@ -64,8 +64,6 @@ _SWEEP_SUBSTREAMS = (
     "SeedSequence([s mod 2^64, 0]).generate_state(1, uint64)[0] for s = "
     "SeedSequence([seed mod 2^64, orientation-index]).generate_state(1, uint64)[0]"
 )
-# Most orientations one sweep may run, checked before its grid is built.
-_MAX_ORIENTATIONS = 10**6
 
 
 def _load_model_file(path: str) -> LindbladModel:
@@ -253,12 +251,10 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--theta-step must be positive")
     if args.theta_step == np.inf:
         raise ValueError("--theta-step must be finite")
-    count = np.floor(180.0 / args.theta_step + 1e-9) + 1  # default_theta_grid's rule
-    if count > _MAX_ORIENTATIONS:
-        raise ValueError(
-            f"--theta-step {args.theta_step!r} would sweep {count:.4g} orientations "
-            f"(at most {_MAX_ORIENTATIONS})"
-        )
+    try:
+        thetas = default_theta_grid(args.theta_step)
+    except ValueError as err:  # too many orientations, found before the grid is built
+        raise ValueError(f"--theta-step: {err}") from None
     if not (np.isfinite(args.t_end) and args.t_end >= 0):
         raise ValueError("--t-end must be finite and non-negative")
     base = _rpm_params(args)
@@ -266,7 +262,7 @@ def _cmd_sweep(args) -> int:
     config = _config(args, "sweep", "rpm", None, "rpm_sweep", params)
     result = theta_sweep(
         base,
-        thetas=default_theta_grid(args.theta_step),
+        thetas=thetas,
         t_end=args.t_end,
         mode=args.mode,
         shots=args.shots,

@@ -69,6 +69,7 @@ FMO_DEFAULT_T_END = 2000.0  # fs
 RPM_DEFAULT_DT = 1.75e-3  # ms
 RPM_DEFAULT_T_END = 1.0  # ms
 THETA_DEFAULT_STEP_DEG = 0.9
+MAX_ORIENTATIONS = 10**6  # most points one sweep grid may have
 
 BUILTIN_MODELS = ("fmo3", "fmo7", "rpm", "rpm-dissipative")
 
@@ -332,10 +333,17 @@ def yields(trace: PopulationTrace) -> tuple[np.ndarray, np.ndarray]:
 def default_theta_grid(step_deg: float = THETA_DEFAULT_STEP_DEG) -> np.ndarray:
     """Orientation grid from 0 degrees in steps of ``step_deg``, 180
     included when the step divides it, in radians (201 points at the
-    default 0.9-degree step)."""
+    default 0.9-degree step).  A step that would give more than
+    ``MAX_ORIENTATIONS`` points is refused before the grid is built."""
     if not 0 < step_deg < np.inf:
         raise ValueError("step_deg must be positive and finite")
-    return np.deg2rad(np.arange(int(np.floor(180.0 / step_deg + 1e-9)) + 1) * step_deg)
+    count = np.floor(180.0 / step_deg + 1e-9) + 1
+    if count > MAX_ORIENTATIONS:
+        raise ValueError(
+            f"step_deg {step_deg!r} would sweep {count:.4g} orientations "
+            f"(at most {MAX_ORIENTATIONS})"
+        )
+    return np.deg2rad(np.arange(int(count)) * step_deg)
 
 
 @dataclass

@@ -374,13 +374,14 @@ class TestOutputContracts:
         self, step, count, monkeypatch, tmp_path, capsys
     ):
         def never(*args, **kwargs):
-            raise AssertionError("the sweep's grid was built")
+            raise AssertionError("the sweep ran")
 
-        monkeypatch.setattr(lsvd.cli, "default_theta_grid", never)
+        # numpy would fail on either grid with its own message, or build it
+        monkeypatch.setattr(lsvd.models.np, "arange", never)
         monkeypatch.setattr(lsvd.cli, "theta_sweep", never)
         assert run("sweep", "--theta-step", step, "--out", str(tmp_path / "s.csv")) == 2
         assert capsys.readouterr().err == (
-            f"error: --theta-step {float(step)!r} would sweep {count} orientations "
+            f"error: --theta-step: step_deg {float(step)!r} would sweep {count} orientations "
             f"(at most 1000000)\n"
         )
         assert list(tmp_path.iterdir()) == []
