@@ -48,22 +48,18 @@ from .models import (
     default_theta_grid,
     fmo_model,
     rpm_model,
+    step_grid,
     theta_sweep,
 )
-from .pipeline import quantum_evolve, qubit_counts
+from .pipeline import SWEEP_SUBSTREAMS, TRACE_SUBSTREAMS, quantum_evolve, qubit_counts
 from .sampler import DEFAULT_SHOTS, RNG_ALGORITHM
 from .circuit import estimate_resources
 
-# Point i of a trace samples from substream_seed(seed, i); a sweep's
-# orientation j draws from the substream of a one-point trace seeded with
-# substream_seed(seed, j), and its row equals that run's up to the rounding
-# of its amplitudes (a sampled row can differ where that rounding lands in a
-# bucket that is exactly zero in the one-point run).
-_TRACE_SUBSTREAMS = "SeedSequence([seed mod 2^64, point-index]).generate_state(1, uint64)[0]"
-_SWEEP_SUBSTREAMS = (
-    "SeedSequence([s mod 2^64, 0]).generate_state(1, uint64)[0] for s = "
-    "SeedSequence([seed mod 2^64, orientation-index]).generate_state(1, uint64)[0]"
-)
+# Where a built-in model's numbers come from; a model-file run names its file.
+_PROVENANCE = {
+    "fmo": "bundled 7-site Hamiltonian after Adolphs & Renger (2006); rates are documented stand-ins",
+    "rpm": "CODATA electron gyromagnetic ratio; hyperfine strength and rates are documented stand-ins",
+}
 
 
 def _load_model_file(path: str) -> LindbladModel:
@@ -91,14 +87,15 @@ def _refuse_model_flags(args) -> None:
 
 
 def _time_grid(dt: float, t_end: float) -> np.ndarray:
-    if not (np.isfinite(dt) and np.isfinite(t_end)):
-        raise ValueError("--dt and --t-end must be finite")
-    if dt <= 0:
-        raise ValueError("--dt must be positive")
-    if t_end < dt:
+    if not np.isfinite(t_end):
+        raise ValueError("--t-end must be finite")
+    try:
+        grid = step_grid(t_end, dt)
+    except ValueError as err:
+        raise ValueError(f"--dt: {err}") from None
+    if grid.size < 2:
         raise ValueError("--t-end must be at least --dt")
-    steps = int(np.floor(t_end / dt + 1e-9))
-    return np.arange(steps + 1) * dt
+    return grid
 
 
 def _config(args, command: str, model_source: str, dt: float | None, stem: str, parameters: dict) -> dict:
@@ -119,6 +116,7 @@ def _config(args, command: str, model_source: str, dt: float | None, stem: str, 
 
 def _metadata(config: dict, model: LindbladModel, columns, extra: dict) -> dict:
     k, d = qubit_counts(model.dim)
+    model_file = config["parameters"].get("model_file")
     meta = {
         "package": {"name": "lsvd", "version": __version__},
         "config": config,
@@ -135,7 +133,7 @@ def _metadata(config: dict, model: LindbladModel, columns, extra: dict) -> dict:
         "rng": {
             "algorithm": RNG_ALGORITHM,
             "seed": config["seed"],
-            "substream_rule": _TRACE_SUBSTREAMS,
+            "substream_rule": TRACE_SUBSTREAMS,
         },
         "dilation": {
             "scale_rule": (
@@ -145,11 +143,7 @@ def _metadata(config: dict, model: LindbladModel, columns, extra: dict) -> dict:
             ),
         },
         "columns": list(columns),
-        "provenance": (
-            "bundled 7-site Hamiltonian after Adolphs & Renger (2006); "
-            "environment rates and hyperfine strength are documented "
-            "stand-ins, overridable via flags or a model file"
-        ),
+        "provenance": f"model file {model_file}" if model_file else _PROVENANCE[config["model_source"]],
     }
     meta.update(extra)
     return meta
@@ -179,7 +173,7 @@ def _write_run(config: dict, model: LindbladModel, columns, rows, scales, **extr
 
 def _run_trace(args, command: str, model: LindbladModel, rho0, params: dict) -> int:
     grid = _time_grid(args.dt, args.t_end)
-    config = _config(args, command, args.model or command, args.dt, command, params)
+    config = _config(args, command, params.get("model_file", command), args.dt, command, params)
     trace = quantum_evolve(
         model, rho0, grid, mode=args.mode, shots=args.shots, seed=args.seed
     )
@@ -194,32 +188,23 @@ def _run_trace(args, command: str, model: LindbladModel, rho0, params: dict) -> 
 
 
 def _cmd_fmo(args) -> int:
-    if args.model:
-        _refuse_model_flags(args)
-        model = _load_model_file(args.model)
-        if model.dim < 3:
-            raise ValueError("an exciton-network model needs at least ground, one site and a sink")
-        rho0 = np.zeros((model.dim, model.dim), dtype=complex)
-        rho0[1, 1] = 1.0
-        params = {"model_file": args.model}
-    else:
-        fmo = FMOParams.default(
-            args.sites,
-            gamma_deph=args.gamma_deph,
-            gamma_diss=args.gamma_diss,
-            gamma_sink=args.gamma_sink,
-        )
-        model, rho0 = fmo_model(fmo)
-        h = fmo.hamiltonian_cm1
-        params = {
-            "n_sites": fmo.n_sites,
-            "site_energies_cm1": list(np.diag(h)),
-            "couplings_cm1": [list(row) for row in h - np.diag(np.diag(h))],
-            "gamma_deph": fmo.gamma_deph,
-            "gamma_diss": fmo.gamma_diss,
-            "gamma_sink": fmo.gamma_sink,
-            "initial_state": "site1",
-        }
+    fmo = FMOParams.default(
+        args.sites,
+        gamma_deph=args.gamma_deph,
+        gamma_diss=args.gamma_diss,
+        gamma_sink=args.gamma_sink,
+    )
+    model, rho0 = fmo_model(fmo)
+    h = fmo.hamiltonian_cm1
+    params = {
+        "n_sites": fmo.n_sites,
+        "site_energies_cm1": list(np.diag(h)),
+        "couplings_cm1": [list(row) for row in h - np.diag(np.diag(h))],
+        "gamma_deph": fmo.gamma_deph,
+        "gamma_diss": fmo.gamma_diss,
+        "gamma_sink": fmo.gamma_sink,
+        "initial_state": "site1",
+    }
     return _run_trace(args, "fmo", model, rho0, params)
 
 
@@ -247,13 +232,9 @@ def _rpm_param_dict(params: RPMParams) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    if not args.theta_step > 0:
-        raise ValueError("--theta-step must be positive")
-    if args.theta_step == np.inf:
-        raise ValueError("--theta-step must be finite")
     try:
         thetas = default_theta_grid(args.theta_step)
-    except ValueError as err:  # too many orientations, found before the grid is built
+    except ValueError as err:
         raise ValueError(f"--theta-step: {err}") from None
     if not (np.isfinite(args.t_end) and args.t_end >= 0):
         raise ValueError("--t-end must be finite and non-negative")
@@ -274,7 +255,7 @@ def _cmd_sweep(args) -> int:
         [np.rad2deg(result.thetas[i]), result.phi_s[i], result.phi_t[i], result.success_prob[i]]
         for i in range(result.thetas.size)
     ]
-    rng = {"algorithm": RNG_ALGORITHM, "seed": args.seed, "substream_rule": _SWEEP_SUBSTREAMS}
+    rng = {"algorithm": RNG_ALGORITHM, "seed": args.seed, "substream_rule": SWEEP_SUBSTREAMS}
     return _write_run(
         config, model, columns, rows, result.scales,
         t_end=result.t_end, rng=rng, working_blocks=result.working_blocks,
@@ -379,12 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fmo = sub.add_parser("fmo", help="exciton-transport population trace")
-    p_fmo.set_defaults(model_flags=())
-    p_fmo.add_argument("--sites", type=int, choices=FMO_SITE_COUNTS, default=3, action=_ModelFlag)
-    p_fmo.add_argument("--gamma-deph", type=float, default=FMO_DEFAULT_GAMMA_DEPH, action=_ModelFlag, help="site dephasing rate in 1/fs")
-    p_fmo.add_argument("--gamma-diss", type=float, default=FMO_DEFAULT_GAMMA_DISS, action=_ModelFlag, help="dissipation rate in 1/fs")
-    p_fmo.add_argument("--gamma-sink", type=float, default=FMO_DEFAULT_GAMMA_SINK, action=_ModelFlag, help="sink transfer rate in 1/fs")
-    p_fmo.add_argument("--model", help="model file overriding the built-in")
+    p_fmo.add_argument("--sites", type=int, choices=FMO_SITE_COUNTS, default=3)
+    p_fmo.add_argument("--gamma-deph", type=float, default=FMO_DEFAULT_GAMMA_DEPH, help="site dephasing rate in 1/fs")
+    p_fmo.add_argument("--gamma-diss", type=float, default=FMO_DEFAULT_GAMMA_DISS, help="dissipation rate in 1/fs")
+    p_fmo.add_argument("--gamma-sink", type=float, default=FMO_DEFAULT_GAMMA_SINK, help="sink transfer rate in 1/fs")
     _add_run_flags(p_fmo, FMO_DEFAULT_T_END, FMO_DEFAULT_DT)
     p_fmo.set_defaults(func=_cmd_fmo)
 

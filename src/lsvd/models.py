@@ -69,7 +69,7 @@ FMO_DEFAULT_T_END = 2000.0  # fs
 RPM_DEFAULT_DT = 1.75e-3  # ms
 RPM_DEFAULT_T_END = 1.0  # ms
 THETA_DEFAULT_STEP_DEG = 0.9
-MAX_ORIENTATIONS = 10**6  # most points one sweep grid may have
+MAX_GRID_POINTS = 10**6  # most points one time or orientation grid may have
 
 BUILTIN_MODELS = ("fmo3", "fmo7", "rpm", "rpm-dissipative")
 
@@ -330,20 +330,25 @@ def yields(trace: PopulationTrace) -> tuple[np.ndarray, np.ndarray]:
     return trace.populations[:, idx_s].copy(), trace.populations[:, idx_t].copy()
 
 
-def default_theta_grid(step_deg: float = THETA_DEFAULT_STEP_DEG) -> np.ndarray:
-    """Orientation grid from 0 degrees in steps of ``step_deg``, 180
-    included when the step divides it, in radians (201 points at the
-    default 0.9-degree step).  A step that would give more than
-    ``MAX_ORIENTATIONS`` points is refused before the grid is built."""
-    if not 0 < step_deg < np.inf:
-        raise ValueError("step_deg must be positive and finite")
-    count = np.floor(180.0 / step_deg + 1e-9) + 1
-    if count > MAX_ORIENTATIONS:
+def step_grid(stop: float, step: float) -> np.ndarray:
+    """``0, step, 2 step, …`` up to ``stop``, included when ``step`` divides
+    it (to 1e-9 of a step).  A grid of more than ``MAX_GRID_POINTS`` points
+    is refused before it is built."""
+    if not 0 < step < np.inf:
+        raise ValueError(f"step {step!r} must be positive and finite")
+    count = np.floor(stop / step + 1e-9) + 1
+    if count > MAX_GRID_POINTS:
         raise ValueError(
-            f"step_deg {step_deg!r} would sweep {count:.4g} orientations "
-            f"(at most {MAX_ORIENTATIONS})"
+            f"step {step!r} up to {stop!r} would give {count:.4g} points "
+            f"(at most {MAX_GRID_POINTS})"
         )
-    return np.deg2rad(np.arange(int(count)) * step_deg)
+    return np.arange(int(count)) * step
+
+
+def default_theta_grid(step_deg: float = THETA_DEFAULT_STEP_DEG) -> np.ndarray:
+    """Orientation grid ``step_grid(180, step_deg)`` in radians (201 points
+    at the default 0.9-degree step)."""
+    return np.deg2rad(step_grid(180.0, step_deg))
 
 
 @dataclass

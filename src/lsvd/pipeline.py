@@ -471,6 +471,10 @@ def classical_evolve(model: LindbladModel, rho0, times) -> PopulationTrace:
     )
 
 
+# The substream rule of quantum_evolve's draws, as run metadata states it.
+TRACE_SUBSTREAMS = "SeedSequence([seed mod 2^64, point-index]).generate_state(1, uint64)[0]"
+
+
 def quantum_evolve(
     model: LindbladModel,
     rho0,
@@ -498,6 +502,13 @@ def quantum_evolve(
     chunks = _chunks(_propagators(runs, grid), _CHUNK)
     seeds = (substream_seed(seed, i) for i in range(grid.size))
     return _run_chunks(chunks, working, rho0, grid, model.labels, mode, shots, seeds)
+
+
+# The substream rule of evolve_family's draws, as a sweep's metadata states it.
+SWEEP_SUBSTREAMS = (
+    "SeedSequence([s mod 2^64, 0]).generate_state(1, uint64)[0] for s = "
+    "SeedSequence([seed mod 2^64, orientation-index]).generate_state(1, uint64)[0]"
+)
 
 
 def evolve_family(anchors, weights, rho0, t, mode="exact", shots=DEFAULT_SHOTS, seed=0):

@@ -13,10 +13,9 @@ import lsvd.pipeline
 from lsvd.cli import main
 from lsvd.lindblad import model_to_dict
 from lsvd.models import FMOParams, builtin_model, builtin_model_path, fmo_model
-from lsvd.pipeline import classical_evolve
 from lsvd.sampler import substream_seed
 
-from conftest import random_model
+from conftest import random_model, reference_populations
 
 
 def read_csv(path):
@@ -52,9 +51,14 @@ class TestFmoCommand:
         run("fmo", "--sites", "3", "--t-end", "200", "--out", str(out))
         header, rows = read_csv(out)
         model, rho0 = fmo_model(FMOParams.default(3))
-        oracle = classical_evolve(model, rho0, [float(r[0]) for r in rows])
+        oracle = reference_populations(model, rho0, [float(r[0]) for r in rows])
         table = np.array([[float(v) for v in row[1:6]] for row in rows])
-        np.testing.assert_allclose(table, oracle.populations, atol=1e-8)
+        np.testing.assert_allclose(table, oracle, atol=1e-8)
+
+    def test_model_flag_is_unrecognized(self, capsys):
+        # a model file runs through `evolve`; see TestModelFileFlags
+        assert run("fmo", "--model", str(builtin_model_path("fmo3"))) == 2
+        assert "unrecognized arguments: --model" in capsys.readouterr().err
 
 
 class TestRpmCommand:
@@ -136,10 +140,8 @@ class TestEvolveCommand:
         assert code == 0
         header, rows = read_csv(out)
         assert len(rows) == 6
-        oracle = classical_evolve(model, np.diag([0.0, 1.0, 0.0]), [0.5])
-        np.testing.assert_allclose(
-            [float(v) for v in rows[-1][1:4]], oracle.populations[0], atol=1e-8
-        )
+        oracle = reference_populations(model, np.diag([0.0, 1.0, 0.0]), [0.5])
+        np.testing.assert_allclose([float(v) for v in rows[-1][1:4]], oracle[0], atol=1e-8)
 
     def test_initial_out_of_range(self, tmp_path, rng):
         model = random_model(rng, 2)
@@ -149,21 +151,17 @@ class TestEvolveCommand:
 
 
 class TestModelFileFlags:
-    """``--model`` replaces the built-in model, so its flags are refused."""
+    """``rpm --model`` replaces the built-in model, so its flags are refused."""
 
-    FMO3 = str(builtin_model_path("fmo3"))
     RPM = str(builtin_model_path("rpm"))
 
     @pytest.mark.parametrize(
         "argv, flags",
         [
-            (["fmo", "--model", FMO3, "--gamma-deph", "5"], "--gamma-deph"),
-            (["fmo", "--gamma-deph", "5", "--sites", "7", "--model", FMO3], "--gamma-deph, --sites"),
-            (["fmo", "--model", FMO3, "--gamma-sink", "1", "--gamma-sink", "2"], "--gamma-sink"),
             (["rpm", "--model", RPM, "--gamma-diss", "1e6"], "--gamma-diss"),
             (["rpm", "--model", RPM, "--theta", "90", "--b0", "5e-5"], "--theta, --b0"),
         ],
-        ids=["fmo-one", "fmo-two", "fmo-repeated", "rpm-one", "rpm-two"],
+        ids=["rpm-one", "rpm-two"],
     )
     def test_ignored_model_flags_exit_2(self, argv, flags, tmp_path, capsys):
         out = tmp_path / "run.csv"
@@ -179,11 +177,22 @@ class TestModelFileFlags:
     def test_model_file_without_model_flags_matches_the_builtin(
         self, command, builtin, t_end, tmp_path
     ):
+        # an exciton network's file runs through `evolve` from site 1, at fmo's step
+        by_file_argv = {"fmo": ["evolve", "--initial", "1", "--dt", "5"], "rpm": ["rpm"]}[command]
         by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
         model_file = str(builtin_model_path(builtin))
-        assert run(command, "--model", model_file, "--t-end", t_end, "--out", str(by_file)) == 0
+        argv = [*by_file_argv, "--model", model_file, "--t-end", t_end, "--out", str(by_file)]
+        assert run(*argv) == 0
         assert run(command, "--t-end", t_end, "--out", str(by_flags)) == 0
         assert by_file.read_bytes() == by_flags.read_bytes()
+
+    def test_rpm_model_file_must_have_the_compass_dimension(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert run("rpm", "--model", str(builtin_model_path("fmo3")), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: model file has dim 5; the compass initial state needs 10\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestResourcesCommand:
@@ -194,6 +203,14 @@ class TestResourcesCommand:
         assert payload["total"] == 64 * 2**15
         printed = json.loads(capsys.readouterr().out)
         assert printed == payload
+
+    def test_csv_has_one_header_and_one_row(self, tmp_path, capsys):
+        out = tmp_path / "resources.csv"
+        assert run("resources", "--qubits", "8", "--format", "csv", "--out", str(out)) == 0
+        header, rows = read_csv(out)
+        printed = json.loads(capsys.readouterr().out)
+        assert header == list(printed)
+        assert rows == [[str(v) for v in printed.values()]]
 
     def test_invalid_qubits(self, tmp_path):
         assert run("resources", "--qubits", "1", "--out", str(tmp_path / "r.json")) == 2
@@ -328,6 +345,12 @@ class TestOutputContracts:
         ids=lambda argv: argv[0],
     )
     def test_every_run_command_writes_the_same_metadata_shape(self, argv, tmp_path):
+        provenance = {
+            "fmo": "bundled 7-site Hamiltonian after Adolphs & Renger (2006); ",
+            "rpm": "CODATA electron gyromagnetic ratio; ",
+            "evolve": f"model file {builtin_model_path('fmo3')}",
+            "sweep": "CODATA electron gyromagnetic ratio; ",
+        }[argv[0]]
         out = tmp_path / "run.csv"
         assert run(*argv, "--seed", "7", "--out", str(out)) == 0
         _, rows = read_csv(out)
@@ -341,6 +364,7 @@ class TestOutputContracts:
         assert config["output"] == str(out)
         assert meta["rng"]["seed"] == config["seed"] == 7
         assert len(meta["scale_factors"]) == len(rows) > 1
+        assert meta["provenance"].startswith(provenance)
 
     @pytest.mark.parametrize(
         "argv, field",
@@ -365,7 +389,9 @@ class TestOutputContracts:
     @pytest.mark.parametrize("step", ["nan", "0", "-1"])
     def test_bad_theta_step_names_the_flag(self, step, capsys):
         assert run("sweep", "--theta-step", step) == 2
-        assert capsys.readouterr().err == "error: --theta-step must be positive\n"
+        assert capsys.readouterr().err == (
+            f"error: --theta-step: step {float(step)!r} must be positive and finite\n"
+        )
 
     @pytest.mark.parametrize(
         "step, count", [("1e-05", "1.8e+07"), ("1e-300", "1.8e+302")], ids=["1e-5", "1e-300"]
@@ -381,7 +407,26 @@ class TestOutputContracts:
         monkeypatch.setattr(lsvd.cli, "theta_sweep", never)
         assert run("sweep", "--theta-step", step, "--out", str(tmp_path / "s.csv")) == 2
         assert capsys.readouterr().err == (
-            f"error: --theta-step: step_deg {float(step)!r} would sweep {count} orientations "
+            f"error: --theta-step: step {float(step)!r} up to 180.0 would give {count} points "
+            f"(at most 1000000)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "dt, count", [("1e-13", "1e+13"), ("1e-300", "1e+300")], ids=["1e-13", "1e-300"]
+    )
+    def test_dt_beyond_the_grid_cap_is_refused_before_the_grid(
+        self, dt, count, monkeypatch, tmp_path, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the trace ran")
+
+        # numpy would fail on either grid with its own message, naming no flag
+        monkeypatch.setattr(lsvd.models.np, "arange", never)
+        monkeypatch.setattr(lsvd.cli, "quantum_evolve", never)
+        assert run("rpm", "--dt", dt, "--out", str(tmp_path / "r.csv")) == 2
+        assert capsys.readouterr().err == (
+            f"error: --dt: step {float(dt)!r} up to 1.0 would give {count} points "
             f"(at most 1000000)\n"
         )
         assert list(tmp_path.iterdir()) == []
@@ -393,7 +438,7 @@ class TestOutputContracts:
             (["rpm", "--theta", "-1"], "--theta must lie in [0, 180] degrees"),
             (["rpm", "--theta", "nan"], "--theta must lie in [0, 180] degrees"),
             (["resources", "--qubits", "1"], "--qubits must be at least 2"),
-            (["sweep", "--theta-step", "inf"], "--theta-step must be finite"),
+            (["sweep", "--theta-step", "inf"], "--theta-step: step inf must be positive and finite"),
         ],
         ids=["theta-200", "theta-negative", "theta-nan", "qubits-1", "theta-step-inf"],
     )
@@ -415,6 +460,24 @@ class TestOutputContracts:
 
     def test_missing_model_file_exit_2(self):
         assert run("evolve", "--model", "/nonexistent/model.json") == 2
+
+    def test_numeric_failure_exits_3(self, tmp_path, capsys):
+        # a rate of 1e25 fs⁻¹ needs more squarings than expm allows
+        data = model_to_dict(builtin_model("fmo3")[0])
+        data["channels"][0]["rate"] = 1e25
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "run.csv"
+        assert run("evolve", "--model", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and "80 squarings (cap 60)" in err
+        assert not out.exists()
+
+    def test_output_into_a_missing_directory_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "fmo.csv"
+        assert run("fmo", "--t-end", "20", "--out", str(out)) == 4
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_internal_key_error_is_not_reported_as_bad_input(self, monkeypatch, tmp_path):
         # every configuration error is a ValueError; a KeyError is a bug

@@ -11,7 +11,7 @@ import lsvd.pipeline
 from lsvd.lindblad import load_model, model_to_dict, wavenumber_to_angular_frequency
 from lsvd.models import (
     BUILTIN_MODELS,
-    MAX_ORIENTATIONS,
+    MAX_GRID_POINTS,
     RPM_DEFAULT_HYPERFINE_AZ,
     RPM_DEFAULT_T_END,
     RPM_GAMMA_DISS_HIGH,
@@ -248,7 +248,7 @@ class TestThetaSweep:
 
     @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])
     def test_bad_step_rejected(self, step):
-        with pytest.raises(ValueError, match="^step_deg must be positive and finite$"):
+        with pytest.raises(ValueError, match=r"^step \S+ must be positive and finite$"):
             default_theta_grid(step)
 
     @pytest.mark.parametrize("step, count", [(1e-5, "1.8e+07"), (1e-300, "1.8e+302")])
@@ -256,9 +256,9 @@ class TestThetaSweep:
         with pytest.raises(ValueError) as error:
             default_theta_grid(step)
         assert str(error.value) == (
-            f"step_deg {step!r} would sweep {count} orientations (at most 1000000)"
+            f"step {step!r} up to 180.0 would give {count} points (at most 1000000)"
         )
-        assert default_theta_grid(180.0 / (MAX_ORIENTATIONS - 1)).size == MAX_ORIENTATIONS
+        assert default_theta_grid(180.0 / (MAX_GRID_POINTS - 1)).size == MAX_GRID_POINTS
 
     def test_strong_dissipation_flattens_the_compass(self):
         thetas = np.deg2rad(np.linspace(0.0, 180.0, 13))

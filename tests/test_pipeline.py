@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -199,6 +200,50 @@ class TestSampledSubstreams:
         seed0, seed1 = run(0), run(1)
         assert not np.array_equal(seed0[1], seed1[0])
         assert not np.array_equal(seed0[0], seed1[1])
+
+    def test_seeds_draw_independent_counts(self, monkeypatch):
+        """Runs with different seeds draw uncorrelated counts.
+
+        Each bucket's count with probability p = |c|² > 1e-6 is standardized
+        as z = (count - shots p) / sqrt(shots p (1 - p)).  The amplitudes do
+        not depend on the seed, so two runs give z over the same N buckets;
+        if their draws are independent, mean(z_a z_b) has mean 0 and a
+        standard deviation of about 1/sqrt(N), and each of the 15 pairs of
+        six seeds must stay within 5/sqrt(N).  Population errors are not
+        tested: the square-root estimator's bias is the same in every run.
+        A substream rule that ignores the seed must fail the bound.
+        """
+        model, rho0 = builtin_model("fmo3")
+        real_sample = lsvd.pipeline.sample
+
+        def standardized_counts(seed):
+            z = []
+
+            def recording_sample(vec, shots, substream):
+                result = real_sample(vec, shots, substream)
+                p = np.abs(vec) ** 2
+                kept = p > 1e-6
+                spread = np.sqrt(shots * p[kept] * (1.0 - p[kept]))
+                z.append((result.counts[kept] - shots * p[kept]) / spread)
+                return result
+
+            with monkeypatch.context() as patch:
+                patch.setattr(lsvd.pipeline, "sample", recording_sample)
+                times = np.arange(400) * 5.0
+                quantum_evolve(model, rho0, times, mode="sampled", shots=4096, seed=seed)
+            return np.concatenate(z)
+
+        z = np.stack([standardized_counts(seed) for seed in range(6)])
+        bound = 5.0 / np.sqrt(z.shape[1])
+        products = [np.mean(a * b) for a, b in itertools.combinations(z, 2)]
+        assert max(np.abs(products)) < bound
+
+        real_substream_seed = lsvd.pipeline.substream_seed
+        monkeypatch.setattr(
+            lsvd.pipeline, "substream_seed", lambda seed, index: real_substream_seed(0, index)
+        )
+        shared = np.stack([standardized_counts(seed) for seed in (1, 2)])
+        assert np.mean(shared[0] * shared[1]) > bound
 
 
 def dense_hermitian_basis(r):

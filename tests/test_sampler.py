@@ -5,13 +5,14 @@ from lsvd.circuit import build_svd_circuit, run_exact
 from lsvd.errors import LsvdError
 from lsvd.lindblad import build_superoperator, propagator, vectorize
 from lsvd.models import FMOParams, fmo_model
-from lsvd.pipeline import classical_evolve
 from lsvd.sampler import (
     ShotResult,
     estimate_populations,
     sample,
     substream_seed,
 )
+
+from conftest import reference_populations
 
 
 def conditioned_amplitudes(circuit, rho0):
@@ -123,7 +124,7 @@ class TestEstimatePopulations:
         model, rho0, circuit, conditioned = fmo3_conditioned(200.0)
         result = sample(conditioned, 2**19, seed=17)
         populations = estimate_populations(result, 5)
-        oracle = classical_evolve(model, rho0, [200.0]).populations[0]
+        oracle = reference_populations(model, rho0, [200.0])[0]
         assert np.max(np.abs(populations - oracle)) < 0.02
         # the per-level loop the diagonal slice replaced, in Python integers
         raw = [np.sqrt(int(result.counts[i * 6]) / result.postselected_shots) for i in range(5)]
@@ -131,7 +132,7 @@ class TestEstimatePopulations:
 
     def test_error_shrinks_with_shots(self):
         model, rho0, circuit, conditioned = fmo3_conditioned(500.0)
-        oracle = classical_evolve(model, rho0, [500.0]).populations[0]
+        oracle = reference_populations(model, rho0, [500.0])[0]
         errors = []
         for shots in (2**15, 2**17, 2**19):
             result = sample(conditioned, shots, seed=23)
