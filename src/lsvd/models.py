@@ -339,7 +339,7 @@ def step_grid(stop: float, step: float) -> np.ndarray:
     count = np.floor(stop / step + 1e-9) + 1
     if count > MAX_GRID_POINTS:
         raise ValueError(
-            f"step {step!r} up to {stop!r} would give {count:.4g} points "
+            f"step {step!r} up to {stop!r} would give {count:.7g} points "
             f"(at most {MAX_GRID_POINTS})"
         )
     return np.arange(int(count)) * step

@@ -251,7 +251,9 @@ class TestThetaSweep:
         with pytest.raises(ValueError, match=r"^step \S+ must be positive and finite$"):
             default_theta_grid(step)
 
-    @pytest.mark.parametrize("step, count", [(1e-5, "1.8e+07"), (1e-300, "1.8e+302")])
+    @pytest.mark.parametrize(
+        "step, count", [(1e-5, "1.8e+07"), (1e-300, "1.8e+302"), (180.0 / 10**6, "1000001")]
+    )
     def test_step_beyond_the_orientation_cap_rejected(self, step, count):
         with pytest.raises(ValueError) as error:
             default_theta_grid(step)
