@@ -40,7 +40,6 @@ from .models import (
     RPMParams,
     ThetaSweepResult,
     builtin_model,
-    builtin_model_path,
     default_theta_grid,
     fmo_model,
     rpm_model,

@@ -105,14 +105,14 @@ class SVDCircuit:
 
 def _runs(blocks) -> tuple[np.ndarray, ...]:
     """Stack each run of consecutive equal-size blocks: (..., count, s, s),
-    all in one field (complex if any block is), and validate each run once."""
+    all in one field (complex if any block is), for ``svd`` to validate."""
     parts = [np.asarray(block) for block in blocks]
     for part in parts:
         if part.ndim < 2:
             as_matrix(part)  # raises: a block must be 2-D
     dtype = np.result_type(np.float64, *parts)
     return tuple(
-        as_matrix(np.stack(list(run), axis=-3, dtype=dtype), stacked=True)
+        np.stack(list(run), axis=-3, dtype=dtype)
         for _, run in itertools.groupby(parts, key=lambda part: part.shape[-2:])
     )
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -32,15 +32,9 @@ from .lindblad import (
 from .models import (
     ELECTRON_GYROMAGNETIC,
     FMO_DEFAULT_DT,
-    FMO_DEFAULT_GAMMA_DEPH,
-    FMO_DEFAULT_GAMMA_DISS,
-    FMO_DEFAULT_GAMMA_SINK,
     FMO_DEFAULT_T_END,
     FMO_SITE_COUNTS,
-    RPM_DEFAULT_B0,
     RPM_DEFAULT_DT,
-    RPM_DEFAULT_GAMMA_SHELF,
-    RPM_DEFAULT_HYPERFINE_AZ,
     RPM_DEFAULT_T_END,
     THETA_DEFAULT_STEP_DEG,
     FMOParams,
@@ -71,19 +65,14 @@ def _load_model_file(path: str) -> LindbladModel:
         raise ValueError(f"cannot read model file {path}: {exc}") from exc
 
 
-class _ModelFlag(argparse.Action):
-    """Store a built-in model's parameter and note that the flag was given,
-    so a run on a ``--model`` file can refuse it instead of ignoring it."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.model_flags = (*namespace.model_flags, self.option_strings[0])
+# dest prefix of the flags that set a built-in model's parameter
+_PARAM = "param:"
 
 
-def _refuse_model_flags(args) -> None:
-    given = ", ".join(dict.fromkeys(args.model_flags))
-    if given:
-        raise ValueError(f"--model replaces the built-in model, so {given} would be ignored")
+def _given_params(args) -> dict:
+    """The parameter flags given on the command line, by parameter name, in
+    the order first given; a parameter left out keeps its class default."""
+    return {k.removeprefix(_PARAM): v for k, v in vars(args).items() if k.startswith(_PARAM)}
 
 
 def _time_grid(dt: float, t_end: float) -> np.ndarray:
@@ -188,12 +177,7 @@ def _run_trace(args, command: str, model: LindbladModel, rho0, params: dict) -> 
 
 
 def _cmd_fmo(args) -> int:
-    fmo = FMOParams.default(
-        args.sites,
-        gamma_deph=args.gamma_deph,
-        gamma_diss=args.gamma_diss,
-        gamma_sink=args.gamma_sink,
-    )
+    fmo = FMOParams.default(args.sites, **_given_params(args))
     model, rho0 = fmo_model(fmo)
     h = fmo.hamiltonian_cm1
     params = {
@@ -209,13 +193,16 @@ def _cmd_fmo(args) -> int:
 
 
 def _rpm_params(args) -> RPMParams:
-    """The compass flags shared by ``rpm`` and ``sweep``; theta stays pi/2."""
-    return RPMParams(
-        hyperfine=np.diag([0.0, 0.0, args.hyperfine_az]),
-        b0=args.b0,
-        gamma_shelf=args.gamma_shelf,
-        gamma_diss=args.gamma_diss,
-    )
+    """The compass from the given flags: ``--hyperfine-az`` sets the axial
+    hyperfine component, and ``--theta`` (``rpm`` only) is in degrees."""
+    given = _given_params(args)
+    if "hyperfine_az" in given:
+        given["hyperfine"] = np.diag([0.0, 0.0, given.pop("hyperfine_az")])
+    if "theta" in given:
+        if not 0.0 <= given["theta"] <= 180.0:
+            raise ValueError("--theta must lie in [0, 180] degrees")
+        given["theta"] = np.deg2rad(given["theta"])
+    return RPMParams(**given)
 
 
 def _rpm_param_dict(params: RPMParams) -> dict:
@@ -264,18 +251,18 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_rpm(args) -> int:
     if args.model:
-        _refuse_model_flags(args)
+        given = ", ".join("--" + name.replace("_", "-") for name in _given_params(args))
+        if given:
+            raise ValueError(f"--model replaces the built-in model, so {given} would be ignored")
         model = _load_model_file(args.model)
-        _, rho0 = rpm_model(_rpm_params(args))
+        _, rho0 = rpm_model(RPMParams())
         if model.dim != rho0.shape[0]:
             raise ValueError(
                 f"model file has dim {model.dim}; the compass initial state needs 10"
             )
         params = {"model_file": args.model}
     else:
-        if not 0.0 <= args.theta <= 180.0:
-            raise ValueError("--theta must lie in [0, 180] degrees")
-        base = replace(_rpm_params(args), theta=np.deg2rad(args.theta))
+        base = _rpm_params(args)
         model, rho0 = rpm_model(base)
         params = _rpm_param_dict(base)
     return _run_trace(args, "rpm", model, rho0, params)
@@ -294,9 +281,18 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_resources(args) -> int:
-    if args.qubits < 2:
-        raise ValueError("--qubits must be at least 2")
-    payload = estimate_resources(args.qubits)
+    d, limit = args.qubits, sys.get_int_max_str_digits()
+    # the total d² 2^(2d-1) has more digits than Python prints: refuse
+    # before any power of two is computed or any file is opened
+    if limit and d > 1 and 2 * math.log10(d) + (2 * d - 1) * math.log10(2) >= limit:
+        raise ValueError(
+            f"--qubits: the gate counts of {d} qubits have more than {limit} digits "
+            "(sys.get_int_max_str_digits())"
+        )
+    try:
+        payload = estimate_resources(d)
+    except ValueError as err:
+        raise ValueError(f"--qubits: {err}") from None
     out = args.out or f"resources_results.{args.format}"
     if args.format == "csv":
         columns = list(payload.keys())
@@ -340,12 +336,20 @@ def _add_run_flags(parser: argparse.ArgumentParser, t_end: float, dt: float | No
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+def _add_param_flag(parser: argparse.ArgumentParser, flag: str, help: str) -> None:
+    """A flag setting the built-in model's parameter of the same name; it
+    reaches the namespace only when given (see ``_given_params``)."""
+    name = flag[2:].replace("-", "_")
+    parser.add_argument(
+        flag, type=float, default=argparse.SUPPRESS, dest=_PARAM + name, metavar=name.upper(), help=help
+    )
+
+
 def _add_rpm_flags(parser: argparse.ArgumentParser) -> None:
-    parser.set_defaults(model_flags=())
-    parser.add_argument("--b0", type=float, default=RPM_DEFAULT_B0, action=_ModelFlag, help="field magnitude in tesla")
-    parser.add_argument("--hyperfine-az", type=float, default=RPM_DEFAULT_HYPERFINE_AZ, action=_ModelFlag, help="axial hyperfine component in rad/s")
-    parser.add_argument("--gamma-shelf", type=float, default=RPM_DEFAULT_GAMMA_SHELF, action=_ModelFlag, help="shelving rate in 1/s")
-    parser.add_argument("--gamma-diss", type=float, default=0.0, action=_ModelFlag, help="electron dephasing rate in 1/s")
+    _add_param_flag(parser, "--b0", "field magnitude in tesla")
+    _add_param_flag(parser, "--hyperfine-az", "axial hyperfine component in rad/s")
+    _add_param_flag(parser, "--gamma-shelf", "shelving rate in 1/s")
+    _add_param_flag(parser, "--gamma-diss", "electron dephasing rate in 1/s")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,15 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fmo = sub.add_parser("fmo", help="exciton-transport population trace")
     p_fmo.add_argument("--sites", type=int, choices=FMO_SITE_COUNTS, default=3)
-    p_fmo.add_argument("--gamma-deph", type=float, default=FMO_DEFAULT_GAMMA_DEPH, help="site dephasing rate in 1/fs")
-    p_fmo.add_argument("--gamma-diss", type=float, default=FMO_DEFAULT_GAMMA_DISS, help="dissipation rate in 1/fs")
-    p_fmo.add_argument("--gamma-sink", type=float, default=FMO_DEFAULT_GAMMA_SINK, help="sink transfer rate in 1/fs")
+    _add_param_flag(p_fmo, "--gamma-deph", "site dephasing rate in 1/fs")
+    _add_param_flag(p_fmo, "--gamma-diss", "dissipation rate in 1/fs")
+    _add_param_flag(p_fmo, "--gamma-sink", "sink transfer rate in 1/fs")
     _add_run_flags(p_fmo, FMO_DEFAULT_T_END, FMO_DEFAULT_DT)
     p_fmo.set_defaults(func=_cmd_fmo)
 
     p_rpm = sub.add_parser("rpm", help="radical-pair yields trace")
     _add_rpm_flags(p_rpm)
-    p_rpm.add_argument("--theta", type=float, default=90.0, action=_ModelFlag, help="field orientation in degrees")
+    _add_param_flag(p_rpm, "--theta", "field orientation in degrees")
     p_rpm.add_argument("--model", help="model file overriding the built-in")
     _add_run_flags(p_rpm, RPM_DEFAULT_T_END, RPM_DEFAULT_DT)
     p_rpm.set_defaults(func=_cmd_rpm)

@@ -231,15 +231,8 @@ _PAIR_STATES = {
 }
 # (shelf index, nuclear ket, pair state): singlet configurations feed |S>,
 # the three triplets feed |T>, for either nuclear orientation.
-_SHELF_CHANNELS = (
-    (8, "u", "s"),
-    (9, "u", "t0"),
-    (9, "u", "t+"),
-    (9, "u", "t-"),
-    (8, "d", "s"),
-    (9, "d", "t0"),
-    (9, "d", "t+"),
-    (9, "d", "t-"),
+_SHELF_CHANNELS = tuple(
+    (8 if pair == "s" else 9, nuc, pair) for nuc in "ud" for pair in _PAIR_STATES
 )
 
 RPM_LEVELS = 10
@@ -417,15 +410,6 @@ def builtin_model(name: str) -> tuple[LindbladModel, np.ndarray]:
     if name == "rpm-dissipative":
         return rpm_model(RPMParams(gamma_diss=RPM_GAMMA_DISS_MID))
     raise ValueError(f"unknown built-in model {name!r}; choose from {BUILTIN_MODELS}")
-
-
-def builtin_model_path(name: str) -> Path:
-    """Path to the bundled serialized model file for ``name``."""
-    if name not in BUILTIN_MODELS:
-        raise ValueError(f"unknown built-in model {name!r}; choose from {BUILTIN_MODELS}")
-    resource = importlib.resources.files("lsvd.data").joinpath(f"{name}.json")
-    with importlib.resources.as_file(resource) as path:
-        return Path(path)
 
 
 def write_builtin_model_files(directory) -> list[Path]:

@@ -1,18 +1,28 @@
 """Shared generators for randomized tests (all seeded, never time-based),
-the dense reference forms of a circuit's factors and program, and the
-scipy reference for propagated states."""
+the paths of the bundled model files, the dense reference forms of a
+circuit's factors and program, and the scipy and 40-digit mpmath
+references for propagated states."""
 
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
+import lsvd
 import lsvd.lindblad
 import lsvd.numerics
 import lsvd.pipeline
 from lsvd.lindblad import Channel, LindbladModel, build_superoperator, lindblad_rhs
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
+
+
+def bundled_model_path(name):
+    """The model file shipped with the package for the built-in ``name``."""
+    return Path(lsvd.__file__).parent / "data" / f"{name}.json"
 
 
 def random_complex(rng, rows, cols=None):
@@ -151,6 +161,34 @@ def reference_states(model, rho0, times):
 def reference_populations(model, rho0, times):
     """The real diagonals of :func:`reference_states`, shape ``(len(times), r)``."""
     return np.diagonal(reference_states(model, rho0, times), axis1=1, axis2=2).real
+
+
+def mpmath_populations(model, rho0, times, dps=40):
+    """Populations at each of ``times``, shape ``(len(times), r)``, from
+    ``mpmath.expm(L t)`` at ``dps`` digits applied to vec(rho0) directly
+    (no chaining), on each connected component of the nonzero pattern of
+    ``L = build_superoperator(model)`` that vec(rho0) touches.  Beyond
+    ``build_superoperator`` it shares no code with the package, and it is
+    far more accurate than ``scipy.linalg.expm``."""
+    superop = build_superoperator(model)
+    r = model.dim
+    v0 = _vec(rho0)
+    count, labels = connected_components(superop != 0, connection="weak")
+    populations = np.zeros((len(times), r))
+    with mpmath.workdps(dps):
+        for component in range(count):
+            index = np.flatnonzero(labels == component)
+            if not v0[index].any():
+                continue
+            block = mpmath.matrix(superop[np.ix_(index, index)].tolist())
+            state = mpmath.matrix(v0[index].tolist())
+            # vec(rho)[i (r + 1)] is the population of level i
+            levels = [(k, i // (r + 1)) for k, i in enumerate(index) if i % (r + 1) == 0]
+            for row, t in enumerate(times):
+                evolved = mpmath.expm(block * t) * state
+                for k, level in levels:
+                    populations[row, level] = float(mpmath.re(evolved[k]))
+    return populations
 
 
 @pytest.fixture

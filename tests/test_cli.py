@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +11,13 @@ import pytest
 
 import lsvd.cli
 import lsvd.pipeline
+from lsvd.circuit import estimate_resources
 from lsvd.cli import main
 from lsvd.lindblad import model_to_dict
-from lsvd.models import FMOParams, builtin_model, builtin_model_path, fmo_model
+from lsvd.models import FMOParams, RPMParams, builtin_model, fmo_model
 from lsvd.sampler import substream_seed
 
-from conftest import random_model, reference_populations
+from conftest import bundled_model_path, random_model, reference_populations
 
 
 def read_csv(path):
@@ -57,7 +59,7 @@ class TestFmoCommand:
 
     def test_model_flag_is_unrecognized(self, capsys):
         # a model file runs through `evolve`; see TestModelFileFlags
-        assert run("fmo", "--model", str(builtin_model_path("fmo3"))) == 2
+        assert run("fmo", "--model", str(bundled_model_path("fmo3"))) == 2
         assert "unrecognized arguments: --model" in capsys.readouterr().err
 
 
@@ -153,15 +155,16 @@ class TestEvolveCommand:
 class TestModelFileFlags:
     """``rpm --model`` replaces the built-in model, so its flags are refused."""
 
-    RPM = str(builtin_model_path("rpm"))
+    RPM = str(bundled_model_path("rpm"))
 
     @pytest.mark.parametrize(
         "argv, flags",
         [
             (["rpm", "--model", RPM, "--gamma-diss", "1e6"], "--gamma-diss"),
             (["rpm", "--model", RPM, "--theta", "90", "--b0", "5e-5"], "--theta, --b0"),
+            (["rpm", "--model", RPM, "--b0", "1e-5", "--theta", "90", "--b0", "2e-5"], "--b0, --theta"),
         ],
-        ids=["rpm-one", "rpm-two"],
+        ids=["rpm-one", "rpm-two", "rpm-repeated"],
     )
     def test_ignored_model_flags_exit_2(self, argv, flags, tmp_path, capsys):
         out = tmp_path / "run.csv"
@@ -180,7 +183,7 @@ class TestModelFileFlags:
         # an exciton network's file runs through `evolve` from site 1, at fmo's step
         by_file_argv = {"fmo": ["evolve", "--initial", "1", "--dt", "5"], "rpm": ["rpm"]}[command]
         by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
-        model_file = str(builtin_model_path(builtin))
+        model_file = str(bundled_model_path(builtin))
         argv = [*by_file_argv, "--model", model_file, "--t-end", t_end, "--out", str(by_file)]
         assert run(*argv) == 0
         assert run(command, "--t-end", t_end, "--out", str(by_flags)) == 0
@@ -188,11 +191,45 @@ class TestModelFileFlags:
 
     def test_rpm_model_file_must_have_the_compass_dimension(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
-        assert run("rpm", "--model", str(builtin_model_path("fmo3")), "--out", str(out)) == 2
+        assert run("rpm", "--model", str(bundled_model_path("fmo3")), "--out", str(out)) == 2
         assert capsys.readouterr().err == (
             "error: model file has dim 5; the compass initial state needs 10\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+
+class TestParameterFlagDefaults:
+    """A parameter flag left out takes the parameter class's default."""
+
+    @staticmethod
+    def parameters(tmp_path, *argv):
+        out = tmp_path / "run.csv"
+        assert run(*argv, "--out", str(out)) == 0
+        return json.loads((tmp_path / "run.csv.meta.json").read_text())["config"]["parameters"]
+
+    def test_fmo(self, tmp_path):
+        params = self.parameters(tmp_path, "fmo", "--sites", "3")
+        default = FMOParams.default(3)
+        hamiltonian = np.diag(params["site_energies_cm1"]) + np.array(params["couplings_cm1"])
+        np.testing.assert_array_equal(hamiltonian, default.hamiltonian_cm1)
+        for name in ("gamma_deph", "gamma_diss", "gamma_sink"):
+            assert params[name] == getattr(default, name)
+
+    @pytest.mark.parametrize("command", ["rpm", "sweep"])
+    def test_compass(self, command, tmp_path):
+        params = self.parameters(tmp_path, command)
+        recorded = {
+            "hyperfine": params["hyperfine_rad_per_s"],
+            "b0": params["b0_tesla"],
+            "theta": params["theta_rad"],
+            "phi": params["phi_rad"],
+            "gamma_shelf": params["gamma_shelf_per_s"],
+            "gamma_diss": params["gamma_diss_per_s"],
+        }
+        default = RPMParams()
+        assert list(recorded) == [f.name for f in fields(RPMParams)]
+        for name, value in recorded.items():
+            np.testing.assert_array_equal(value, getattr(default, name))
 
 
 class TestResourcesCommand:
@@ -215,11 +252,38 @@ class TestResourcesCommand:
     def test_invalid_qubits(self, tmp_path):
         assert run("resources", "--qubits", "1", "--out", str(tmp_path / "r.json")) == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unprintable_count_writes_nothing(self, fmt, tmp_path, capsys):
+        # 8000 qubits give a 4,824-digit total; Python prints at most 4,300 by default
+        assert run("resources", "--qubits", "8000", "--format", fmt, "--out", str(tmp_path / "r")) == 2
+        assert capsys.readouterr().err.startswith("error: --qubits: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("d", [7129, 7130])
+    def test_refuses_exactly_the_counts_it_cannot_print(self, d, tmp_path):
+        try:
+            json.dumps(estimate_resources(d))
+            printable = True
+        except ValueError:
+            printable = False
+        assert run("resources", "--qubits", str(d), "--out", str(tmp_path / "r.json")) == (
+            0 if printable else 2
+        )
+
+    def test_huge_count_refused_before_any_power_of_two(self, monkeypatch, tmp_path, capsys):
+        def never(d):
+            raise AssertionError("estimate_resources ran")
+
+        monkeypatch.setattr(lsvd.cli, "estimate_resources", never)
+        assert run("resources", "--qubits", str(10**12), "--out", str(tmp_path / "r.json")) == 2
+        assert capsys.readouterr().err.startswith("error: --qubits: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestValidateCommand:
     @pytest.mark.parametrize("name", ["fmo3", "fmo7", "rpm", "rpm-dissipative"])
     def test_bundled_models_validate(self, name, capsys):
-        assert run("validate", str(builtin_model_path(name))) == 0
+        assert run("validate", str(bundled_model_path(name))) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "superoperator_trace_preserving" in out
@@ -339,7 +403,7 @@ class TestOutputContracts:
         [
             ["fmo", "--t-end", "20"],
             ["rpm", "--t-end", "0.01"],
-            ["evolve", "--model", str(builtin_model_path("fmo3")), "--dt", "10", "--t-end", "30"],
+            ["evolve", "--model", str(bundled_model_path("fmo3")), "--dt", "10", "--t-end", "30"],
             ["sweep", "--theta-step", "45", "--t-end", "0.1"],
         ],
         ids=lambda argv: argv[0],
@@ -348,7 +412,7 @@ class TestOutputContracts:
         provenance = {
             "fmo": "bundled 7-site Hamiltonian after Adolphs & Renger (2006); ",
             "rpm": "CODATA electron gyromagnetic ratio; ",
-            "evolve": f"model file {builtin_model_path('fmo3')}",
+            "evolve": f"model file {bundled_model_path('fmo3')}",
             "sweep": "CODATA electron gyromagnetic ratio; ",
         }[argv[0]]
         out = tmp_path / "run.csv"
@@ -437,7 +501,7 @@ class TestOutputContracts:
             (["rpm", "--theta", "200"], "--theta must lie in [0, 180] degrees"),
             (["rpm", "--theta", "-1"], "--theta must lie in [0, 180] degrees"),
             (["rpm", "--theta", "nan"], "--theta must lie in [0, 180] degrees"),
-            (["resources", "--qubits", "1"], "--qubits must be at least 2"),
+            (["resources", "--qubits", "1"], "--qubits: d must be at least 2, got 1"),
             (["sweep", "--theta-step", "inf"], "--theta-step: step inf must be positive and finite"),
         ],
         ids=["theta-200", "theta-negative", "theta-nan", "qubits-1", "theta-step-inf"],

@@ -19,7 +19,6 @@ from lsvd.models import (
     FMOParams,
     RPMParams,
     builtin_model,
-    builtin_model_path,
     default_theta_grid,
     fmo_model,
     rpm_model,
@@ -30,7 +29,7 @@ from lsvd.models import (
 from lsvd.pipeline import classical_evolve, quantum_evolve, qubit_counts
 from lsvd.sampler import substream_seed
 
-from conftest import reference_populations
+from conftest import bundled_model_path, reference_populations
 
 
 class TestFMOParams:
@@ -424,14 +423,14 @@ class TestBuiltinModels:
     @pytest.mark.parametrize("name", BUILTIN_MODELS)
     def test_bundled_file_matches_builder(self, name):
         model, _ = builtin_model(name)
-        loaded = load_model(builtin_model_path(name))
+        loaded = load_model(bundled_model_path(name))
         assert model_to_dict(loaded) == model_to_dict(model)
 
     def test_regenerated_files_are_byte_identical(self, tmp_path):
         written = write_builtin_model_files(tmp_path / "data")
         assert [path.name for path in written] == [f"{name}.json" for name in BUILTIN_MODELS]
         for name, path in zip(BUILTIN_MODELS, written):
-            assert path.read_bytes() == builtin_model_path(name).read_bytes()
+            assert path.read_bytes() == bundled_model_path(name).read_bytes()
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
