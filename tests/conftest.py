@@ -163,9 +163,9 @@ def reference_populations(model, rho0, times):
     return np.diagonal(reference_states(model, rho0, times), axis1=1, axis2=2).real
 
 
-def mpmath_populations(model, rho0, times, dps=40):
+def mpmath_populations(model, rho0, times):
     """Populations at each of ``times``, shape ``(len(times), r)``, from
-    ``mpmath.expm(L t)`` at ``dps`` digits applied to vec(rho0) directly
+    ``mpmath.expm(L t)`` at 40 digits applied to vec(rho0) directly
     (no chaining), on each connected component of the nonzero pattern of
     ``L = build_superoperator(model)`` that vec(rho0) touches.  Beyond
     ``build_superoperator`` it shares no code with the package, and it is
@@ -175,7 +175,7 @@ def mpmath_populations(model, rho0, times, dps=40):
     v0 = _vec(rho0)
     count, labels = connected_components(superop != 0, connection="weak")
     populations = np.zeros((len(times), r))
-    with mpmath.workdps(dps):
+    with mpmath.workdps(40):
         for component in range(count):
             index = np.flatnonzero(labels == component)
             if not v0[index].any():
