@@ -220,7 +220,7 @@ def build_svd_circuit(*blocks) -> SVDCircuit:
     both factors checked to 1e-12); the direct sum of the block SVDs is an
     SVD of the direct sum, with the padding identity as the last block, up
     to n = 2^k.  The singular values keep that block-row order, with a one for each padding
-    row, and are divided by ``scale = max(1, sigma_max)``.  LAPACK returns
+    row, and are divided by ``scale = max(1, sigma_max)``.  ``svd`` returns
     sigma >= 0 and every quotient x / scale has 0 <= x <= scale, so each
     scaled value lies in [0, 1] exactly and its dilation needs no guard.
     The block identity (ancilla-0 block equals the scaled input propagator

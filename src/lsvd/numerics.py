@@ -4,8 +4,9 @@ All functions accept anything ``numpy.asarray`` can turn into a 2-D array
 and keep its field: real input is worked on, and returned, as ``float64``
 and complex input as ``complex128``.  ``expm`` and ``svd`` also take a
 stack of matrices, shape ``(..., m, m)``, as ``numpy.linalg.svd`` does,
-and treat each matrix of it as a call of its own would.  ``svd``
-delegates to numpy's LAPACK-backed routine but enforces the accuracy
+and treat each matrix of it as a call of its own would; both refuse empty
+input.  ``svd`` factors real 1 x 1 and 2 x 2 matrices in closed form and
+all others by numpy's LAPACK-backed routine, then enforces the accuracy
 contract documented on it for every matrix of the stack, raising when the
 contract is missed instead of returning silently degraded factors.
 ``expm`` scales each matrix to a 1-norm of at most ``theta_13 = 5.37``,
@@ -55,9 +56,13 @@ def as_matrix(a, *, name: str = "matrix", stacked: bool = False) -> Matrix:
     return m
 
 
-def _require_square(m: Matrix, name: str = "matrix") -> None:
+def _square_stack(a) -> Matrix:
+    m = as_matrix(a, stacked=True)
     if m.shape[-2] != m.shape[-1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape[-2:]}")
+        raise ValueError(f"matrix must be square, got shape {m.shape[-2:]}")
+    if m.size == 0:
+        raise ValueError(f"matrix has no entries, got shape {m.shape}")
+    return m
 
 
 def expm(a) -> Matrix:
@@ -80,13 +85,12 @@ def expm(a) -> Matrix:
     error faster.
 
     Raises:
-        ValueError: if ``a`` is not square or has a non-finite entry.
+        ValueError: if ``a`` is empty, not square or has a non-finite entry.
         LsvdError: if the squarings one matrix needs exceed the hard
             cap (norm astronomically large); the message gives the
             estimated achievable residual.
     """
-    m = as_matrix(a, stacked=True)
-    _require_square(m)
+    m = _square_stack(a)
     stack = m.reshape((-1,) + m.shape[-2:])
     norms = np.linalg.norm(stack, 1, axis=(-2, -1))
     floor = np.maximum(norms, np.finfo(float).tiny)  # log2(0) warns; 0 needs no scaling
@@ -127,6 +131,24 @@ def _squared_defect(product: Matrix, target=0.0) -> np.ndarray:
     return np.add.reduce(product, axis=(-2, -1)).real
 
 
+def _small_svd(m: np.ndarray):
+    """Closed-form SVD of a real stack of 1 x 1 or 2 x 2 matrices: u =
+    sign(a) (+1 at 0), sigma = |a|, vdag = 1; or rotations by phi and theta
+    around diag(q + r, q - r), q and r the norms of the rotation and the
+    reflection part (Blinn, IEEE CG&A 16(2), 82 (1996)), with the sign of a
+    negative q - r moved into vdag's second row."""
+    if m.shape[-1] == 1:
+        return np.where(m < 0, -1.0, 1.0), np.abs(m[..., 0]), np.ones_like(m)
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    q, r = np.hypot(a + d, c - b) / 2, np.hypot(a - d, c + b) / 2
+    first, second = np.arctan2(c + b, a - d), np.arctan2(c - b, a + d)
+    angles = np.stack([second + first, second - first]) / 2  # of u and of vdag
+    cos, sin = np.cos(angles), np.sin(angles)
+    u, vdag = np.stack([cos, -sin, sin, cos], axis=-1).reshape(angles.shape + (2, 2))
+    vdag[..., 1, :] *= np.where(q < r, -1.0, 1.0)[..., None]
+    return u, np.stack([q + r, np.abs(q - r)], axis=-1), vdag
+
+
 def svd(a):
     """Singular value decomposition ``a = U diag(sigma) Vdag`` of a square
     matrix, or of each matrix of a stack ``(..., m, m)``.
@@ -134,24 +156,26 @@ def svd(a):
     Returns ``(u, sigma, vdag)`` with the leading axes of ``a``; ``sigma``
     is real, non-negative and sorted descending; ``u`` and ``vdag`` are
     float64 (orthogonal) for real input and complex128 (unitary) for
-    complex input.  For every matrix, the reconstruction residual against
-    that matrix's own norm and the departures of ``u``/``vdag`` from
-    unitarity (Frobenius norms) are checked against ``DEFAULT_TOL``.
+    complex input.  Real 1 x 1 and 2 x 2 matrices are factored in closed
+    form (``_small_svd``), all others by LAPACK.  For every matrix, the
+    reconstruction residual against that matrix's own norm and the
+    departures of ``u``/``vdag`` from unitarity (Frobenius norms) are
+    checked against ``DEFAULT_TOL``.
 
     Factor matrices are not unique (degenerate singular values admit
     arbitrary unitary mixing), so callers should only ever compare
     reconstructed products, never the factors themselves.
 
     Raises:
-        ValueError: if ``a`` is not square or has a non-finite entry.
+        ValueError: if ``a`` is empty, not square or has a non-finite entry.
         LsvdError: if LAPACK does not converge, or if a check misses
             ``DEFAULT_TOL``; the message gives the worst residual of the
             stack.
     """
-    m = as_matrix(a, stacked=True)
-    _require_square(m)
+    m = _square_stack(a)
+    small = m.shape[-1] <= 2 and not np.iscomplexobj(m)
     try:
-        u, sigma, vdag = np.linalg.svd(m)
+        u, sigma, vdag = _small_svd(m) if small else np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
         raise LsvdError(f"SVD did not converge: {exc}") from exc
 

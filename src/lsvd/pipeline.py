@@ -28,8 +28,9 @@ rounding dropped and checked, rather than the exponential of the rotated
 generator, whose rounding exp(G t) would amplify by ||G t||.  Each output
 time still gets its own freshly decomposed circuit implementing the full
 exp(G t_k), so postselection statistics are never compounded.  The
-circuits are built and run ``_CHUNK`` consecutive times at once: their
-propagator blocks are stacked along a leading point axis, one
+circuits are built and run a chunk of consecutive times at once (32 for
+rpm, 8 for fmo7; ``_chunk_width``): the chain writes their propagator
+blocks straight into stacks along a leading point axis, one
 ``build_svd_circuit`` call decomposes and checks every point of the stack
 and one ``run_exact`` call runs them.  A point's row does not depend on
 the chunk it falls in.  A family of generators at one time, sum_i w_ji G_i
@@ -77,9 +78,10 @@ from .sampler import DEFAULT_SHOTS, estimate_populations, sample, substream_seed
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 # Points (times or family members) decomposed, checked and run per stacked
-# circuit call: enough to spread the per-call overhead, few enough to keep
-# memory at a handful of propagators however long the grid.
-_CHUNK = 8
+# circuit call: as many as carry ``_CHUNK_WORK`` of SVD work, the sum of s³
+# over a point's working blocks, so that small blocks spread their per-call
+# overhead and large ones keep a chunk's memory small; at most ``_MAX_CHUNK``.
+_MAX_CHUNK, _CHUNK_WORK = 32, 2**20
 
 # Largest imaginary part of T† L T, relative to ||H||_F + sum_i gamma_i
 # ||C_i||_F², that is taken for rounding (random models reach 0.5 eps).
@@ -107,6 +109,12 @@ def qubit_counts(dim: int) -> tuple[int, int]:
     """(system qubits k, total qubits d) for an r-level model: n = 2^k >= r²."""
     k = padded_dimension(dim * dim).bit_length() - 1
     return k, k + 1
+
+
+def _chunk_width(block_runs) -> int:
+    """Points per chunk for working blocks listed as ``[size, count]`` runs."""
+    work = sum(count * size**3 for size, count in block_runs)
+    return min(_MAX_CHUNK, -(-_CHUNK_WORK // work))
 
 
 def _validated_times(times) -> np.ndarray:
@@ -344,7 +352,8 @@ def _working_basis(models: list[LindbladModel]):
                     f"symmetry split drops {dropped:.3e} of a propagator, more than "
                     f"{DEFAULT_TOL:.0e}: the generator is only nearly symmetric"
                 )
-        return [each[index][..., span, span] for index, span in spans]
+        # copies, so that neither the chunk nor its rotation outlives this
+        return [each[index][..., span, span].copy() for index, span in spans]
 
     widths = [span.stop - span.start for _, span in spans]
     basis = np.zeros((generators[0].shape[0],) * 2)
@@ -358,8 +367,10 @@ def _working_basis(models: list[LindbladModel]):
     return runs, (basis, rotate, record)
 
 
-def _propagators(blocks: list[np.ndarray], grid: np.ndarray):
-    """Yield the blocks of exp(G t) for each time of the ascending ``grid``.
+def _chain(blocks: list[np.ndarray], grid: np.ndarray, width: int):
+    """Yield the blocks of exp(G t) for the ascending ``grid``, ``width``
+    points at a time (the last chunk may be shorter), each block stacked
+    along a new leading axis.
 
     ``blocks`` are the diagonal blocks of a block-diagonal generator, whose
     propagator is the direct sum of the blocks' own; each may be a run of
@@ -368,36 +379,31 @@ def _propagators(blocks: list[np.ndarray], grid: np.ndarray):
     with ``step = exp(G_i gap)`` for the float gap to the previous time
     (exact whenever neighbours lie within a factor of two), so the chain
     telescopes to each t.  A step is kept only until the last use of its
-    gap, so a grid whose gaps all differ caches nothing.
+    gap, so a grid whose gaps all differ caches nothing.  Each point is
+    written straight into its chunk, and the chain keeps only a copy of
+    the last point of a chunk it has handed out.
     """
     gaps = np.diff(grid).tolist()
     last_use = {gap: index for index, gap in enumerate(gaps)}
     steps: dict[float, list[np.ndarray]] = {}
-    current = [propagator(block, grid[0]) for block in blocks]
-    yield current
-    for index, gap in enumerate(gaps):
-        step = steps.pop(gap, None)
-        if step is None:
-            step = [propagator(block, gap) for block in blocks]
-        if last_use[gap] > index:
-            steps[gap] = step
-        current = [s @ c for s, c in zip(step, current)]
-        yield current
-
-
-def _chunks(propagators, size: int):
-    """Yield ``size`` consecutive points of ``propagators`` at a time (the
-    last chunk may be shorter), each block stacked along a new leading
-    axis.  A chunk's unstacked points are dropped before it is handed out."""
-    points = []
-    for props in propagators:
-        points.append(props)
-        if len(points) == size:
-            chunk = [np.array(stack) for stack in zip(*points)]
-            points.clear()
-            yield chunk
-    if points:
-        yield [np.array(stack) for stack in zip(*points)]
+    for start in range(0, grid.size, width):
+        chunk = [np.empty((min(width, grid.size - start),) + b.shape, b.dtype) for b in blocks]
+        for k in range(chunk[0].shape[0]):
+            index = start + k - 1  # of the gap from the previous point
+            if index < 0:
+                for stack, block in zip(chunk, blocks):
+                    stack[0] = propagator(block, grid[0])
+            else:
+                step = steps.pop(gaps[index], None)
+                if step is None:
+                    step = [propagator(block, gaps[index]) for block in blocks]
+                if last_use[gaps[index]] > index:
+                    steps[gaps[index]] = step
+                for s, p, stack in zip(step, previous, chunk):
+                    np.matmul(s, p, out=stack[k])
+            previous = [stack[k] for stack in chunk]
+        previous = [p.copy() for p in previous]
+        yield [chunk.pop(0) for _ in blocks]  # emptied: the chain keeps none of it
 
 
 def _run_chunks(chunks, working, rho0, times, labels, mode, shots, seeds):
@@ -419,8 +425,8 @@ def _run_chunks(chunks, working, rho0, times, labels, mode, shots, seeds):
     state = np.zeros(2 * padded_dimension(r * r), dtype=np.complex128)
     state[: r * r] = basis.T @ _to_hermitian_basis(v0, r) / input_norm
 
-    def run_chunk(chunk: list[np.ndarray]):
-        circ = build_svd_circuit(*rotate(chunk))
+    def run_chunk(blocks: list[np.ndarray]):
+        circ = build_svd_circuit(*blocks)
         conditioned, success = run_exact(circ, state)
         # point by point, so that a row does not depend on its chunk
         coords = (basis @ conditioned[:, : r * r, None])[..., 0].T
@@ -434,7 +440,8 @@ def _run_chunks(chunks, working, rho0, times, labels, mode, shots, seeds):
         postselected = [result.postselected_shots / result.shots for result in results]
         return populations, postselected, circ.scale
 
-    columns = zip(*map(run_chunk, chunks))
+    # each chunk is freed once rotated, before its circuit is built
+    columns = zip(*map(run_chunk, map(rotate, chunks)))
     populations, success, scales = (np.concatenate(column, dtype=float) for column in columns)
     return PopulationTrace(times, populations, success, labels, scales, record)
 
@@ -443,7 +450,7 @@ def classical_evolve(model: LindbladModel, rho0, times) -> PopulationTrace:
     """Propagate ``rho0`` through Liouville space and record populations.
 
     The propagators exp(L t) of the column-stacked generator are chained
-    along the ascending grid by ``_propagators``, as ``quantum_evolve``
+    along the ascending grid by ``_chain``, as ``quantum_evolve``
     chains its blocks, with no Hermitian basis, no blocks and no circuit;
     populations are the real diagonal of exp(L t) vec(rho0).  The trace
     of every output state is checked to stay within 1e-8 of one.
@@ -453,8 +460,8 @@ def classical_evolve(model: LindbladModel, rho0, times) -> PopulationTrace:
     v0 = _vec_rho0(rho0, r)
     diagonal = np.arange(r) * (r + 1)
     populations = np.empty((grid.size, r), dtype=float)
-    chain = _propagators([build_superoperator(model)], grid)
-    for i, (t, (prop,)) in enumerate(zip(grid, chain)):
+    chain = _chain([build_superoperator(model)], grid, 1)
+    for i, (t, ((prop,),)) in enumerate(zip(grid, chain)):
         diag_t = (prop @ v0)[diagonal]
         trace_defect = abs(diag_t.sum() - 1.0)
         if trace_defect > 1e-8:
@@ -499,7 +506,7 @@ def quantum_evolve(
     """
     grid = _validated_times(times)
     (runs,), working = _working_basis([model])
-    chunks = _chunks(_propagators(runs, grid), _CHUNK)
+    chunks = _chain(runs, grid, _chunk_width(working[2]["block_runs"]))
     seeds = (substream_seed(seed, i) for i in range(grid.size))
     return _run_chunks(chunks, working, rho0, grid, model.labels, mode, shots, seeds)
 
@@ -517,7 +524,7 @@ def evolve_family(anchors, weights, rho0, t, mode="exact", shots=DEFAULT_SHOTS, 
 
     Member ``j``'s generator is ``sum_i weights[j, i] G_i``, with ``G_i``
     that of ``anchors[i]``.  The block partition is taken once, from the
-    union of the anchors' patterns, and members run ``_CHUNK`` at a time; a
+    union of the anchors' patterns, and members run a chunk at a time; a
     row depends neither on the other members nor on the chunk it falls in.
     Row ``j`` equals what ``quantum_evolve`` gives for member ``j`` at
     ``[t]`` with the run seed ``substream_seed(seed, j)`` up to the rounding
@@ -543,6 +550,7 @@ def evolve_family(anchors, weights, rho0, t, mode="exact", shots=DEFAULT_SHOTS, 
             stacks.append(propagator(stack, grid[0]))
         return stacks
 
-    chunks = (propagators(w[first : first + _CHUNK]) for first in range(0, grid.size, _CHUNK))
+    width = _chunk_width(working[2]["block_runs"])
+    chunks = (propagators(w[first : first + width]) for first in range(0, grid.size, width))
     seeds = (substream_seed(substream_seed(seed, j), 0) for j in range(grid.size))
     return _run_chunks(chunks, working, rho0, grid, anchors[0].labels, mode, shots, seeds)

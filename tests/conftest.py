@@ -25,6 +25,13 @@ def bundled_model_path(name):
     return Path(lsvd.__file__).parent / "data" / f"{name}.json"
 
 
+def force_chunk_width(monkeypatch, width):
+    """Make every run of the pipeline take ``width`` points per chunk: the
+    cap of the chunk rule, with a work budget that never binds first."""
+    monkeypatch.setattr(lsvd.pipeline, "_MAX_CHUNK", width)
+    monkeypatch.setattr(lsvd.pipeline, "_CHUNK_WORK", 2**62)
+
+
 def random_complex(rng, rows, cols=None):
     cols = rows if cols is None else cols
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))

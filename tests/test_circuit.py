@@ -197,6 +197,11 @@ class TestBlocks:
         with pytest.raises(ValueError, match=message):
             build_svd_circuit(*blocks)
 
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (0, 0)])
+    def test_empty_block_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"matrix has no entries, got shape \("):
+            build_svd_circuit(np.zeros(shape))
+
 
 def random_stack(rng, points, sizes):
     """One stack of ``points`` random real matrices per block size."""

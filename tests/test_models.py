@@ -29,7 +29,7 @@ from lsvd.models import (
 from lsvd.pipeline import classical_evolve, quantum_evolve, qubit_counts
 from lsvd.sampler import substream_seed
 
-from conftest import bundled_model_path, reference_populations
+from conftest import bundled_model_path, force_chunk_width, reference_populations
 
 
 class TestFMOParams:
@@ -315,10 +315,9 @@ class TestSweepFamily:
     """The orientations run as one family of generators, a chunk at a time;
     an orientation's row must not depend on the others or on its chunk."""
 
-    # theta = 0 and pi first, so that every prefix of two or more holds both
-    GRID = np.concatenate(
-        [[0.0, np.pi], np.deg2rad(np.linspace(9.0, 171.0, 2 * lsvd.pipeline._CHUNK + 1))]
-    )
+    # theta = 0 and pi first, so that every prefix of two or more holds both;
+    # 19 orientations span two of the family's 15-member chunks
+    GRID = np.concatenate([[0.0, np.pi], np.deg2rad(np.linspace(9.0, 171.0, 17))])
     RUN = {"shots": 512, "seed": 3}
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
@@ -332,7 +331,7 @@ class TestSweepFamily:
     @pytest.mark.parametrize("chunk", [1, 3, 32])
     def test_chunk_size_does_not_change_a_row(self, monkeypatch, mode, chunk):
         full = sweep_rows(theta_sweep(RPMParams(), thetas=self.GRID, mode=mode, **self.RUN))
-        monkeypatch.setattr(lsvd.pipeline, "_CHUNK", chunk)
+        force_chunk_width(monkeypatch, chunk)
         rechunked = theta_sweep(RPMParams(), thetas=self.GRID, mode=mode, **self.RUN)
         assert sweep_rows(rechunked) == full
 

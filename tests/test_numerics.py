@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import mpmath
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import lsvd
+import lsvd.numerics
 from lsvd.errors import LsvdError
 from lsvd.lindblad import build_superoperator
 from lsvd.models import (
@@ -295,3 +298,106 @@ class TestSvd:
         stack[2, 1, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             svd(stack)
+
+
+def small_stack(kind, size, rng, count=2000):
+    """``count`` real ``size`` x ``size`` matrices of one ``kind``."""
+    signs = rng.choice([-1.0, 1.0], size=(count, 1, 1))
+    if kind == "random":
+        return rng.normal(size=(count, size, size))
+    if kind == "rank-deficient":
+        left = rng.normal(size=(count, size, 1))
+        left[::2] = 0.0  # rank 0 as well as 1
+        return left @ rng.normal(size=(count, 1, size))
+    if kind == "zero":
+        return np.zeros((count, size, size)) * signs  # signed zeros
+    if kind == "equal-sigma":
+        # scaled rotations and reflections: every singular value is the scale
+        scale = rng.uniform(0.1, 10.0, (count, 1, 1))
+        if size == 1:
+            return scale * signs
+        angle = rng.uniform(-4.0, 4.0, count)
+        cos, sin = np.cos(angle), np.sin(angle)
+        rotation = np.stack([cos, -sin, sin, cos], axis=-1).reshape(count, 2, 2)
+        rotation[:, :, 1] *= signs[:, 0]  # a reflection where the sign is negative
+        return scale * rotation
+    if kind == "negative-determinant":
+        stack = rng.normal(size=(count, size, size))
+        stack[np.linalg.det(stack) > 0, 0] *= -1.0
+        return stack
+    assert kind == "badly-scaled"
+    return rng.normal(size=(count, size, size)) * 10.0 ** rng.uniform(-8, 3, (count, size, size))
+
+
+class TestSmallSvd:
+    """Real 1 x 1 and 2 x 2 matrices are factored in closed form, not by
+    LAPACK, under the same checks."""
+
+    KINDS = [
+        "random", "rank-deficient", "zero", "equal-sigma", "negative-determinant", "badly-scaled",
+    ]
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_lapack_within_the_contract(self, monkeypatch, kind, size):
+        stack = small_stack(kind, size, np.random.default_rng([size, self.KINDS.index(kind)]))
+        lapack_u, lapack_sigma, lapack_vdag = np.linalg.svd(stack)
+        monkeypatch.setattr(np.linalg, "svd", None)  # the closed form must not need it
+        u, sigma, vdag = svd(stack)
+        assert u.dtype == sigma.dtype == vdag.dtype == np.float64
+        assert np.all(sigma >= 0) and np.all(np.diff(sigma, axis=-1) <= 0)
+        norm = np.maximum(np.linalg.norm(stack, axis=(-2, -1)), np.finfo(float).tiny)
+
+        def relative(defect):
+            return np.linalg.norm(defect, axis=(-2, -1)) / norm
+
+        product = (u * sigma[:, None, :]) @ vdag
+        lapack = (lapack_u * lapack_sigma[:, None, :]) @ lapack_vdag
+        assert relative(product - stack).max() <= DEFAULT_TOL
+        assert relative(product - lapack).max() <= DEFAULT_TOL
+        assert (np.abs(sigma - lapack_sigma).max(axis=-1) / norm).max() <= DEFAULT_TOL
+        eye = np.eye(size)
+        assert np.linalg.norm(np.swapaxes(u, -1, -2) @ u - eye, axis=(-2, -1)).max() <= DEFAULT_TOL
+        assert np.linalg.norm(vdag @ np.swapaxes(vdag, -1, -2) - eye, axis=(-2, -1)).max() <= DEFAULT_TOL
+
+    @pytest.mark.parametrize("j", [0, 5])
+    def test_one_corrupted_matrix_rejected(self, rng, monkeypatch, j):
+        stack = rng.normal(size=(8, 2, 2))
+        real_small_svd = lsvd.numerics._small_svd
+
+        def perturbed(m):
+            u, sigma, vdag = real_small_svd(m)
+            u[j] *= 1.0 + 1e-9
+            return u, sigma, vdag
+
+        monkeypatch.setattr(lsvd.numerics, "_small_svd", perturbed)
+        with pytest.raises(LsvdError, match="accuracy contract missed"):
+            svd(stack)
+        monkeypatch.undo()
+        svd(stack)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_only_real_input_takes_the_closed_form(self, rng, monkeypatch, field):
+        stack = rng.normal(size=(3, 2, 2))
+        if field == "complex":
+            stack = stack + 1j * rng.normal(size=(3, 2, 2))
+        lapack_calls = []
+        real_lapack = np.linalg.svd
+
+        def recording(m):
+            lapack_calls.append(m.shape)
+            return real_lapack(m)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        u, _, _ = svd(stack)
+        assert lapack_calls == ([(3, 2, 2)] if field == "complex" else [])
+        assert u.dtype == (np.complex128 if field == "complex" else np.float64)
+
+
+class TestEmptyInput:
+    @pytest.mark.parametrize("entry", ["expm", "svd"])
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (0, 0), (2, 0, 0)])
+    def test_refused_before_any_reduction(self, entry, shape):
+        message = re.escape(f"matrix has no entries, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(lsvd, entry)(np.zeros(shape))

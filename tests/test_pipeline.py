@@ -15,6 +15,7 @@ from lsvd.models import RPMParams, builtin_model, rpm_model
 from lsvd.pipeline import classical_evolve, quantum_evolve, qubit_counts
 
 from conftest import (
+    force_chunk_width,
     mpmath_populations,
     random_complex,
     random_density,
@@ -177,6 +178,13 @@ class TestMemory:
         model, rho0 = builtin_model("fmo7")  # n = 128
         short = self.peak_bytes(model, rho0, np.arange(16) * 5.0)
         long = self.peak_bytes(model, rho0, np.arange(64) * 5.0)
+        assert long - short <= 2**20, f"peak grew from {short} to {long} bytes"
+
+    def test_peak_does_not_grow_with_the_widest_chunk(self):
+        model, rho0 = builtin_model("rpm")  # 32 points per chunk
+        quantum_evolve(model, rho0, RPM_GRID[:1])  # one-time allocations
+        short = self.peak_bytes(model, rho0, RPM_GRID[:64])
+        long = self.peak_bytes(model, rho0, RPM_GRID[:256])
         assert long - short <= 2**20, f"peak grew from {short} to {long} bytes"
 
     def test_distinct_gaps_cache_no_steps(self):
@@ -373,7 +381,7 @@ class TestHermitianBasis:
 
     def test_rpm_grid_sends_real_unpadded_matrices_to_the_svd(self, monkeypatch):
         # one stacked float64 SVD per run of equal-size blocks of the split
-        # working basis per chunk of at most _CHUNK points, and one
+        # working basis per chunk of at most 32 points, and one
         # propagator per distinct gap per run of equal-size components
         svd_inputs = []
         real_svd = lsvd.circuit.svd
@@ -394,11 +402,11 @@ class TestHermitianBasis:
         model, rho0 = builtin_model("rpm")
         quantum_evolve(model, rho0, RPM_GRID)
         runs = [(1, 12), (36, 2), (16, 1)]  # (count, size) of rpm's working blocks
-        assert len(svd_inputs) == 72 * len(runs)
+        assert len(svd_inputs) == 18 * len(runs)  # ceil(572 / 32) chunks
         chunks = [svd_inputs[i : i + len(runs)] for i in range(0, len(svd_inputs), len(runs))]
         for chunk in chunks:
             points = chunk[0][1][0]
-            assert 1 <= points <= lsvd.pipeline._CHUNK
+            assert 1 <= points <= 32
             expected = [(np.dtype(np.float64), (points, count, s, s)) for count, s in runs]
             assert chunk == expected
         assert sum(chunk[0][1][0] for chunk in chunks) == 572
@@ -546,15 +554,25 @@ class TestFortyDigitReference:
 
 
 class TestChunks:
-    """Points are decomposed and run ``_CHUNK`` at a time; a point's row
-    must not depend on the chunk it falls in."""
+    """Points are decomposed and run a chunk at a time; a point's row must
+    not depend on the chunk it falls in."""
+
+    @pytest.mark.parametrize("name, width", [("rpm", 32), ("sweep", 15), ("fmo7", 8)])
+    def test_width_carries_a_fixed_amount_of_svd_work(self, name, width):
+        models = _sweep_anchors() if name == "sweep" else [builtin_model(name)[0]]
+        _, (_, _, record) = lsvd.pipeline._working_basis(models)
+        assert lsvd.pipeline._chunk_width(record["block_runs"]) == width
+
+    def test_a_block_past_the_work_budget_runs_alone(self):
+        assert lsvd.pipeline._chunk_width([[144, 1]]) == 1
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     @pytest.mark.parametrize("grid", ["chunks", "irregular"])
-    def test_every_prefix_gives_the_full_runs_rows(self, mode, grid):
+    def test_every_prefix_gives_the_full_runs_rows(self, monkeypatch, mode, grid):
         model, rho0 = builtin_model("fmo3")
+        force_chunk_width(monkeypatch, 8)
         if grid == "chunks":
-            times = np.arange(2 * lsvd.pipeline._CHUNK + 3) * 37.0
+            times = np.arange(19) * 37.0
         else:
             times = IRREGULAR_GRID * 100.0
 
@@ -580,7 +598,7 @@ class TestChunks:
             return np.concatenate([trace.populations.T, [trace.success_prob, trace.scales]]).tobytes()
 
         full = quantum_evolve(model, rho0, RPM_GRID[:11], **kwargs)
-        monkeypatch.setattr(lsvd.pipeline, "_CHUNK", chunk)
+        force_chunk_width(monkeypatch, chunk)
         assert rows(quantum_evolve(model, rho0, RPM_GRID[:11], **kwargs)) == rows(full)
 
     def test_each_chunk_makes_one_circuit(self, monkeypatch):
@@ -593,6 +611,6 @@ class TestChunks:
 
         monkeypatch.setattr(lsvd.pipeline, "build_svd_circuit", counting_build)
         model, rho0 = builtin_model("fmo3")
-        chunk = lsvd.pipeline._CHUNK
-        quantum_evolve(model, rho0, np.arange(2 * chunk + 3) * 37.0)
-        assert calls == [chunk, chunk, 3]
+        force_chunk_width(monkeypatch, 8)
+        quantum_evolve(model, rho0, np.arange(19) * 37.0)
+        assert calls == [8, 8, 3]
