@@ -38,7 +38,6 @@ from .models import (
     BUILTIN_MODELS,
     FMOParams,
     RPMParams,
-    ThetaSweepResult,
     builtin_model,
     default_theta_grid,
     fmo_model,

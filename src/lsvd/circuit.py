@@ -254,11 +254,14 @@ def run_exact(circuit: SVDCircuit, input_state) -> tuple[np.ndarray, np.ndarray 
     readout rescales them by the dilation scale, sampled readout draws
     shots from them) and ``success_prob`` is their squared norm, per
     point.  For an input with the ancilla in |0>, ``success_prob =
-    ||M_scaled @ input_system||²``.
+    ||M_scaled @ input_system||²``.  An input that is not finite, or not
+    normalized to 1e-10, raises ``ValueError``.
     """
     amps = np.asarray(input_state, dtype=np.complex128)
     if amps.shape[-1] != 2 * circuit.n:
         raise ValueError(f"input has length {amps.shape[-1]}, expected {2 * circuit.n}")
+    if not np.isfinite(amps).all():  # before any reduction, which would warn on inf
+        raise ValueError("input state must be finite")
     norm = np.linalg.norm(amps, axis=-1)
     defect = np.abs(norm - 1.0)
     if (defect > 1e-10).any():

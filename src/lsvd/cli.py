@@ -25,6 +25,7 @@ from . import __version__
 from .errors import LsvdError
 from .lindblad import (
     LindbladModel,
+    PopulationTrace,
     build_superoperator,
     load_model,
     trace_preservation_defect,
@@ -44,6 +45,7 @@ from .models import (
     rpm_model,
     step_grid,
     theta_sweep,
+    yields,
 )
 from .pipeline import SWEEP_SUBSTREAMS, TRACE_SUBSTREAMS, quantum_evolve, qubit_counts
 from .sampler import DEFAULT_SHOTS, RNG_ALGORITHM
@@ -138,10 +140,11 @@ def _metadata(config: dict, model: LindbladModel, columns, extra: dict) -> dict:
     return meta
 
 
-def _write_run(config: dict, model: LindbladModel, columns, rows, scales, **extra) -> int:
+def _write_run(config: dict, model: LindbladModel, columns, rows, trace: PopulationTrace, **extra) -> int:
     """Write the results table plus its metadata (a sidecar for CSV, embedded
     for JSON) and report where they went."""
-    meta = _metadata(config, model, columns, {"scale_factors": [float(s) for s in scales], **extra})
+    meta = _metadata(config, model, columns, {"scale_factors": [float(s) for s in trace.scales], **extra})
+    meta["working_blocks"] = trace.working_blocks
     rows = [[float(v) for v in row] for row in rows]
     out = meta_path = config["output"]
     if config["format"] == "csv":
@@ -171,9 +174,7 @@ def _run_trace(args, command: str, model: LindbladModel, rho0, params: dict) -> 
         [trace.times[i], *trace.populations[i], trace.success_prob[i]]
         for i in range(trace.times.size)
     ]
-    return _write_run(
-        config, model, columns, rows, trace.scales, working_blocks=trace.working_blocks
-    )
+    return _write_run(config, model, columns, rows, trace)
 
 
 def _cmd_fmo(args) -> int:
@@ -228,7 +229,7 @@ def _cmd_sweep(args) -> int:
     base = _rpm_params(args)
     params = {**_rpm_param_dict(base), "theta_step_deg": args.theta_step}
     config = _config(args, "sweep", "rpm", None, "rpm_sweep", params)
-    result = theta_sweep(
+    trace = theta_sweep(
         base,
         thetas=thetas,
         t_end=args.t_end,
@@ -237,16 +238,14 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
     )
     model, _ = rpm_model(base)
+    phi_s, phi_t = yields(trace)
     columns = ["theta_deg", "phi_S", "phi_T", "success_prob"]
     rows = [
-        [np.rad2deg(result.thetas[i]), result.phi_s[i], result.phi_t[i], result.success_prob[i]]
-        for i in range(result.thetas.size)
+        [np.rad2deg(thetas[i]), phi_s[i], phi_t[i], trace.success_prob[i]]
+        for i in range(thetas.size)
     ]
     rng = {"algorithm": RNG_ALGORITHM, "seed": args.seed, "substream_rule": SWEEP_SUBSTREAMS}
-    return _write_run(
-        config, model, columns, rows, result.scales,
-        t_end=result.t_end, rng=rng, working_blocks=result.working_blocks,
-    )
+    return _write_run(config, model, columns, rows, trace, t_end=args.t_end, rng=rng)
 
 
 def _cmd_rpm(args) -> int:

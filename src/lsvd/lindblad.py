@@ -112,14 +112,15 @@ class LindbladModel:
 
 @dataclass
 class PopulationTrace:
-    """Time series of level populations.
-
-    ``populations`` has shape ``(len(times), r)``; ``success_prob`` holds
-    the ancilla-0 weight per time point (the postselected fraction in
-    sampled mode, 1.0 for ``classical_evolve``).  ``labels`` names the r
-    levels, as the model does.  ``scales`` records the dilation scale
-    factor per time point for circuit-based modes, and ``working_blocks``
-    the blocks they ran on (``pipeline._working_basis``).
+    """Level populations at a sequence of points: output times, or the
+    members of a family run to one time (``evolve_family``), whose entries
+    of ``times`` are then all that time.  ``populations`` has shape
+    ``(len(times), r)``; ``success_prob`` holds the ancilla-0 weight per
+    point (the postselected fraction in sampled mode, 1.0 for
+    ``classical_evolve``).  ``labels`` names the r levels, as the model
+    does.  ``scales`` records the dilation scale factor per point for
+    circuit-based modes, and ``working_blocks`` the blocks they ran on
+    (``pipeline._working_basis``).
     """
 
     times: np.ndarray

@@ -344,19 +344,6 @@ def default_theta_grid(step_deg: float = THETA_DEFAULT_STEP_DEG) -> np.ndarray:
     return np.deg2rad(step_grid(180.0, step_deg))
 
 
-@dataclass
-class ThetaSweepResult:
-    """Per-orientation yields at a fixed end time."""
-
-    thetas: np.ndarray  # radians
-    phi_s: np.ndarray
-    phi_t: np.ndarray
-    success_prob: np.ndarray
-    scales: np.ndarray
-    t_end: float
-    working_blocks: dict | None = None  # as ``PopulationTrace.working_blocks``
-
-
 def theta_sweep(
     base: RPMParams,
     thetas=None,
@@ -364,15 +351,16 @@ def theta_sweep(
     mode: str = "exact",
     shots: int = DEFAULT_SHOTS,
     seed: int = 0,
-) -> ThetaSweepResult:
-    """Run the full pipeline at each orientation and collect shelf yields.
-
-    ``thetas`` must be non-empty, and every orientation is checked against
-    the ``RPMParams`` theta bounds before any model is built.  Only the
-    Zeeman term depends on theta and the generator is linear in the field,
-    so with anchors at the base phi, ``G(theta) = w_0 G(0) + w_1 G(pi) +
-    w_2 G(pi/2)`` for ``w = ((1 + cos theta - sin theta)/2, (1 - cos theta
-    - sin theta)/2, sin theta)``, exactly (1, 0, 0) at theta = 0.  ``evolve_family`` runs that family a
+) -> PopulationTrace:
+    """Run the full pipeline at each orientation: row ``j`` of the trace is
+    orientation ``thetas[j]`` at time ``t_end``, and ``yields`` reads its
+    singlet and triplet yields.  ``thetas`` must be non-empty, and every
+    orientation is checked against the ``RPMParams`` theta bounds before
+    any model is built.  Only the Zeeman term depends on theta and the
+    generator is linear in the field, so with anchors at the base phi,
+    ``G(theta) = w_0 G(0) + w_1 G(pi) + w_2 G(pi/2)`` for ``w = ((1 + cos
+    theta - sin theta)/2, (1 - cos theta - sin theta)/2, sin theta)``,
+    exactly (1, 0, 0) at theta = 0.  ``evolve_family`` runs that family a
     chunk of orientations at a time; orientation ``j`` samples from the
     substream ``substream_seed(substream_seed(seed, j), 0)``.
     """
@@ -384,18 +372,8 @@ def theta_sweep(
     anchors = [rpm_model(replace(base, theta=theta)) for theta in (0.0, np.pi, np.pi / 2)]
     cos, sin = np.cos(grid), np.sin(grid)
     weights = np.stack([(1.0 + cos - sin) / 2.0, (1.0 - cos - sin) / 2.0, sin], axis=1)
-    trace = evolve_family(
+    return evolve_family(
         [model for model, _ in anchors], weights, anchors[0][1], t_end, mode, shots, seed
-    )
-    phi_s, phi_t = yields(trace)
-    return ThetaSweepResult(
-        thetas=grid,
-        phi_s=phi_s,
-        phi_t=phi_t,
-        success_prob=trace.success_prob,
-        scales=trace.scales,
-        t_end=float(t_end),
-        working_blocks=trace.working_blocks,
     )
 
 

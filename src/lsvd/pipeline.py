@@ -501,14 +501,21 @@ def quantum_evolve(
     measures ``shots`` times per point (substream seed =
     ``substream_seed(seed, point_index)``) from the same amplitudes,
     postselects on the ancilla and estimates populations from the
-    surviving counts.  Raises ``LsvdError`` if a symmetry split drops
-    more than ``expm``'s accuracy from a propagator (``_working_basis``).
+    surviving counts.  A run on split components that raises ``LsvdError``,
+    as when a symmetry split drops more than ``expm``'s accuracy from a
+    propagator (``_working_basis``), is repeated on whole components.
     """
     grid = _validated_times(times)
-    (runs,), working = _working_basis([model])
-    chunks = _chain(runs, grid, _chunk_width(working[2]["block_runs"]))
-    seeds = (substream_seed(seed, i) for i in range(grid.size))
-    return _run_chunks(chunks, working, rho0, grid, model.labels, mode, shots, seeds)
+    # two copies of the model are a family, whose components stay whole
+    for models in ([model], [model, model]):
+        runs, working = _working_basis(models)
+        chunks = _chain(runs[0], grid, _chunk_width(working[2]["block_runs"]))
+        seeds = (substream_seed(seed, i) for i in range(grid.size))
+        try:
+            return _run_chunks(chunks, working, rho0, grid, model.labels, mode, shots, seeds)
+        except LsvdError:
+            if working[2]["block_runs"] == [[run.shape[-1], run.shape[0]] for run in runs[0]]:
+                raise  # the run was on whole components already
 
 
 # The substream rule of evolve_family's draws, as a sweep's metadata states it.
@@ -519,18 +526,17 @@ SWEEP_SUBSTREAMS = (
 
 
 def evolve_family(anchors, weights, rho0, t, mode="exact", shots=DEFAULT_SHOTS, seed=0):
-    """Propagate ``rho0`` to the one time ``t`` under each member of a
-    family of generators of one dimension, and read out populations.
-
-    Member ``j``'s generator is ``sum_i weights[j, i] G_i``, with ``G_i``
-    that of ``anchors[i]``.  The block partition is taken once, from the
-    union of the anchors' patterns, and members run a chunk at a time; a
+    """Propagate ``rho0`` to the one time ``t`` under each member of a family
+    of generators of one dimension: the trace's row ``j`` is member ``j`` at
+    time ``t``, and its generator is ``sum_i weights[j, i] G_i``, with
+    ``G_i`` that of ``anchors[i]``.  The block partition is taken once, from
+    the union of the anchors' patterns, and members run a chunk at a time; a
     row depends neither on the other members nor on the chunk it falls in.
     Row ``j`` equals what ``quantum_evolve`` gives for member ``j`` at
     ``[t]`` with the run seed ``substream_seed(seed, j)`` up to the rounding
     of its amplitudes, drawn from the same substream: the shared partition
     can be coarser than the member's own, so a sampled row can differ where
-    that rounding lands in a bucket that is exactly zero in the one-point run.
+    that rounding lands in a bucket exactly zero in the one-point run.
     """
     w = as_matrix(weights, name="weights")
     if w.shape[0] < 1 or w.shape[1] != len(anchors):

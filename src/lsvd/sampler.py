@@ -94,11 +94,14 @@ def sample(conditioned, shots: int, seed: int) -> ShotResult:
     The outcomes are ``rng.multinomial(shots, [|c_0|², ..., |c_m|²,
     1 - ||c||²])``; the last bucket is the discarded ancilla-1 outcome.
     Deterministic for a fixed seed.  A weight ``||c||²`` up to 1 + 1e-10 is
-    rounding and is scaled back to one; a larger one raises ``ValueError``.
+    rounding and is scaled back to one; a larger one, or an amplitude that
+    is not finite, raises ``ValueError``.
     """
     amps = np.asarray(conditioned, dtype=np.complex128).ravel()
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if not np.isfinite(amps).all():
+        raise ValueError("ancilla-0 amplitudes must be finite")
     probs = np.abs(amps) ** 2
     weight = probs.sum()
     if weight > 1.0 + _WEIGHT_SLACK:

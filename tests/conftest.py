@@ -8,6 +8,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
@@ -196,6 +197,28 @@ def mpmath_populations(model, rho0, times):
                 for k, level in levels:
                     populations[row, level] = float(mpmath.re(evolved[k]))
     return populations
+
+
+def ode_populations(model, rho0, times):
+    """Populations at each of the ascending ``times``, shape ``(len(times),
+    r)``, from integrating the matrix-form ``lindblad_rhs`` from ``rho0``
+    with ``scipy.integrate.solve_ivp`` (DOP853, rtol 1e-12, atol 1e-14).
+    It uses neither ``build_superoperator`` nor any matrix exponential."""
+    r = model.dim
+
+    def rhs(_, y):
+        return lindblad_rhs(model, y.reshape(r, r)).ravel()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lsvd.numerics, "expm", _forbidden)
+        patch.setattr(lsvd.lindblad, "expm", _forbidden)
+        solution = scipy.integrate.solve_ivp(
+            rhs, (0.0, times[-1]), np.asarray(rho0, dtype=np.complex128).ravel(),
+            method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14,
+        )
+    assert solution.success, solution.message
+    states = solution.y.T.reshape(len(times), r, r)
+    return np.diagonal(states, axis1=1, axis2=2).real
 
 
 @pytest.fixture

@@ -251,7 +251,8 @@ def test_criterion_7_compass_suppression():
         sweep = theta_sweep(
             RPMParams(gamma_diss=gamma_diss), thetas=thetas, mode="exact"
         )
-        amplitudes.append(float(sweep.phi_s.max() - sweep.phi_s.min()))
+        phi_s, _ = yields(sweep)
+        amplitudes.append(float(phi_s.max() - phi_s.min()))
     ok = amplitudes[0] > amplitudes[1] > amplitudes[2]
     detail = (
         f"yield anisotropy max-min over theta at gamma_diss (0, mid, high) = "

@@ -340,6 +340,17 @@ class TestRunExact:
         with pytest.raises(ValueError, match="normalized"):
             run_exact(circuit, np.full(8, 0.9, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_input_rejected(self, bad):
+        # refused by name, before a reduction can warn or NaN can pass the
+        # norm check; one bad point of a batch is enough
+        circuit = build_svd_circuit(np.eye(4))
+        states = np.zeros((2, 8), dtype=complex)
+        states[:, 0] = 1.0
+        states[1, 3] = bad
+        with pytest.raises(ValueError, match="^input state must be finite$"):
+            run_exact(circuit, states)
+
 
 def test_readme_one_point_by_hand():
     # the README's batch-of-one snippet, run as written

@@ -14,7 +14,16 @@ import lsvd.pipeline
 from lsvd.circuit import estimate_resources
 from lsvd.cli import main
 from lsvd.lindblad import model_to_dict
-from lsvd.models import FMOParams, RPMParams, builtin_model, fmo_model
+from lsvd.models import (
+    RPM_LABELS,
+    FMOParams,
+    RPMParams,
+    builtin_model,
+    default_theta_grid,
+    fmo_model,
+    theta_sweep,
+    yields,
+)
 from lsvd.sampler import substream_seed
 
 from conftest import bundled_model_path, random_model, reference_populations
@@ -78,6 +87,24 @@ class TestRpmCommand:
         assert run("sweep", "--theta-step", "50", "--out", str(out)) == 0
         _, rows = read_csv(out)
         assert [float(row[0]) for row in rows] == [0.0, 50.0, 100.0, 150.0]
+
+    def test_sweep_table_is_the_library_trace(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        argv = ["--theta-step", "45", "--t-end", "0.1", "--format", "json", "--out", str(out)]
+        assert run("sweep", *argv) == 0
+        thetas = default_theta_grid(45)
+        trace = theta_sweep(RPMParams(), thetas, t_end=0.1)
+        assert np.all(trace.times == 0.1)
+        assert trace.labels == RPM_LABELS
+        phi_s, phi_t = yields(trace)
+        expected = [
+            [float(v) for v in (np.rad2deg(theta), phi_s[j], phi_t[j], trace.success_prob[j])]
+            for j, theta in enumerate(thetas)
+        ]
+        table = json.loads(out.read_text())
+        assert table["rows"] == expected
+        assert table["metadata"]["scale_factors"] == [float(s) for s in trace.scales]
+        assert table["metadata"]["t_end"] == 0.1
 
     def test_sweep_writes_rpm_sweep_results_by_default(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

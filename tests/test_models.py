@@ -263,25 +263,23 @@ class TestThetaSweep:
 
     def test_strong_dissipation_flattens_the_compass(self):
         thetas = np.deg2rad(np.linspace(0.0, 180.0, 13))
-        sweep = theta_sweep(
-            RPMParams(gamma_diss=RPM_GAMMA_DISS_HIGH), thetas=thetas
-        )
-        assert sweep.phi_s.max() - sweep.phi_s.min() <= 0.01
+        phi_s, _ = yields(theta_sweep(RPMParams(gamma_diss=RPM_GAMMA_DISS_HIGH), thetas=thetas))
+        assert phi_s.max() - phi_s.min() <= 0.01
 
     def test_axial_tensor_mirror_symmetry(self):
         thetas = np.deg2rad([30.0, 150.0, 75.0, 105.0])
-        sweep = theta_sweep(RPMParams(), thetas=thetas)
-        assert sweep.phi_s[0] == pytest.approx(sweep.phi_s[1], abs=1e-8)
-        assert sweep.phi_s[2] == pytest.approx(sweep.phi_s[3], abs=1e-8)
+        phi_s, _ = yields(theta_sweep(RPMParams(), thetas=thetas))
+        assert phi_s[0] == pytest.approx(phi_s[1], abs=1e-8)
+        assert phi_s[2] == pytest.approx(phi_s[3], abs=1e-8)
 
     def test_sampled_sweep_tracks_exact(self):
         thetas = np.deg2rad([0.0, 45.0, 90.0, 135.0, 180.0])
-        exact = theta_sweep(RPMParams(), thetas=thetas, mode="exact")
-        sampled = theta_sweep(
-            RPMParams(), thetas=thetas, mode="sampled", shots=2**19, seed=3
+        exact_s, exact_t = yields(theta_sweep(RPMParams(), thetas=thetas, mode="exact"))
+        sampled_s, sampled_t = yields(
+            theta_sweep(RPMParams(), thetas=thetas, mode="sampled", shots=2**19, seed=3)
         )
-        np.testing.assert_allclose(sampled.phi_s, exact.phi_s, atol=0.02)
-        np.testing.assert_allclose(sampled.phi_t, exact.phi_t, atol=0.02)
+        np.testing.assert_allclose(sampled_s, exact_s, atol=0.02)
+        np.testing.assert_allclose(sampled_t, exact_t, atol=0.02)
 
     def test_out_of_range_rejected(self, monkeypatch):
         def no_work(*args, **kwargs):
@@ -305,9 +303,10 @@ class TestThetaSweep:
 
 
 def sweep_rows(sweep):
+    phi_s, phi_t = yields(sweep)
     return [
-        np.array([sweep.phi_s[j], sweep.phi_t[j], sweep.success_prob[j], sweep.scales[j]]).tobytes()
-        for j in range(sweep.thetas.size)
+        np.array([phi_s[j], phi_t[j], sweep.success_prob[j], sweep.scales[j]]).tobytes()
+        for j in range(len(sweep.times))
     ]
 
 
@@ -340,7 +339,9 @@ class TestSweepFamily:
         # partition, so orientation j draws what a one-point run seeded with
         # substream_seed(seed, j) draws
         thetas = np.deg2rad([20.0, 65.0, 110.0])
-        sweep = theta_sweep(RPMParams(), thetas=thetas, mode="sampled", shots=4096, seed=9)
+        sweep_s, sweep_t = yields(
+            theta_sweep(RPMParams(), thetas=thetas, mode="sampled", shots=4096, seed=9)
+        )
         for j, theta in enumerate(thetas):
             model, rho0 = rpm_model(RPMParams(theta=float(theta)))
             one = quantum_evolve(
@@ -348,7 +349,7 @@ class TestSweepFamily:
                 seed=substream_seed(9, j),
             )
             phi_s, phi_t = yields(one)
-            assert (sweep.phi_s[j], sweep.phi_t[j]) == (phi_s[0], phi_t[0])
+            assert (sweep_s[j], sweep_t[j]) == (phi_s[0], phi_t[0])
 
     def test_theta_zero_row_equals_the_one_point_run_up_to_rounding(self, monkeypatch):
         # the family's partition is coarser than theta = 0's own, so rounding
@@ -393,12 +394,13 @@ class TestSweepFamily:
         base = RPMParams(hyperfine=tensor + tensor.T, b0=b0, phi=phi, gamma_diss=gamma_diss)
         thetas = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, size=3)])
         sweep = theta_sweep(base, thetas=thetas)
+        sweep_s, sweep_t = yields(sweep)
         for j, theta in enumerate(thetas):
             model, rho0 = rpm_model(replace(base, theta=float(theta)))
             one = quantum_evolve(model, rho0, [RPM_DEFAULT_T_END])
             phi_s, phi_t = yields(one)
             np.testing.assert_allclose(
-                [sweep.phi_s[j], sweep.phi_t[j], sweep.success_prob[j]],
+                [sweep_s[j], sweep_t[j], sweep.success_prob[j]],
                 [phi_s[0], phi_t[0], one.success_prob[0]],
                 rtol=0,
                 atol=1e-10,
@@ -412,9 +414,8 @@ class TestSweepFamily:
             model, rho0 = rpm_model(replace(base, theta=float(theta)))
             populations = reference_populations(model, rho0, [RPM_DEFAULT_T_END])[0]
             reference.append(populations[[8, 9]])
-        sweep = theta_sweep(base)
         np.testing.assert_allclose(
-            np.column_stack([sweep.phi_s, sweep.phi_t]), reference, rtol=0, atol=1e-10
+            np.column_stack(yields(theta_sweep(base))), reference, rtol=0, atol=1e-10
         )
 
 
@@ -445,7 +446,8 @@ def test_readme_library_entry_points():
     classical = namespace["classical"].populations
     np.testing.assert_allclose(namespace["exact"].populations, classical, atol=1e-8)
     np.testing.assert_allclose(namespace["sampled"].populations, classical, atol=0.02)
-    assert namespace["sweep"].thetas.size == 201
+    assert len(namespace["sweep"].times) == 201
+    assert namespace["sweep_s"].shape == namespace["sweep_t"].shape == (201,)
     phi_s, phi_t = namespace["phi_s"], namespace["phi_t"]
     assert phi_s.shape == phi_t.shape == (2,)
     assert np.all(phi_s + phi_t <= 1.0 + 1e-10)

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 import lsvd.circuit
 import lsvd.pipeline
 from lsvd.errors import LsvdError
-from lsvd.lindblad import Channel, LindbladModel, build_superoperator
-from lsvd.models import RPMParams, builtin_model, rpm_model
+from lsvd.lindblad import Channel, LindbladModel, build_superoperator, propagator
+from lsvd.models import RPM_DEFAULT_HYPERFINE_AZ, RPMParams, builtin_model, rpm_model
 from lsvd.pipeline import classical_evolve, quantum_evolve, qubit_counts
 
 from conftest import (
     force_chunk_width,
     mpmath_populations,
+    ode_populations,
     random_complex,
     random_density,
     random_hermitian,
@@ -491,11 +492,33 @@ class TestSymmetrySplit:
         reference = reference_populations(model, rho0, RPM_GRID)
         np.testing.assert_allclose(trace.populations, reference, atol=1e-10, rtol=0)
         # a gate as loose as the Hermiticity check keeps the split, and the
-        # propagators' own check refuses it
+        # propagators' own check refuses it, so the run is repeated on the
+        # whole components
         monkeypatch.setattr(lsvd.pipeline, "_SPLIT_TOL", lsvd.pipeline._REAL_TOL)
+        (runs,), (_, rotate, record) = lsvd.pipeline._working_basis([model])
+        assert record["block_runs"][0] == [12, 1]
         message = "^symmetry split drops .* of a propagator, more than 1e-12"
         with pytest.raises(LsvdError, match=message):
-            quantum_evolve(model, rho0, RPM_GRID)
+            rotate([propagator(run, 0.5) for run in runs])
+        whole = quantum_evolve(model, rho0, RPM_GRID)
+        assert whole.working_blocks == {
+            "block_runs": [[34, 1], [32, 1], [8, 4], [1, 2]],
+            "max_dropped_over_terms": 0.0,
+        }
+        np.testing.assert_allclose(whole.populations, reference, atol=1e-10, rtol=0)
+
+    def test_compass_whose_split_fails_its_propagator_check_still_runs(self):
+        # a random symmetric hyperfine tensor: the split drops 2.9e-16 of the
+        # terms from G, within the gate, but (numpy 2.4, OpenBLAS 0.3.31)
+        # 1.3e-12 of the propagator at 1 ms, past its 1e-12 check
+        tensor = np.random.default_rng(15693).normal(size=(3, 3)) * RPM_DEFAULT_HYPERFINE_AZ
+        params = RPMParams(
+            hyperfine=tensor + tensor.T, b0=np.nextafter(1e-4, 0.0), phi=1.0, theta=0.589149620091855
+        )
+        model, rho0 = rpm_model(params)
+        trace = quantum_evolve(model, rho0, [1.0])
+        reference = reference_populations(model, rho0, [1.0])
+        np.testing.assert_allclose(trace.populations, reference, atol=1e-10, rtol=0)
 
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
     @given(r=st.integers(3, 4), seed=st.integers(0, 2**32 - 1))
@@ -551,6 +574,22 @@ class TestFortyDigitReference:
         reference = mpmath_populations(model, rho0, times)
         got = quantum_evolve(model, rho0, times).populations
         np.testing.assert_allclose(got, reference, rtol=0, atol=1e-12)
+
+
+class TestOdeReference:
+    """Exact-mode populations against an ODE integration of the matrix-form
+    master equation (``tests/conftest.py::ode_populations``), which shares
+    neither the superoperator nor any exponential with the pipeline.
+    ``rpm`` is left out: its shelving rates make the integration stiff
+    (about 5e5 right-hand-side calls)."""
+
+    @pytest.mark.parametrize("name", ["fmo3", "fmo7"])
+    def test_populations_match(self, name):
+        model, rho0 = builtin_model(name)
+        times = [5.0, 500.0, 2000.0]
+        reference = ode_populations(model, rho0, times)
+        got = quantum_evolve(model, rho0, times).populations
+        np.testing.assert_allclose(got, reference, rtol=0, atol=1e-11)
 
 
 class TestChunks:

@@ -71,6 +71,13 @@ class TestSample:
         with pytest.raises(ValueError, match="ancilla-0 weight .* exceeds 1"):
             sample(state * np.sqrt(1.0 + 1e-9), 64, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_non_finite_amplitude_rejected(self, bad):
+        state = np.full(4, 0.5, dtype=complex)
+        state[1] = bad
+        with pytest.raises(ValueError, match="^ancilla-0 amplitudes must be finite$"):
+            sample(state, 64, seed=0)
+
     def test_fixed_seed_reproducible(self):
         rng = np.random.default_rng(5)
         state = rng.normal(size=16) + 1j * rng.normal(size=16)
