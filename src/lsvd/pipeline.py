@@ -253,8 +253,6 @@ def _symmetry_split(block: np.ndarray):
     words = np.array([
         part / np.linalg.norm(part) for part in (block + block.T, block - block.T) if part.any()
     ])
-    if words.size == 0:
-        return None
     rng = np.random.default_rng(_SPLIT_SEED)
     coeffs = rng.normal(size=(len(words) + 1, len(words)))
     mix = np.tensordot(coeffs[0], words, 1)
@@ -301,39 +299,38 @@ def _symmetry_split(block: np.ndarray):
     return w @ v @ np.linalg.solve(eye - z / 2, eye + z / 2), sizes
 
 
-def _working_basis(models: list[LindbladModel]):
-    """The working basis T P Q of one model's generator, or of a family's
-    anchors, as ``(runs, (basis, rotate, record))``.
+def _working_basis(generators: list[np.ndarray], terms: float | None = None):
+    """The working basis T P Q of one model's real generator, or of a
+    family's anchors', as ``(runs, (basis, rotate, record))``.
 
-    P makes each of ``_decoupled_blocks``' components contiguous.  Q
-    splits a single model's component along ``_symmetry_split`` unless an
-    entry it drops off the new blocks exceeds ``_SPLIT_TOL`` times
-    ``_terms``; elsewhere, and for every component of a family, Q is the
-    identity.  ``basis`` is the dense P Q, blocks ordered by size, largest
-    first.  ``runs[i]`` stacks generator i's equal-size components
-    ``(count, m, m)`` for ``propagator``; ``rotate`` maps such runs of
-    propagators to the blocks of Q^T exp(G t) Q.  The propagator is
-    rotated, not the generator: exp(G t) would amplify the rounding of a
-    rotated G by ||G t||.  It amplifies what the split drops all the same,
-    so ``rotate`` raises if an entry it drops off a propagator exceeds
-    ``DEFAULT_TOL``, the accuracy ``expm`` promises relative to the whole
-    propagator, whose norm is at least one (it keeps the trace).
-    ``record`` lists the runs of blocks as ``[size, count]`` and the
-    largest entry dropped off the generator over its terms.
+    P makes each of ``_decoupled_blocks``' components contiguous.  Given
+    ``terms``, the ``_terms`` of a single model, Q splits each component
+    along ``_symmetry_split`` unless an entry it drops off the new blocks
+    exceeds ``_SPLIT_TOL`` times ``terms``; elsewhere, and without
+    ``terms``, Q is the identity.  ``basis`` is the dense P Q, blocks
+    ordered by size, largest first.  ``runs[i]`` stacks generator i's
+    equal-size components ``(count, m, m)`` for ``propagator``; ``rotate``
+    maps such runs of propagators to the blocks of Q^T exp(G t) Q.  The
+    propagator is rotated, not the generator: exp(G t) would amplify the
+    rounding of a rotated G by ||G t||.  It amplifies what the split drops
+    all the same, so ``rotate`` raises if an entry it drops off a
+    propagator exceeds ``DEFAULT_TOL``, the accuracy ``expm`` promises
+    relative to the whole propagator, whose norm is at least one (it keeps
+    the trace).  ``record`` lists the runs of blocks as ``[size, count]``
+    and the largest entry dropped off the generator over its terms.
     """
-    generators = [_real_generator(model) for model in models]
     components = _decoupled_blocks(*generators)
     rotations, spans, worst = {}, [], 0.0  # rotations: index -> (Q, off-block mask)
     for index, c in enumerate(components):
         sizes, block = [c.size], generators[0][np.ix_(c, c)]
-        found = len(models) == 1 and c.size > 1 and _symmetry_split(block)
+        found = terms is not None and c.size > 1 and _symmetry_split(block)
         if found:
             label = np.repeat(np.arange(len(found[1])), found[1])
             off = label[:, None] != label
             dropped = np.abs((found[0].T @ block @ found[0])[off]).max()
-            if dropped <= _SPLIT_TOL * _terms(models[0]):
+            if dropped <= _SPLIT_TOL * terms:
                 rotations[index], sizes = (found[0], off), found[1]
-                worst = max(worst, dropped / _terms(models[0]))
+                worst = max(worst, dropped / terms)
         ends = itertools.accumulate(sizes)
         spans += [(index, slice(end - size, end)) for end, size in zip(ends, sizes)]
     spans.sort(key=lambda span: span[1].start - span[1].stop)  # stable: largest first
@@ -418,6 +415,8 @@ def _run_chunks(chunks, working, rho0, times, labels, mode, shots, seeds):
     if mode == "sampled" and not 1 <= shots <= np.iinfo(np.int64).max:
         # numpy's multinomial draws counts as int64
         raise ValueError(f"shots must be between 1 and 2**63 - 1, got {shots}")
+    if mode == "sampled" and shots % 1:
+        raise ValueError(f"shots must be a whole number, got {shots}")
     r = len(labels)
     v0 = _vec_rho0(rho0, r)
     input_norm = float(np.linalg.norm(v0))
@@ -501,20 +500,19 @@ def quantum_evolve(
     measures ``shots`` times per point (substream seed =
     ``substream_seed(seed, point_index)``) from the same amplitudes,
     postselects on the ancilla and estimates populations from the
-    surviving counts.  A run on split components that raises ``LsvdError``,
-    as when a symmetry split drops more than ``expm``'s accuracy from a
-    propagator (``_working_basis``), is repeated on whole components.
+    surviving counts.  The run asks ``_working_basis`` for the symmetry
+    split, and is repeated on whole components if it raises ``LsvdError``
+    on split ones (a split may drop more than ``expm``'s accuracy).
     """
     grid = _validated_times(times)
-    # two copies of the model are a family, whose components stay whole
-    for models in ([model], [model, model]):
-        runs, working = _working_basis(models)
-        chunks = _chain(runs[0], grid, _chunk_width(working[2]["block_runs"]))
+    for terms in (_terms(model), None):
+        (runs,), working = _working_basis([_real_generator(model)], terms)
+        chunks = _chain(runs, grid, _chunk_width(working[2]["block_runs"]))
         seeds = (substream_seed(seed, i) for i in range(grid.size))
         try:
             return _run_chunks(chunks, working, rho0, grid, model.labels, mode, shots, seeds)
         except LsvdError:
-            if working[2]["block_runs"] == [[run.shape[-1], run.shape[0]] for run in runs[0]]:
+            if working[2]["block_runs"] == [[run.shape[-1], run.shape[0]] for run in runs]:
                 raise  # the run was on whole components already
 
 
@@ -538,13 +536,15 @@ def evolve_family(anchors, weights, rho0, t, mode="exact", shots=DEFAULT_SHOTS, 
     can be coarser than the member's own, so a sampled row can differ where
     that rounding lands in a bucket exactly zero in the one-point run.
     """
+    dims = sorted({anchor.dim for anchor in anchors})
+    if len(dims) != 1:
+        raise ValueError(f"a family needs anchors of one dimension, got dimensions {dims}")
     w = as_matrix(weights, name="weights")
     if w.shape[0] < 1 or w.shape[1] != len(anchors):
         raise ValueError(f"weights has shape {w.shape}, expected (>= 1, {len(anchors)})")
     grid = _validated_times(np.full(w.shape[0], t))
-    # unsplit, so that a row rounds as the one-point run of its member does,
-    # which would split along symmetries of its own
-    anchor_runs, working = _working_basis(anchors)
+    # no split asked for: a row must round as its member's one-point run does
+    anchor_runs, working = _working_basis([_real_generator(anchor) for anchor in anchors])
 
     def propagators(rows: np.ndarray) -> list[np.ndarray]:
         stacks = []

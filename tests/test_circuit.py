@@ -335,6 +335,11 @@ class TestRunExact:
         with pytest.raises(ValueError, match="input has length 4, expected 8"):
             run_exact(circuit, np.zeros(4))
 
+    def test_apply_circuit_dimension_mismatch(self):
+        circuit = build_svd_circuit(np.eye(4))
+        with pytest.raises(ValueError, match="^state has length 4, expected 8$"):
+            apply_circuit(circuit, np.zeros(4))
+
     def test_unnormalized_input_rejected(self):
         circuit = build_svd_circuit(np.eye(4))
         with pytest.raises(ValueError, match="normalized"):

@@ -21,9 +21,12 @@ from lsvd.models import (
     builtin_model,
     default_theta_grid,
     fmo_model,
+    rpm_model,
+    step_grid,
     theta_sweep,
     yields,
 )
+from lsvd.pipeline import quantum_evolve
 from lsvd.sampler import substream_seed
 
 from conftest import bundled_model_path, random_model, reference_populations
@@ -146,6 +149,20 @@ class TestRpmCommand:
         assert seeds == [substream(j) for j in range(5)]
         meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
         assert meta["rng"]["substream_rule"] == rule
+
+    def test_theta_flag_is_in_degrees(self, tmp_path):
+        out = tmp_path / "rpm.json"
+        argv = ["--theta", "30", "--t-end", "0.0175", "--format", "json", "--out", str(out)]
+        assert run("rpm", *argv) == 0
+        table = json.loads(out.read_text())
+        assert table["metadata"]["config"]["parameters"]["theta_rad"] == np.deg2rad(30)
+        grid = step_grid(0.0175, table["metadata"]["config"]["dt"])
+        trace = quantum_evolve(*rpm_model(RPMParams(theta=np.deg2rad(30))), grid)
+        expected = [
+            [float(v) for v in (trace.times[i], *trace.populations[i], trace.success_prob[i])]
+            for i in range(grid.size)
+        ]
+        assert table["rows"] == expected
 
     def test_trace_headers(self, tmp_path):
         out = tmp_path / "rpm.csv"
@@ -352,6 +369,12 @@ class TestValidateCommand:
             ("dim", 5.0, "'dim'"),
             ("dim", "5", "'dim'"),
             ("dim", True, "'dim'"),
+            ("dim", 0, "'dim' must be positive, got 0"),
+            (
+                "hamiltonian",
+                [[["re", "im"]] * 5] * 5,
+                "hamiltonian must be an 5x5 matrix of [re, im] pairs: could not convert",
+            ),
             ("rate", float("nan"), "channel 0 ('dephasing_site1') has rate nan, not a finite"),
             ("rate", float("inf"), "channel 0 ('dephasing_site1') has rate inf, not a finite"),
         ],
@@ -364,6 +387,8 @@ class TestValidateCommand:
             "dim-float",
             "dim-string",
             "dim-bool",
+            "dim-zero",
+            "hamiltonian-strings",
             "rate-nan",
             "rate-inf",
         ],
@@ -530,8 +555,9 @@ class TestOutputContracts:
             (["rpm", "--theta", "nan"], "--theta must lie in [0, 180] degrees"),
             (["resources", "--qubits", "1"], "--qubits: d must be at least 2, got 1"),
             (["sweep", "--theta-step", "inf"], "--theta-step: step inf must be positive and finite"),
+            (["fmo", "--dt", "5", "--t-end", "1"], "--t-end must be at least --dt"),
         ],
-        ids=["theta-200", "theta-negative", "theta-nan", "qubits-1", "theta-step-inf"],
+        ids=["theta-200", "theta-negative", "theta-nan", "qubits-1", "theta-step-inf", "t-end-below-dt"],
     )
     def test_out_of_range_flag_names_the_flag(self, argv, message, tmp_path, capsys):
         assert run(*argv, "--out", str(tmp_path / "out.json")) == 2

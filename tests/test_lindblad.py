@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import lsvd.pipeline
+from lsvd.errors import LsvdError
 from lsvd.lindblad import (
     Channel,
     LindbladModel,
@@ -49,6 +51,10 @@ class TestVectorize:
     def test_round_trip(self, rng):
         rho = random_density(rng, 5)
         np.testing.assert_array_equal(vectorize(rho).reshape((5, 5), order="F"), rho)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match=r"^rho must be square, got shape \(2, 3\)$"):
+            vectorize(np.zeros((2, 3)))
 
 
 class TestBuildSuperoperator:
@@ -148,6 +154,19 @@ class TestClassicalEvolve:
             full, np.diag(vec_two.reshape((3, 3), order="F")).real, atol=1e-10
         )
 
+    def test_lost_trace_rejected(self, monkeypatch, rng):
+        # a generator shifted by -I decays every state's trace as exp(-t)
+        real_build = lsvd.pipeline.build_superoperator
+
+        def leaking(model):
+            superop = real_build(model)
+            return superop - np.eye(superop.shape[0])
+
+        monkeypatch.setattr(lsvd.pipeline, "build_superoperator", leaking)
+        model = random_model(rng, 2)
+        with pytest.raises(LsvdError, match=r"lost trace normalization at t=1\.0 \(defect 6\.32"):
+            classical_evolve(model, np.eye(2) / 2, [0.0, 1.0])
+
     def test_unsorted_times_rejected(self, rng):
         model = random_model(rng, 2)
         with pytest.raises(ValueError):
@@ -202,6 +221,10 @@ class TestModelValidation:
                 channels=(Channel(np.eye(3), 0.5),),
             )
 
+    def test_non_square_hamiltonian_rejected(self):
+        with pytest.raises(ValueError, match=r"^hamiltonian must be square, got shape \(2, 3\)$"):
+            LindbladModel(hamiltonian=np.zeros((2, 3)), channels=())
+
     def test_label_count_enforced(self):
         with pytest.raises(ValueError, match="labels"):
             LindbladModel(hamiltonian=np.zeros((2, 2)), channels=(), labels=("a",))
@@ -234,6 +257,23 @@ class TestModelFiles:
     def test_missing_dim_rejected(self):
         with pytest.raises(ValueError, match="dim"):
             model_from_dict({"hamiltonian": []})
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([{"dim": 1}], "model file must contain a JSON object"),
+            ({"dim": -1, "hamiltonian": [[[0.0, 0.0]]]}, "'dim' must be positive, got -1"),
+            ({"dim": 1}, "model file is missing 'hamiltonian'"),
+            (
+                {"dim": 1, "hamiltonian": [[["re", "im"]]]},
+                r"hamiltonian must be an 1x1 matrix of \[re, im\] pairs: could not convert",
+            ),
+        ],
+        ids=["not-an-object", "dim-negative", "no-hamiltonian", "pairs-not-numbers"],
+    )
+    def test_malformed_layout_rejected_by_name(self, data, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            model_from_dict(data)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lsvd.models
@@ -168,6 +168,10 @@ class TestRPMParams:
     def test_non_finite_value_names_the_field(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} "):
             RPMParams(**{name: value})
+
+    def test_hyperfine_tensor_must_be_3x3(self):
+        with pytest.raises(ValueError, match=r"^hyperfine tensor must be 3x3, got \(2, 2\)$"):
+            RPMParams(hyperfine=np.eye(2))
 
     def test_compares_and_hashes_by_identity(self):
         params = RPMParams()
@@ -388,6 +392,10 @@ class TestSweepFamily:
         b0=st.floats(0.0, 1e-4),
         gamma_diss=st.one_of(st.just(0.0), st.floats(1.0, RPM_GAMMA_DISS_HIGH)),
     )
+    # a near-symmetric compass: at its third orientation, theta =
+    # 0.589149620091855, the one-point run's split drops 1.3e-12 of a
+    # propagator and the run is repeated on whole components
+    @example(seed=15693, phi=1.0, b0=np.nextafter(1e-4, 0.0), gamma_diss=0.0)
     def test_rows_match_one_model_per_orientation(self, seed, phi, b0, gamma_diss):
         rng = np.random.default_rng(seed)
         tensor = rng.normal(size=(3, 3)) * RPM_DEFAULT_HYPERFINE_AZ

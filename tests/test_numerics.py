@@ -293,6 +293,14 @@ class TestSvd:
         ):
             svd(stack)
 
+    def test_lapack_failure_is_reported(self, rng, monkeypatch):
+        def not_converging(a):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", not_converging)
+        with pytest.raises(LsvdError, match="^SVD did not converge: SVD did not converge$"):
+            svd(rng.normal(size=(3, 3)))
+
     def test_non_finite_matrix_in_stack_rejected(self, rng):
         stack = rng.normal(size=(4, 6, 6))
         stack[2, 1, 3] = np.nan

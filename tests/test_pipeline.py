@@ -1,10 +1,11 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lsvd.circuit
@@ -49,9 +50,11 @@ class TestInputChecks:
             ({"mode": "nonsense"}, "mode must be"),
             ({"mode": "sampled", "shots": 0}, "shots must be"),
             ({"mode": "sampled", "shots": 2**63}, r"shots must be between 1 and 2\*\*63 - 1"),
+            ({"mode": "sampled", "shots": 1000.7}, "shots must be a whole number, got 1000.7"),
             ({"rho0": np.zeros((5, 5))}, "rho0 must be non-zero"),
+            ({"rho0": np.eye(3) / 3}, r"rho0 has shape \(3, 3\), expected \(5, 5\)"),
         ],
-        ids=["bad-mode", "no-shots", "shots-above-int64", "zero-rho0"],
+        ids=["bad-mode", "no-shots", "shots-above-int64", "fractional-shots", "zero-rho0", "rho0-shape"],
     )
     def test_rejected_before_any_propagator(self, monkeypatch, kwargs, message):
         monkeypatch.setattr(lsvd.pipeline, "propagator", _no_propagator)
@@ -75,6 +78,41 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="times must be finite"):
             evolve(model, rho0, [0.0, bad])
 
+    @pytest.mark.parametrize("evolve", [quantum_evolve, classical_evolve])
+    @pytest.mark.parametrize(
+        "times, message",
+        [([], "times must be non-empty"), ([-1.0, 0.0], "times must be non-negative")],
+        ids=["empty", "negative"],
+    )
+    def test_bad_grid_rejected_before_any_propagator(self, monkeypatch, evolve, times, message):
+        monkeypatch.setattr(lsvd.pipeline, "propagator", _no_propagator)
+        model, rho0 = builtin_model("fmo3")
+        with pytest.raises(ValueError, match=message):
+            evolve(model, rho0, times)
+
+    @pytest.mark.parametrize("names", [[], ["fmo3", "fmo7"]], ids=["no-anchors", "two-dimensions"])
+    def test_family_of_no_one_dimension_rejected_before_any_generator(self, monkeypatch, names):
+        monkeypatch.setattr(lsvd.pipeline, "build_superoperator", _no_propagator)
+        monkeypatch.setattr(lsvd.pipeline, "propagator", _no_propagator)
+        anchors = [builtin_model(name)[0] for name in names]
+        dims = sorted({anchor.dim for anchor in anchors})
+        _, rho0 = builtin_model("fmo3")
+        message = f"a family needs anchors of one dimension, got dimensions {dims}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lsvd.pipeline.evolve_family(anchors, np.ones((2, len(anchors))), rho0, 1.0)
+
+    def test_whole_float_shots_run_as_their_integer(self):
+        model, rho0 = builtin_model("fmo3")
+
+        def rows(shots):
+            kwargs = {"rho0": rho0, "mode": "sampled", "shots": shots, "seed": 1}
+            traces = (
+                quantum_evolve(model, times=[0.0, 5.0], **kwargs),
+                lsvd.pipeline.evolve_family([model], np.ones((2, 1)), t=5.0, **kwargs),
+            )
+            return [np.concatenate([t.populations.T, [t.success_prob]]).tobytes() for t in traces]
+
+        assert rows(1e5) == rows(100_000)
 
 class TestOneLevelModel:
     def test_exact_trace_matches_oracle(self):
@@ -153,6 +191,8 @@ class TestDecoupledBlocks:
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(r=st.integers(2, 4), split=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @example(r=2, split=1, seed=0)  # two one-level models: components of 2, 1 and 1
+    @example(r=4, split=3, seed=2**32 - 1)  # three levels and one: 9, 6 and 1
     def test_direct_sum_models_match_oracle(self, r, split, seed):
         rng = np.random.default_rng(seed)
         r1 = min(split, r - 1)
@@ -297,6 +337,10 @@ class TestHermitianBasis:
         seed=st.integers(0, 2**32 - 1),
         gaps=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
     )
+    # one level: L is pure rounding, 2.7e-15 real and 2.0e-16 imaginary
+    @example(r=1, n_channels=3, seed=3, gaps=[1.0, 0.0])
+    # no channel: unitary dynamics on the largest model, from a repeated t = 0
+    @example(r=4, n_channels=0, seed=0, gaps=[0.0, 1.0])
     def test_random_models_real_generator_and_oracle(self, r, n_channels, seed, gaps):
         rng = np.random.default_rng(seed)
         model = random_model(rng, r, n_channels=n_channels)
@@ -448,9 +492,23 @@ class TestSymmetrySplit:
             assert np.abs(dropped).max() <= lsvd.pipeline._SPLIT_TOL * lsvd.pipeline._terms(model)
         assert splits == self.SPLITS[name]
 
+    def test_too_many_unknowns_keep_a_component_whole(self, monkeypatch, rng):
+        # an exactly antisymmetric block with B² = -I: its one word mixes to
+        # a multiple of the identity, so all 28 indices form one cluster of
+        # 406 symmetric unknowns, past the 360 a normal matrix may hold
+        def no_normal_matrix(*args):
+            raise AssertionError("a normal matrix was formed")
+
+        monkeypatch.setattr(lsvd.pipeline, "_normal_matrix", no_normal_matrix)
+        j = np.kron(np.eye(14), [[0.0, 1.0], [-1.0, 0.0]])
+        q, _ = np.linalg.qr(rng.normal(size=(28, 28)))
+        x = q.T @ j @ q
+        assert lsvd.pipeline._symmetry_split((x - x.T) / 2) is None
+
     def test_rpm_runs_and_record(self):
         model, _ = builtin_model("rpm")
-        (runs,), (basis, _, record) = lsvd.pipeline._working_basis([model])
+        generator, terms = lsvd.pipeline._real_generator(model), lsvd.pipeline._terms(model)
+        (runs,), (basis, _, record) = lsvd.pipeline._working_basis([generator], terms)
         np.testing.assert_allclose(basis.T @ basis, np.eye(100), rtol=0, atol=1e-14)
         assert [run.shape for run in runs] == [(1, 34, 34), (1, 32, 32), (4, 8, 8), (2, 1, 1)]
         assert record["block_runs"] == [[12, 1], [2, 36], [1, 16]]
@@ -495,7 +553,8 @@ class TestSymmetrySplit:
         # propagators' own check refuses it, so the run is repeated on the
         # whole components
         monkeypatch.setattr(lsvd.pipeline, "_SPLIT_TOL", lsvd.pipeline._REAL_TOL)
-        (runs,), (_, rotate, record) = lsvd.pipeline._working_basis([model])
+        generator, terms = lsvd.pipeline._real_generator(model), lsvd.pipeline._terms(model)
+        (runs,), (_, rotate, record) = lsvd.pipeline._working_basis([generator], terms)
         assert record["block_runs"][0] == [12, 1]
         message = "^symmetry split drops .* of a propagator, more than 1e-12"
         with pytest.raises(LsvdError, match=message):
@@ -522,6 +581,8 @@ class TestSymmetrySplit:
 
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
     @given(r=st.integers(3, 4), seed=st.integers(0, 2**32 - 1))
+    @example(r=3, seed=0)  # splits 9 into 5 and 4
+    @example(r=4, seed=2**32 - 1)  # splits 16 into 10 and 6
     def test_swap_symmetric_random_models_split_and_match_oracle(self, r, seed):
         # H and the channel set are invariant under swapping levels 1 and 2,
         # so vec(rho) splits into the swap-even and swap-odd subspaces
@@ -599,7 +660,9 @@ class TestChunks:
     @pytest.mark.parametrize("name, width", [("rpm", 32), ("sweep", 15), ("fmo7", 8)])
     def test_width_carries_a_fixed_amount_of_svd_work(self, name, width):
         models = _sweep_anchors() if name == "sweep" else [builtin_model(name)[0]]
-        _, (_, _, record) = lsvd.pipeline._working_basis(models)
+        generators = [lsvd.pipeline._real_generator(model) for model in models]
+        terms = None if name == "sweep" else lsvd.pipeline._terms(models[0])  # a family is not split
+        _, (_, _, record) = lsvd.pipeline._working_basis(generators, terms)
         assert lsvd.pipeline._chunk_width(record["block_runs"]) == width
 
     def test_a_block_past_the_work_budget_runs_alone(self):

@@ -5,7 +5,9 @@ from lsvd.circuit import build_svd_circuit, run_exact
 from lsvd.errors import LsvdError
 from lsvd.lindblad import build_superoperator, propagator, vectorize
 from lsvd.models import FMOParams, fmo_model
+from lsvd.pipeline import quantum_evolve
 from lsvd.sampler import (
+    DEFAULT_SHOTS,
     ShotResult,
     estimate_populations,
     sample,
@@ -78,6 +80,27 @@ class TestSample:
         with pytest.raises(ValueError, match="^ancilla-0 amplitudes must be finite$"):
             sample(state, 64, seed=0)
 
+    @pytest.mark.parametrize(
+        "shots, message",
+        [
+            (0, "shots must be >= 1"),
+            (-3, "shots must be >= 1"),
+            (0.5, "shots must be >= 1"),
+            (1000.7, "shots must be a whole number, got 1000.7"),
+            (1.5, "shots must be a whole number, got 1.5"),
+            (np.float64(2.25), "shots must be a whole number, got 2.25"),
+        ],
+        ids=["zero", "negative", "half", "fraction", "one-and-a-half", "numpy-fraction"],
+    )
+    def test_bad_shot_count_rejected(self, shots, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample(np.array([0.6, 0.8]), shots, seed=0)
+
+    def test_whole_float_shots_draw_that_many(self):
+        as_float, as_int = (sample(np.array([0.6, 0.8]), shots, seed=0) for shots in (1e5, 100_000))
+        assert as_float.shots == 100_000 and as_float.counts.sum() == 100_000
+        np.testing.assert_array_equal(as_float.counts, as_int.counts)
+
     def test_fixed_seed_reproducible(self):
         rng = np.random.default_rng(5)
         state = rng.normal(size=16) + 1j * rng.normal(size=16)
@@ -147,6 +170,23 @@ class TestEstimatePopulations:
             errors.append(np.max(np.abs(populations - oracle)))
         assert errors[2] < errors[0]
         assert errors[2] < 0.02
+
+    def test_levels_below_the_floor_read_zero(self):
+        # the documented floor scale * ||vec rho0|| / sqrt(shots): at 5 fs the
+        # ground (5.0e-6), site3 (2.5e-5) and sink (4.0e-8) populations lie
+        # far below it and read exactly 0 in every seed; site1 and site2 lie
+        # above it and are observed
+        model, rho0 = fmo_model(FMOParams.default(3))
+        exact = quantum_evolve(model, rho0, [5.0])
+        floor = exact.scales[0] * np.linalg.norm(vectorize(rho0)) / np.sqrt(DEFAULT_SHOTS)
+        assert DEFAULT_SHOTS == 2**19 and floor == pytest.approx(1.38e-3, rel=1e-2)
+        below = exact.populations[0] < floor / 10
+        assert [label for label, low in zip(model.labels, below) if low] == ["ground", "site3", "sink"]
+        assert np.all(exact.populations[0, ~below] > 5 * floor)
+        for seed in range(5):
+            sampled = quantum_evolve(model, rho0, [5.0], mode="sampled", seed=seed)
+            assert np.all(sampled.populations[0, below] == 0.0)
+            assert np.all(sampled.populations[0, ~below] > 0.0)
 
     def test_estimates_invariant_under_dilation_scale(self):
         model, rho0, circuit, conditioned = fmo3_conditioned(800.0)
