@@ -54,6 +54,8 @@ imaginary parts of the register in one real product.
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +69,12 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _BLOCK_TOL = 1e-10
 _PROBE_SEED = 0x5BD5EED
 _NUM_PROBES = 2
+
+
+def _uniform(rng: random.Random, shape) -> np.ndarray:
+    """The next ``prod(shape)`` values of ``rng.random()`` mapped to [-1, 1):
+    fixed for an integer seed, and exact runs need no ``numpy.random``."""
+    return np.fromiter(iter(rng.random, None), float, math.prod(shape)).reshape(shape) * 2 - 1
 
 
 @dataclass(frozen=True)
@@ -187,13 +195,14 @@ def _check_block_identity(circuit: SVDCircuit, runs: tuple[np.ndarray, ...]) -> 
 
     ``runs`` are the stacked input blocks the circuit was built from, so
     the reference ``(propagator ⊕ I) / scale`` shares no factor with what
-    it checks: two deterministic pseudo-random probe states, sent together
-    through the circuits of every point in one call, exercise the SVD
-    factors, their scaling and the actual op application path, dilation
+    it checks: two pseudo-random probe states, drawn from the stdlib
+    ``random`` seeded with ``_PROBE_SEED`` and so the same in every run, sent
+    together through the circuits of every point in one call, exercise the
+    SVD factors, their scaling and the actual op application path, dilation
     included.  Cost stays O(n²) per point.
     """
     n = circuit.n
-    draws = np.random.default_rng(_PROBE_SEED).normal(size=(_NUM_PROBES, 2, n))
+    draws = _uniform(random.Random(_PROBE_SEED), (_NUM_PROBES, 2, n))
     probes = draws[:, 0] + 1j * draws[:, 1]
     probes /= np.linalg.norm(probes, axis=-1, keepdims=True)
     # probes on a leading axis of their own, broadcast against the points

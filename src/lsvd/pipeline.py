@@ -59,10 +59,11 @@ classical trace, not an independent reference for it.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 
-from .circuit import build_svd_circuit, run_exact
+from .circuit import _uniform, build_svd_circuit, run_exact
 from .dilation import padded_dimension
 from .errors import LsvdError
 from .lindblad import (
@@ -248,13 +249,14 @@ def _symmetry_split(block: np.ndarray):
     V of a random symmetric null element reduce both words.  One
     least-squares Sylvester pass per pair of blocks, applied as a Cayley
     transform, cuts the off-block part of (W V)^T B (W V) to rounding.
-    The draws are seeded, so a model always gets the same basis.
+    The draws come from the stdlib ``random`` seeded with ``_SPLIT_SEED``,
+    so a model always gets the same basis.
     """
     words = np.array([
         part / np.linalg.norm(part) for part in (block + block.T, block - block.T) if part.any()
     ])
-    rng = np.random.default_rng(_SPLIT_SEED)
-    coeffs = rng.normal(size=(len(words) + 1, len(words)))
+    rng = random.Random(_SPLIT_SEED)
+    coeffs = _uniform(rng, (len(words) + 1, len(words)))
     mix = np.tensordot(coeffs[0], words, 1)
     for c, word in zip(coeffs[1:], words):
         mix += np.tensordot(c, words, 1) @ word
@@ -270,7 +272,7 @@ def _symmetry_split(block: np.ndarray):
     values, vectors = np.linalg.eigh(normal)
     null = vectors[:, values <= _NULL_TOL * values[-1]]
     element = np.zeros_like(mix)
-    element[a, b] = null @ rng.normal(size=null.shape[1])
+    element[a, b] = null @ _uniform(rng, (null.shape[1],))
     values, v = np.linalg.eigh(element + element.T)
     label = _cluster_labels(values)
     counts = np.bincount(label)
@@ -534,11 +536,15 @@ def evolve_family(anchors, weights, rho0, t, mode="exact", shots=DEFAULT_SHOTS, 
     ``[t]`` with the run seed ``substream_seed(seed, j)`` up to the rounding
     of its amplitudes, drawn from the same substream: the shared partition
     can be coarser than the member's own, so a sampled row can differ where
-    that rounding lands in a bucket exactly zero in the one-point run.
+    that rounding lands in a bucket exactly zero in the one-point run.  The
+    anchors share one dimension, one set of labels and one time unit.
     """
     dims = sorted({anchor.dim for anchor in anchors})
     if len(dims) != 1:
         raise ValueError(f"a family needs anchors of one dimension, got dimensions {dims}")
+    kinds = sorted({(anchor.labels, anchor.time_unit) for anchor in anchors})
+    if len(kinds) != 1:
+        raise ValueError(f"a family needs anchors of one labelling and time unit, got {kinds}")
     w = as_matrix(weights, name="weights")
     if w.shape[0] < 1 or w.shape[1] != len(anchors):
         raise ValueError(f"weights has shape {w.shape}, expected (>= 1, {len(anchors)})")

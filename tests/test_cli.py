@@ -606,16 +606,72 @@ class TestOutputContracts:
             run("fmo", "--sites", "3", "--out", str(tmp_path / "fmo.csv"))
 
 
-def test_package_runs_as_a_module():
+def fresh_python(*args):
+    """Run a new interpreter on the package's source tree; its stdout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-m", "lsvd", "--version"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("lsvd ")
+    return result.stdout
+
+
+def test_package_runs_as_a_module():
+    assert fresh_python("-m", "lsvd", "--version").startswith("lsvd ")
+
+
+# pytest and hypothesis load numpy.random themselves, so each check runs the
+# CLI in an interpreter of its own
+_RUNS_THEN_MODULES = """
+import sys
+from lsvd.cli import main
+for argv in {runs!r}:
+    assert main(argv) == 0, argv
+print("numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "mode, loaded", [("exact", False), ("sampled", True)], ids=["exact", "sampled"]
+)
+def test_only_sampled_runs_load_numpy_random(tmp_path, mode, loaded):
+    runs = [
+        ["rpm", "--t-end", "0.0175"],
+        ["sweep", "--theta-step", "45"],
+        ["fmo", "--sites", "3"],
+        ["evolve", "--model", str(bundled_model_path("fmo7")), "--t-end", "50"],
+    ]
+    extra = ["--shots", "4096"] if mode == "sampled" else []
+    runs = [
+        [*run, "--mode", mode, *extra, "--out", str(tmp_path / f"{i}.csv")]
+        for i, run in enumerate(runs)
+    ]
+    out = fresh_python("-c", _RUNS_THEN_MODULES.format(runs=runs))
+    assert out.splitlines()[-1] == str(loaded)
+
+
+_BASIS_AND_PROBES = """
+import hashlib
+import lsvd.circuit
+import lsvd.pipeline as pipeline
+from lsvd.models import builtin_model
+
+states = []
+def recording(circuit, state, apply=lsvd.circuit.apply_circuit):
+    states.append(state)
+    return apply(circuit, state)
+lsvd.circuit.apply_circuit = recording
+model, rho0 = builtin_model("rpm")
+pipeline.quantum_evolve(model, rho0, [1.0])  # the first states are the probes
+generator = pipeline._real_generator(model)
+basis = pipeline._working_basis([generator], pipeline._terms(model))[1][0]
+print(*(hashlib.sha256(array.tobytes()).hexdigest() for array in (basis, states[0])))
+"""
+
+
+def test_working_basis_and_probes_are_the_same_in_every_process():
+    first, second = (fresh_python("-c", _BASIS_AND_PROBES) for _ in range(2))
+    assert len(first.split()) == 2
+    assert first == second

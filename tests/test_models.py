@@ -392,8 +392,8 @@ class TestSweepFamily:
         b0=st.floats(0.0, 1e-4),
         gamma_diss=st.one_of(st.just(0.0), st.floats(1.0, RPM_GAMMA_DISS_HIGH)),
     )
-    # a near-symmetric compass: at its third orientation, theta =
-    # 0.589149620091855, the one-point run's split drops 1.3e-12 of a
+    # a near-symmetric compass: at its third drawn orientation, theta =
+    # 0.589149620091855, the one-point run's split drops 1.465e-12 of a
     # propagator and the run is repeated on whole components
     @example(seed=15693, phi=1.0, b0=np.nextafter(1e-4, 0.0), gamma_diss=0.0)
     def test_rows_match_one_model_per_orientation(self, seed, phi, b0, gamma_diss):

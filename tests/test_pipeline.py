@@ -101,6 +101,23 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lsvd.pipeline.evolve_family(anchors, np.ones((2, len(anchors))), rho0, 1.0)
 
+    @pytest.mark.parametrize(
+        "labels, time_unit",
+        [(("L0", "L1", "L2", "L3", "L4"), "fs"), (None, "ps"), (("L0", "L1", "L2", "L3", "L4"), "ps")],
+        ids=["labels", "time-unit", "both"],
+    )
+    def test_family_of_mixed_labels_or_units_rejected_before_any_generator(
+        self, monkeypatch, labels, time_unit
+    ):
+        monkeypatch.setattr(lsvd.pipeline, "build_superoperator", _no_propagator)
+        monkeypatch.setattr(lsvd.pipeline, "propagator", _no_propagator)
+        fmo3, rho0 = builtin_model("fmo3")
+        other = LindbladModel(fmo3.hamiltonian, fmo3.channels, labels or fmo3.labels, time_unit)
+        kinds = sorted({(fmo3.labels, "fs"), (other.labels, time_unit)})
+        message = f"a family needs anchors of one labelling and time unit, got {kinds}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lsvd.pipeline.evolve_family([fmo3, other], np.eye(2), rho0, 5.0)
+
     def test_whole_float_shots_run_as_their_integer(self):
         model, rho0 = builtin_model("fmo3")
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 from lsvd.circuit import build_svd_circuit, run_exact
 from lsvd.errors import LsvdError
@@ -187,6 +188,48 @@ class TestEstimatePopulations:
             sampled = quantum_evolve(model, rho0, [5.0], mode="sampled", seed=seed)
             assert np.all(sampled.populations[0, below] == 0.0)
             assert np.all(sampled.populations[0, ~below] > 0.0)
+
+    @pytest.mark.parametrize("t", [5.0, 100.0, 500.0, 2000.0])
+    def test_ensemble_of_seeds_is_calibrated(self, t):
+        """K = 2000 seeds of fmo3 at 2**19 shots, against the estimator's own
+        statistics.  Level i's count is Binomial(N, a_i²) for its ancilla-0
+        amplitude a_i, and its population p_i = a_i / sum(a), whose ratio to
+        the floor scale * ||vec rho0|| / sqrt(N) is sqrt(N) a_i.
+
+        Above 5 floors, the K-seed mean must lie within 4 s / sqrt(K) (s the
+        seeds' standard deviation) plus r / (N sum(a)²) of E[sqrt(c_i)] /
+        sum_j E[sqrt(c_j)], the expectations summed exactly over the binomial:
+        the square-root bias to first order in the normaliser's fluctuation,
+        whose second order the last term bounds.  Below a tenth of the floor
+        a level draws a count in a seed with probability 1 - (1 - a_i²)^N,
+        and reads exactly 0 otherwise; the seeds in which such levels read
+        non-zero, lambda expected, must number at most lambda + 4
+        sqrt(lambda) + 4.  Between the two the bias is of the order of the
+        level itself, as documented, and nothing is checked.
+        """
+        seeds, r, shots = 2000, 5, DEFAULT_SHOTS
+        _, rho0, circuit, conditioned = fmo3_conditioned(t)
+        amps = np.abs(conditioned[: r * r : r + 1])
+        floor = circuit.scale * np.linalg.norm(vectorize(rho0)) / np.sqrt(shots)
+        np.testing.assert_allclose(amps / amps.sum() / floor, np.sqrt(shots) * amps)
+        above, below = np.sqrt(shots) * amps > 5, np.sqrt(shots) * amps < 0.1
+        assert above.sum() >= 2
+        runs = np.array([
+            estimate_populations(sample(conditioned, shots, seed=k), r)
+            for k in range(seeds)
+        ])
+
+        def mean_sqrt_count(q):  # over 12 standard deviations each side
+            mean, sd = shots * q, np.sqrt(shots * q * (1 - q))
+            k = np.arange(max(0, int(mean - 12 * sd) - 1), int(mean + 12 * sd) + 2)
+            return np.sqrt(k) @ scipy.stats.binom.pmf(k, shots, q)
+
+        expected = np.array([mean_sqrt_count(a * a) for a in amps])
+        expected /= expected.sum()
+        bound = 4 * runs.std(axis=0, ddof=1) / np.sqrt(seeds) + r / (shots * amps.sum() ** 2)
+        np.testing.assert_array_less(np.abs(runs.mean(axis=0) - expected)[above], bound[above])
+        lam = seeds * np.sum(1 - (1 - amps[below] ** 2) ** shots)
+        assert np.count_nonzero(runs[:, below]) <= lam + 4 * np.sqrt(lam) + 4
 
     def test_estimates_invariant_under_dilation_scale(self):
         model, rho0, circuit, conditioned = fmo3_conditioned(800.0)
