@@ -43,8 +43,9 @@ max(1, sigma_max) and checks once more, on the assembled circuit, what no
 SVD can vouch for: that the op application path sends two probe states
 where the scaled input propagator does, a reference built from the input
 blocks alone and not from the factors it checks.
-:func:`run_exact` returns the ancilla-0 amplitudes that both readout
-modes start from.
+:func:`run_exact` alone writes the register layout: it zero-pads a system
+state of at most n entries, ancilla in |0>, and returns the n ancilla-0
+amplitudes; :func:`apply_circuit` is the full-register reference.
 The circuit stores sigma; each use derives Sigma_+ from it through
 ``_dilate`` and Sigma_- as the conjugate.  A real propagator
 gives real orthogonal factors, which are applied to the real and
@@ -207,8 +208,7 @@ def _check_block_identity(circuit: SVDCircuit, runs: tuple[np.ndarray, ...]) -> 
     probes /= np.linalg.norm(probes, axis=-1, keepdims=True)
     # probes on a leading axis of their own, broadcast against the points
     probes = probes.reshape((_NUM_PROBES,) + (1,) * (circuit.sigma.ndim - 1) + (n,))
-    states = np.concatenate([probes, np.zeros_like(probes)], axis=-1)
-    got = apply_circuit(circuit, states)[..., :n]
+    got = run_exact(circuit, probes)[0]
     want = _on_system(runs, probes[..., None])[..., 0] / np.expand_dims(circuit.scale, -1)
     deviation = float(np.max(np.linalg.norm(got - want, axis=-1)))
     if deviation > _BLOCK_TOL:
@@ -254,21 +254,21 @@ def build_svd_circuit(*blocks) -> SVDCircuit:
     return circuit
 
 
-def run_exact(circuit: SVDCircuit, input_state) -> tuple[np.ndarray, np.ndarray | float]:
-    """Run the program on normalized inputs and postselect the ancilla.
+def run_exact(circuit: SVDCircuit, system_state) -> tuple[np.ndarray, np.ndarray | float]:
+    """Run the program on a system state, ancilla in |0>, and postselect.
 
-    ``input_state`` has shape (..., 2^d), broadcasting against the
-    circuit's leading axes.  Returns ``(conditioned, success_prob)`` where
-    ``conditioned`` holds the unnormalized ancilla-0 amplitudes (exact
-    readout rescales them by the dilation scale, sampled readout draws
-    shots from them) and ``success_prob`` is their squared norm, per
-    point.  For an input with the ancilla in |0>, ``success_prob =
-    ||M_scaled @ input_system||²``.  An input that is not finite, or not
-    normalized to 1e-10, raises ``ValueError``.
+    ``system_state``, shape (..., m) with m <= n, broadcasting against the
+    circuit's leading axes, is zero-padded to n.  Returns ``(conditioned,
+    success_prob)``: the n unnormalized ancilla-0 amplitudes ``M_scaled @
+    system_state`` (exact readout rescales them by the dilation scale,
+    sampled readout draws shots from them) and their squared norm, per
+    point.  A state longer than n, not finite, or not normalized to 1e-10
+    raises ``ValueError``.
     """
-    amps = np.asarray(input_state, dtype=np.complex128)
-    if amps.shape[-1] != 2 * circuit.n:
-        raise ValueError(f"input has length {amps.shape[-1]}, expected {2 * circuit.n}")
+    amps = np.asarray(system_state, dtype=np.complex128)
+    n = circuit.n
+    if amps.shape[-1] > n:
+        raise ValueError(f"system state has length {amps.shape[-1]}, more than the register's {n}")
     if not np.isfinite(amps).all():  # before any reduction, which would warn on inf
         raise ValueError("input state must be finite")
     norm = np.linalg.norm(amps, axis=-1)
@@ -276,8 +276,9 @@ def run_exact(circuit: SVDCircuit, input_state) -> tuple[np.ndarray, np.ndarray 
     if (defect > 1e-10).any():
         worst = float(np.ravel(norm)[np.argmax(defect)])
         raise ValueError(f"input state must be normalized, got norm {worst!r}")
-    final = apply_circuit(circuit, amps)
-    conditioned = final[..., : circuit.n].copy()
+    register = np.zeros(amps.shape[:-1] + (2 * n,), dtype=np.complex128)
+    register[..., : amps.shape[-1]] = amps
+    conditioned = apply_circuit(circuit, register)[..., :n].copy()
     success = np.square(conditioned.view(np.float64)).sum(axis=-1)
     return conditioned, success
 

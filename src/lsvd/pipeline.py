@@ -38,14 +38,14 @@ per member j (a compass sweep's orientations), runs the same way: one
 partition from the union of the anchors' patterns, and one stacked
 ``expm`` per run of components per chunk of members.
 
-The input state enters as Q^T P† T† vec(rho0) and T P Q is applied to the
-first r² ancilla-0 amplitudes of the output, so they are those of the
-circuit for exp(L t_k) with U = (T P Q U_R) ⊕ I and
-V† = (V_Rᵀ Q^T P† T†) ⊕ I.  Both readout modes start from those r²
-amplitudes, as ``run_exact`` returns them: exact mode rescales them,
-sampled mode draws shots from them with the discarded ancilla-1 outcome as
-one extra bucket.  Each chunk is folded into its table rows as soon as its
-circuits have run and is released before the next one is stacked, so
+``run_exact`` is given the r² coordinates Q^T P† T† vec(rho0)/||vec(rho0)||;
+T P Q maps the first r² ancilla-0 amplitudes it returns to those of the
+circuit for exp(L t_k) with U = (T P Q U_R) ⊕ I and V† = (V_Rᵀ Q^T P† T†) ⊕ I.
+T is the identity on population indices, so exact mode maps only the r
+population rows of P Q and rescales them by scale * ||vec(rho0)||; sampled
+mode maps all r² and draws shots from them, the discarded ancilla-1 outcome
+as one extra bucket.  Each chunk is folded into its table rows as soon as
+its circuits have run and is released before the next one is stacked, so
 memory holds one chunk at a time however long the grid.  Chunks run
 serially, in the order of the grid or of the family; sampling substreams
 are keyed by seed and point index.
@@ -74,7 +74,7 @@ from .lindblad import (
     vectorize,
 )
 from .numerics import DEFAULT_TOL, as_matrix
-from .sampler import DEFAULT_SHOTS, estimate_populations, sample, substream_seed
+from .sampler import DEFAULT_SHOTS, _check_shots, estimate_populations, sample, substream_seed
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -414,28 +414,23 @@ def _run_chunks(chunks, working, rho0, times, labels, mode, shots, seeds):
     ``rho0`` pass."""
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    if mode == "sampled" and not 1 <= shots <= np.iinfo(np.int64).max:
-        # numpy's multinomial draws counts as int64
-        raise ValueError(f"shots must be between 1 and 2**63 - 1, got {shots}")
-    if mode == "sampled" and shots % 1:
-        raise ValueError(f"shots must be a whole number, got {shots}")
+    if mode == "sampled":
+        _check_shots(shots)
     r = len(labels)
     v0 = _vec_rho0(rho0, r)
     input_norm = float(np.linalg.norm(v0))
     basis, rotate, record = working
-    state = np.zeros(2 * padded_dimension(r * r), dtype=np.complex128)
-    state[: r * r] = basis.T @ _to_hermitian_basis(v0, r) / input_norm
+    state = basis.T @ _to_hermitian_basis(v0, r) / input_norm
 
     def run_chunk(blocks: list[np.ndarray]):
         circ = build_svd_circuit(*blocks)
         conditioned, success = run_exact(circ, state)
         # point by point, so that a row does not depend on its chunk
+        if mode == "exact":  # T is the identity on the population rows
+            rows = (basis[:: r + 1] @ conditioned[:, : r * r, None])[..., 0]
+            return rows.real * (circ.scale * input_norm)[:, None], success, circ.scale
         coords = (basis @ conditioned[:, : r * r, None])[..., 0].T
         vecs = _from_hermitian_basis(coords, r).T  # one row vec(rho) per point
-        if mode == "exact":
-            vecs *= (circ.scale * input_norm)[:, None]
-            # a copy: a view would keep every chunk's vecs alive to the end
-            return np.real(vecs[:, :: r + 1]).copy(), success, circ.scale
         results = [sample(vec_t, shots, next(seeds)) for vec_t in vecs]
         populations = [estimate_populations(result, r) for result in results]
         postselected = [result.postselected_shots / result.shots for result in results]
@@ -494,12 +489,11 @@ def quantum_evolve(
     """Propagate through the circuit pipeline and read out populations.
 
     One circuit per output time, built and run a chunk of times at once.
-    The system register is initialized to the working-basis coordinates
-    Q^T P† T† vec(rho0)/||vec(rho0)|| zero-padded to the 2^k system
-    dimension, with the ancilla in |0>.  ``mode="exact"`` reads the
-    conditioned amplitudes directly and rescales by the dilation scale,
-    reproducing the classical result to rounding.  ``mode="sampled"``
-    measures ``shots`` times per point (substream seed =
+    ``run_exact`` is given the working-basis coordinates Q^T P† T†
+    vec(rho0)/||vec(rho0)||.  ``mode="exact"`` maps back the conditioned
+    amplitudes of the population rows alone and rescales them by the
+    dilation scale, reproducing the classical result to rounding.
+    ``mode="sampled"`` measures ``shots`` times per point (substream seed =
     ``substream_seed(seed, point_index)``) from the same amplitudes,
     postselects on the ancilla and estimates populations from the
     surviving counts.  The run asks ``_working_basis`` for the symmetry

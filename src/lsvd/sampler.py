@@ -73,6 +73,14 @@ def substream_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+def _check_shots(shots) -> None:
+    """Refuse shots outside [1, 2**63), numpy's int64 counts, or not whole."""
+    if not 1 <= shots < 2**63:
+        raise ValueError(f"shots must be between 1 and 2**63 - 1, got {shots}")
+    if shots % 1:
+        raise ValueError(f"shots must be a whole number, got {shots}")
+
+
 @dataclass(frozen=True)
 class ShotResult:
     """Counts from measuring one final register state.
@@ -95,13 +103,10 @@ def sample(conditioned, shots: int, seed: int) -> ShotResult:
     1 - ||c||²])``; the last bucket is the discarded ancilla-1 outcome.
     Deterministic for a fixed seed.  A weight ``||c||²`` up to 1 + 1e-10 is
     rounding and is scaled back to one; a larger one, an amplitude that is
-    not finite or a count of shots that is not whole raises ``ValueError``.
+    not finite or a shot count ``_check_shots`` refuses raises ``ValueError``.
     """
+    _check_shots(shots)
     amps = np.asarray(conditioned, dtype=np.complex128).ravel()
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if shots % 1:
-        raise ValueError(f"shots must be a whole number, got {shots}")
     if not np.isfinite(amps).all():
         raise ValueError("ancilla-0 amplitudes must be finite")
     probs = np.abs(amps) ** 2

@@ -29,12 +29,6 @@ from conftest import (
 )
 
 
-def ancilla_zero_input(system_state, n):
-    state = np.zeros(2 * n, dtype=complex)
-    state[: len(system_state)] = system_state
-    return state
-
-
 class TestBuild:
     def test_identity_passthrough(self):
         circuit = build_svd_circuit(np.eye(4))
@@ -47,7 +41,7 @@ class TestBuild:
         np.testing.assert_allclose(as_unitary(circuit)[:4, :4], q, atol=1e-10)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        _, success = run_exact(circuit, ancilla_zero_input(psi, 4))
+        _, success = run_exact(circuit, psi)
         assert success == pytest.approx(1.0, abs=1e-12)
 
     def test_single_sigma_amplitudes_by_hand(self):
@@ -216,7 +210,7 @@ class TestStacked:
     def test_each_point_matches_its_own_circuit(self, rng):
         blocks = random_stack(rng, 4, self.SIZES)
         stacked = build_svd_circuit(*blocks)
-        state = ancilla_zero_input(np.full(9, 1.0 / 3.0, dtype=complex), 16)
+        state = np.full(9, 1.0 / 3.0, dtype=complex)
         conditioned, success = run_exact(stacked, state)
         assert stacked.sigma.shape == (4, 16)
         assert stacked.scale.shape == success.shape == (4,)
@@ -240,9 +234,10 @@ class TestStacked:
         for j in range(3):
             single = build_svd_circuit(*(block[j] for block in blocks))
             np.testing.assert_allclose(final[j], as_unitary(single) @ states[j], atol=1e-12)
-        states[1] *= 1.5
+        system = states[:, :16] / np.linalg.norm(states[:, :16], axis=-1, keepdims=True)
+        system[1] *= 1.5
         with pytest.raises(ValueError, match="normalized, got norm 1.5"):
-            run_exact(circuit, states)
+            run_exact(circuit, system)
 
     def test_probe_violation_at_one_point_rejected(self, rng, monkeypatch):
         def one_point_off(circuit, state):
@@ -270,7 +265,7 @@ class TestStacked:
 class TestRunExact:
     def test_contraction_success_probability(self):
         circuit = build_svd_circuit(np.diag([0.5, 0.5, 0.5, 0.5]))
-        state = ancilla_zero_input(np.full(4, 0.5, dtype=complex), 4)
+        state = np.full(4, 0.5, dtype=complex)
         conditioned, success = run_exact(circuit, state)
         assert success == pytest.approx(0.25, abs=1e-12)
         np.testing.assert_allclose(conditioned, np.full(4, 0.25), atol=1e-12)
@@ -286,7 +281,7 @@ class TestRunExact:
         circuit = build_svd_circuit(m)
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
         psi /= np.linalg.norm(psi)
-        conditioned, success = run_exact(circuit, ancilla_zero_input(psi, 16))
+        conditioned, success = run_exact(circuit, psi)
         np.testing.assert_allclose(
             conditioned * circuit.scale, m_padded @ psi, atol=1e-8
         )
@@ -302,7 +297,7 @@ class TestRunExact:
         contraction = build_svd_circuit(q * 0.9)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi /= np.linalg.norm(psi)
-        _, success = run_exact(contraction, ancilla_zero_input(psi, 8))
+        _, success = run_exact(contraction, psi)
         assert success < 1.0 - 1e-10
 
     def test_success_invariant_under_extra_padding(self, rng):
@@ -314,8 +309,8 @@ class TestRunExact:
         big = build_svd_circuit(big_matrix)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        _, success_small = run_exact(small, ancilla_zero_input(psi, 4))
-        _, success_big = run_exact(big, ancilla_zero_input(psi, 8))
+        _, success_small = run_exact(small, psi)
+        _, success_big = run_exact(big, psi)
         assert success_small == pytest.approx(success_big, abs=1e-10)
 
     def test_fmo3_matches_classical_oracle_entrywise(self):
@@ -324,16 +319,30 @@ class TestRunExact:
         t = 1000.0
         circuit = build_svd_circuit(propagator(superop, t))
         v0 = vectorize(rho0)
-        state = ancilla_zero_input(v0 / np.linalg.norm(v0), 32)
+        state = v0 / np.linalg.norm(v0)
         conditioned, _ = run_exact(circuit, state)
         reconstructed = conditioned[:25] * circuit.scale * np.linalg.norm(v0)
         reference = reference_states(model, rho0, [t])[0]
         np.testing.assert_allclose(reconstructed, vectorize(reference), atol=1e-10)
 
+    @pytest.mark.parametrize("points", [(), (3,)], ids=["one-point", "stacked"])
+    def test_system_state_runs_as_the_register_padded_by_hand(self, rng, points):
+        # 9 system amplitudes of a 16-row register, one state per point
+        circuit = build_svd_circuit(*(rng.normal(size=points + (s, s)) for s in (5, 3, 1)))
+        system = rng.normal(size=points + (9,)) + 1j * rng.normal(size=points + (9,))
+        system /= np.linalg.norm(system, axis=-1, keepdims=True)
+        register = np.zeros(points + (32,), dtype=complex)
+        register[..., :9] = system
+        want = apply_circuit(circuit, register)[..., :16].copy()
+        conditioned, success = run_exact(circuit, system)
+        np.testing.assert_array_equal(conditioned, want)
+        np.testing.assert_array_equal(success, np.square(want.view(np.float64)).sum(axis=-1))
+
     def test_dimension_mismatch(self, rng):
         circuit = build_svd_circuit(np.eye(4))
-        with pytest.raises(ValueError, match="input has length 4, expected 8"):
-            run_exact(circuit, np.zeros(4))
+        message = "^system state has length 8, more than the register's 4$"
+        with pytest.raises(ValueError, match=message):
+            run_exact(circuit, np.zeros(8))
 
     def test_apply_circuit_dimension_mismatch(self):
         circuit = build_svd_circuit(np.eye(4))
@@ -343,14 +352,14 @@ class TestRunExact:
     def test_unnormalized_input_rejected(self):
         circuit = build_svd_circuit(np.eye(4))
         with pytest.raises(ValueError, match="normalized"):
-            run_exact(circuit, np.full(8, 0.9, dtype=complex))
+            run_exact(circuit, np.full(4, 0.9, dtype=complex))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_input_rejected(self, bad):
         # refused by name, before a reduction can warn or NaN can pass the
         # norm check; one bad point of a batch is enough
         circuit = build_svd_circuit(np.eye(4))
-        states = np.zeros((2, 8), dtype=complex)
+        states = np.zeros((2, 4), dtype=complex)
         states[:, 0] = 1.0
         states[1, 3] = bad
         with pytest.raises(ValueError, match="^input state must be finite$"):

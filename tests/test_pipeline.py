@@ -12,7 +12,13 @@ import lsvd.circuit
 import lsvd.pipeline
 from lsvd.errors import LsvdError
 from lsvd.lindblad import Channel, LindbladModel, build_superoperator, propagator
-from lsvd.models import RPM_DEFAULT_HYPERFINE_AZ, RPMParams, builtin_model, rpm_model
+from lsvd.models import (
+    RPM_DEFAULT_HYPERFINE_AZ,
+    RPMParams,
+    builtin_model,
+    rpm_model,
+    theta_sweep,
+)
 from lsvd.pipeline import classical_evolve, quantum_evolve, qubit_counts
 
 from conftest import (
@@ -429,6 +435,33 @@ class TestHermitianBasis:
         exact = quantum_evolve(model, rho0, times)
         assert shapes == [(25,)] * len(times)
         np.testing.assert_allclose(weights, exact.success_prob, atol=1e-12, rtol=0)
+
+    def test_only_sampled_readout_maps_the_coherences(self, monkeypatch):
+        # T is the identity on population indices, so exact readout maps the
+        # r population rows alone and never calls the coherence map
+        real_map = lsvd.pipeline._from_hermitian_basis
+
+        def no_coherences(c, r):
+            raise AssertionError("exact readout mapped the coherences")
+
+        monkeypatch.setattr(lsvd.pipeline, "_from_hermitian_basis", no_coherences)
+        model, rho0 = builtin_model("fmo3")
+        times = [0.0, 150.0, 700.0]
+        exact = quantum_evolve(model, rho0, times)
+        reference = reference_populations(model, rho0, times)
+        np.testing.assert_allclose(exact.populations, reference, atol=1e-10, rtol=0)
+        theta_sweep(RPMParams(), [0.0, 0.5, 1.5])
+
+        calls = []
+
+        def counting(c, r):
+            calls.append(r)
+            return real_map(c, r)
+
+        monkeypatch.setattr(lsvd.pipeline, "_from_hermitian_basis", counting)
+        quantum_evolve(model, rho0, times, mode="sampled", shots=64)
+        theta_sweep(RPMParams(), [0.0, 0.5, 1.5], mode="sampled", shots=64)
+        assert sorted(set(calls)) == [5, 10]  # fmo3 and the compass both mapped
 
     def test_nearly_hermitian_hamiltonian_is_accepted(self, rng):
         # a Hermiticity defect of 1e-12 passes the model check (1e-10), so

@@ -21,9 +21,7 @@ from conftest import reference_populations
 def conditioned_amplitudes(circuit, rho0):
     """The 25 ancilla-0 amplitudes of an fmo3 circuit run on vec(rho0)."""
     v0 = vectorize(rho0)
-    state = np.zeros(2 * circuit.n, dtype=complex)
-    state[:25] = v0 / np.linalg.norm(v0)
-    conditioned, _ = run_exact(circuit, state)
+    conditioned, _ = run_exact(circuit, v0 / np.linalg.norm(v0))
     return conditioned[:25]
 
 
@@ -84,14 +82,22 @@ class TestSample:
     @pytest.mark.parametrize(
         "shots, message",
         [
-            (0, "shots must be >= 1"),
-            (-3, "shots must be >= 1"),
-            (0.5, "shots must be >= 1"),
+            (0, r"shots must be between 1 and 2\*\*63 - 1, got 0"),
+            (-3, r"shots must be between 1 and 2\*\*63 - 1, got -3"),
+            (0.5, r"shots must be between 1 and 2\*\*63 - 1, got 0.5"),
+            (2**63, r"shots must be between 1 and 2\*\*63 - 1, got 9223372036854775808"),
+            (
+                np.float64(2**63),  # equal, as a float64, to 2**63 - 1
+                r"shots must be between 1 and 2\*\*63 - 1, got 9.223372036854776e\+18",
+            ),
             (1000.7, "shots must be a whole number, got 1000.7"),
             (1.5, "shots must be a whole number, got 1.5"),
             (np.float64(2.25), "shots must be a whole number, got 2.25"),
         ],
-        ids=["zero", "negative", "half", "fraction", "one-and-a-half", "numpy-fraction"],
+        ids=[
+            "zero", "negative", "half", "above-int64", "numpy-above-int64",
+            "fraction", "one-and-a-half", "numpy-fraction",
+        ],
     )
     def test_bad_shot_count_rejected(self, shots, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
