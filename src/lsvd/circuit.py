@@ -17,11 +17,15 @@ branches of the dilated diagonal and recombine them, leaving
     ancilla-1 block: U (Sigma_+ - Sigma_-)/2 V† = i U diag(sqrt(1-sigma²)) V†
 
 so measuring the ancilla in |0> applies the scaled propagator to the
-system register; the |1> outcome is the discarded branch.  Emulation
-applies the five ops as exact products on the two ancilla blocks of the
-statevector; elementary gate synthesis is out of scope and resource needs
-are reported by the closed-form counts in :func:`estimate_resources`
-instead.
+system register; the |1> outcome is the discarded branch.
+:func:`apply_circuit` applies the five ops as exact products on the two
+ancilla blocks of the statevector.  :func:`run_exact` starts from ancilla
+|0> and keeps only the ancilla-0 block, so it runs that half alone: V†
+gives y, the Hadamards and the dilated diagonal leave ((y h) Sigma_+ +
+(y h) Sigma_-) h with h = 1/sqrt(2), the elementwise ops of the full
+program, and U follows.  Elementary gate synthesis is out of scope and
+resource needs are reported by the closed-form counts in
+:func:`estimate_resources` instead.
 
 The propagator is block diagonal (one block for a general matrix), and so
 are U and V†: the direct sums of the blocks' SVD factors, with an identity
@@ -40,12 +44,13 @@ once, all runs in one field, and decomposes each run in one
 both factors of every block).  It keeps each singular value on the row of
 its block factors, with a one for each padding row, divides them by
 max(1, sigma_max) and checks once more, on the assembled circuit, what no
-SVD can vouch for: that the op application path sends two probe states
-where the scaled input propagator does, a reference built from the input
-blocks alone and not from the factors it checks.
+SVD can vouch for: that :func:`run_exact` sends two probe states, drawn
+once per n, where the scaled input propagator does, a reference built
+from the input blocks alone and not from the factors it checks.
 :func:`run_exact` alone writes the register layout: it zero-pads a system
 state of at most n entries, ancilla in |0>, and returns the n ancilla-0
-amplitudes; :func:`apply_circuit` is the full-register reference.
+amplitudes; :func:`apply_circuit`, on all 2n amplitudes, is its
+reference and is not on the run path.
 The circuit stores sigma; each use derives Sigma_+ from it through
 ``_dilate`` and Sigma_- as the conjugate.  A real propagator
 gives real orthogonal factors, which are applied to the real and
@@ -54,6 +59,7 @@ imaginary parts of the register in one real product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -190,28 +196,36 @@ def _ancilla_hadamard(blocks: np.ndarray) -> None:
     blocks *= _SQRT_HALF
 
 
+@functools.cache
+def _probes(n: int) -> np.ndarray:
+    """The ``_NUM_PROBES`` unit probe states of an n-row register, read-only:
+    drawn once per n from the stdlib ``random`` seeded with ``_PROBE_SEED``,
+    so the same in every run."""
+    draws = _uniform(random.Random(_PROBE_SEED), (_NUM_PROBES, 2, n))
+    probes = draws[:, 0] + 1j * draws[:, 1]
+    probes /= np.linalg.norm(probes, axis=-1, keepdims=True)
+    probes.flags.writeable = False
+    return probes
+
+
 def _check_block_identity(circuit: SVDCircuit, runs: tuple[np.ndarray, ...]) -> None:
     """Verify the ancilla-0 block reproduces the scaled propagator at every
     point.
 
     ``runs`` are the stacked input blocks the circuit was built from, so
     the reference ``(propagator ⊕ I) / scale`` shares no factor with what
-    it checks: two pseudo-random probe states, drawn from the stdlib
-    ``random`` seeded with ``_PROBE_SEED`` and so the same in every run, sent
-    together through the circuits of every point in one call, exercise the
-    SVD factors, their scaling and the actual op application path, dilation
-    included.  Cost stays O(n²) per point.
+    it checks: the ``_probes``, sent together through the circuits of
+    every point in one ``run_exact`` call, exercise the SVD factors, their
+    scaling and the path every run takes, dilation included.  Cost stays
+    O(n²) per point.  A NaN deviation fails.
     """
     n = circuit.n
-    draws = _uniform(random.Random(_PROBE_SEED), (_NUM_PROBES, 2, n))
-    probes = draws[:, 0] + 1j * draws[:, 1]
-    probes /= np.linalg.norm(probes, axis=-1, keepdims=True)
     # probes on a leading axis of their own, broadcast against the points
-    probes = probes.reshape((_NUM_PROBES,) + (1,) * (circuit.sigma.ndim - 1) + (n,))
+    probes = _probes(n).reshape((_NUM_PROBES,) + (1,) * (circuit.sigma.ndim - 1) + (n,))
     got = run_exact(circuit, probes)[0]
     want = _on_system(runs, probes[..., None])[..., 0] / np.expand_dims(circuit.scale, -1)
     deviation = float(np.max(np.linalg.norm(got - want, axis=-1)))
-    if deviation > _BLOCK_TOL:
+    if not deviation <= _BLOCK_TOL:
         raise LsvdError(
             f"ancilla-0 block deviates from the scaled propagator by {deviation:.3e}"
         )
@@ -264,6 +278,11 @@ def run_exact(circuit: SVDCircuit, system_state) -> tuple[np.ndarray, np.ndarray
     sampled readout draws shots from them) and their squared norm, per
     point.  A state longer than n, not finite, or not normalized to 1e-10
     raises ``ValueError``.
+
+    Only the ancilla-0 half is run (see the module docstring): the same
+    elementwise ops as :func:`apply_circuit`'s, but V† and U act on one
+    column instead of two, so BLAS may round their products differently,
+    by a few ulps.
     """
     amps = np.asarray(system_state, dtype=np.complex128)
     n = circuit.n
@@ -276,9 +295,17 @@ def run_exact(circuit: SVDCircuit, system_state) -> tuple[np.ndarray, np.ndarray
     if (defect > 1e-10).any():
         worst = float(np.ravel(norm)[np.argmax(defect)])
         raise ValueError(f"input state must be normalized, got norm {worst!r}")
-    register = np.zeros(amps.shape[:-1] + (2 * n,), dtype=np.complex128)
-    register[..., : amps.shape[-1]] = amps
-    conditioned = apply_circuit(circuit, register)[..., :n].copy()
+    # the ancilla-1 input is zero: y = V† x, ((y h) Sigma_+ + (y h) Sigma_-) h, U
+    padded = np.zeros(amps.shape[:-1] + (n, 1), dtype=np.complex128)
+    padded[..., : amps.shape[-1], 0] = amps
+    y = _on_system(circuit.vdag_blocks, padded)
+    y *= _SQRT_HALF
+    sigma_plus = _dilate(circuit.sigma)[..., None]
+    mixed = y * sigma_plus
+    y *= sigma_plus.conj()
+    mixed += y
+    mixed *= _SQRT_HALF
+    conditioned = _on_system(circuit.u_blocks, mixed)[..., 0]
     success = np.square(conditioned.view(np.float64)).sum(axis=-1)
     return conditioned, success
 

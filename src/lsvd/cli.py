@@ -141,11 +141,10 @@ def _metadata(config: dict, model: LindbladModel, columns, extra: dict) -> dict:
 
 
 def _write_run(config: dict, model: LindbladModel, columns, rows, trace: PopulationTrace, **extra) -> int:
-    """Write the results table plus its metadata (a sidecar for CSV, embedded
-    for JSON) and report where they went."""
+    """Write the results table, ``rows`` of Python floats, plus its metadata
+    (a sidecar for CSV, embedded for JSON) and report where they went."""
     meta = _metadata(config, model, columns, {"scale_factors": [float(s) for s in trace.scales], **extra})
     meta["working_blocks"] = trace.working_blocks
-    rows = [[float(v) for v in row] for row in rows]
     out = meta_path = config["output"]
     if config["format"] == "csv":
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -170,10 +169,7 @@ def _run_trace(args, command: str, model: LindbladModel, rho0, params: dict) -> 
         model, rho0, grid, mode=args.mode, shots=args.shots, seed=args.seed
     )
     columns = ["time", *model.labels, "success_prob"]
-    rows = [
-        [trace.times[i], *trace.populations[i], trace.success_prob[i]]
-        for i in range(trace.times.size)
-    ]
+    rows = np.column_stack([trace.times, trace.populations, trace.success_prob]).tolist()
     return _write_run(config, model, columns, rows, trace)
 
 
@@ -240,10 +236,7 @@ def _cmd_sweep(args) -> int:
     model, _ = rpm_model(base)
     phi_s, phi_t = yields(trace)
     columns = ["theta_deg", "phi_S", "phi_T", "success_prob"]
-    rows = [
-        [np.rad2deg(thetas[i]), phi_s[i], phi_t[i], trace.success_prob[i]]
-        for i in range(thetas.size)
-    ]
+    rows = np.column_stack([np.rad2deg(thetas), phi_s, phi_t, trace.success_prob]).tolist()
     rng = {"algorithm": RNG_ALGORITHM, "seed": args.seed, "substream_rule": SWEEP_SUBSTREAMS}
     return _write_run(config, model, columns, rows, trace, t_end=args.t_end, rng=rng)
 

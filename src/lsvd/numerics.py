@@ -73,9 +73,10 @@ def expm(a) -> Matrix:
     Real input gives a float64 result, complex input a complex128 one.
     Each matrix is scaled by ``2**-s`` with the smallest ``s >= 0`` that
     brings its 1-norm to at most ``theta_13 = 5.37``, its approximant is
-    evaluated from six products and one solve, and the result is squared
-    ``s`` times.  ``s`` is the matrix's own: a matrix of a stack gets the
-    bits it would get alone.  The returned ``E`` satisfies ``||E -
+    evaluated from six products and one solve, its sums written in place
+    into three reused stack-sized buffers and the powers released before
+    the solve, and the result is squared ``s`` times.  ``s`` is the
+    matrix's own: a matrix of a stack gets the bits it would get alone.  The returned ``E`` satisfies ``||E -
     exp(a)||_F <= max(1, s) * DEFAULT_TOL * ||exp(a)||_F``: each squaring
     carries the error made so far into the next, so the bound grows with
     ``s``.  This is a measured bound, not a proof; it holds against a
@@ -109,10 +110,20 @@ def expm(a) -> Matrix:
     b2 = b @ b
     b4 = b2 @ b2
     b6 = b4 @ b2
-    odd = b6 @ (c[13] * b6 + c[11] * b4 + c[9] * b2) + c[7] * b6 + c[5] * b4 + c[3] * b2
-    u = b @ (odd + c[1] * eye)
-    v = b6 @ (c[12] * b6 + c[10] * b4 + c[8] * b2) + c[6] * b6 + c[4] * b4 + c[2] * b2 + eye
-    result = np.linalg.solve(v - u, v + u)
+    # the [13/13] products and left-to-right sums, in three reused buffers:
+    # u = b @ (b6 @ (c13 b6 + c11 b4 + c9 b2) + c7 b6 + c5 b4 + c3 b2 + c1 I)
+    # and v = b6 @ (c12 b6 + c10 b4 + c8 b2) + c6 b6 + c4 b4 + c2 b2 + I
+    inner, odd, term = np.multiply(c[13], b6), np.empty_like(b), np.empty_like(b)
+    _accumulate(inner, term, (c[11], b4), (c[9], b2))
+    _accumulate(np.matmul(b6, inner, out=odd), term, (c[7], b6), (c[5], b4), (c[3], b2))
+    odd += c[1] * eye
+    u = np.matmul(b, odd, out=inner)
+    del b
+    _accumulate(np.multiply(c[12], b6, out=odd), term, (c[10], b4), (c[8], b2))
+    v = _accumulate(np.matmul(b6, odd, out=term), odd, (c[6], b6), (c[4], b4), (c[2], b2))
+    v += eye
+    del b2, b4, b6  # released before the solve
+    result = np.linalg.solve(np.subtract(v, u, out=odd), np.add(v, u, out=u))
     for step in range(squarings.max()):
         if squarings.min() > step:
             result = result @ result
@@ -120,6 +131,14 @@ def expm(a) -> Matrix:
             squaring = np.flatnonzero(squarings > step)
             result[squaring] = result[squaring] @ result[squaring]
     return result.reshape(m.shape)
+
+
+def _accumulate(out: Matrix, scratch: Matrix, *terms) -> Matrix:
+    """``out += coeff * power`` for each ``(coeff, power)`` of ``terms``, in
+    order, each product formed in ``scratch``; returns ``out``."""
+    for coeff, power in terms:
+        out += np.multiply(coeff, power, out=scratch)
+    return out
 
 
 def _squared_defect(product: Matrix, target=0.0) -> np.ndarray:

@@ -23,9 +23,10 @@ block by block.  A family of generators keeps its components unsplit.
 The real propagator is chained along the ascending grid component by
 component, each run of equal-size components stacked: exp(G_i t_k) =
 exp(G_i (t_k - t_{k-1})) exp(G_i t_{k-1}), with one ``expm`` per distinct
-time gap per run.  Q^T exp(G t) Q is taken per point, with its off-block
-rounding dropped and checked, rather than the exponential of the rotated
-generator, whose rounding exp(G t) would amplify by ||G t||.  Each output
+time gap per run.  Q^T exp(G t) Q is taken per point, in place in the
+chunk, with its off-block rounding dropped and checked, rather than the
+exponential of the rotated generator, whose rounding exp(G t) would
+amplify by ||G t||.  Each output
 time still gets its own freshly decomposed circuit implementing the full
 exp(G t_k), so postselection statistics are never compounded.  The
 circuits are built and run a chunk of consecutive times at once (32 for
@@ -312,14 +313,16 @@ def _working_basis(generators: list[np.ndarray], terms: float | None = None):
     ``terms``, Q is the identity.  ``basis`` is the dense P Q, blocks
     ordered by size, largest first.  ``runs[i]`` stacks generator i's
     equal-size components ``(count, m, m)`` for ``propagator``; ``rotate``
-    maps such runs of propagators to the blocks of Q^T exp(G t) Q.  The
-    propagator is rotated, not the generator: exp(G t) would amplify the
-    rounding of a rotated G by ||G t||.  It amplifies what the split drops
-    all the same, so ``rotate`` raises if an entry it drops off a
-    propagator exceeds ``DEFAULT_TOL``, the accuracy ``expm`` promises
-    relative to the whole propagator, whose norm is at least one (it keeps
-    the trace).  ``record`` lists the runs of blocks as ``[size, count]``
-    and the largest entry dropped off the generator over its terms.
+    maps such runs of propagators to copies of the blocks of Q^T exp(G t)
+    Q, rotating each split component in place in the runs it is handed
+    (the chain keeps none of them).  The propagator is rotated, not the
+    generator: exp(G t) would amplify the rounding of a rotated G by
+    ||G t||.  It amplifies what the split drops all the same, so
+    ``rotate`` raises if an entry it drops off a propagator exceeds
+    ``DEFAULT_TOL``, the accuracy ``expm`` promises relative to the whole
+    propagator, whose norm is at least one (it keeps the trace), or is
+    NaN.  ``record`` lists the runs of blocks as ``[size, count]`` and the
+    largest entry dropped off the generator over its terms.
     """
     components = _decoupled_blocks(*generators)
     rotations, spans, worst = {}, [], 0.0  # rotations: index -> (Q, off-block mask)
@@ -344,14 +347,18 @@ def _working_basis(generators: list[np.ndarray], terms: float | None = None):
     def rotate(props: list[np.ndarray]) -> list[np.ndarray]:
         each = [run[..., j, :, :] for run in props for j in range(run.shape[-3])]
         for index, (q, off) in rotations.items():
-            each[index] = q.T @ each[index] @ q
-            dropped = np.abs(each[index][..., off]).max()
-            if dropped > DEFAULT_TOL:
+            np.matmul(q.T @ each[index], q, out=each[index])
+            # the largest |entry| off the blocks, without gathering them
+            dropped = np.maximum(
+                np.max(each[index], where=off, initial=-np.inf),
+                -np.min(each[index], where=off, initial=np.inf),
+            )
+            if not dropped <= DEFAULT_TOL:
                 raise LsvdError(
                     f"symmetry split drops {dropped:.3e} of a propagator, more than "
                     f"{DEFAULT_TOL:.0e}: the generator is only nearly symmetric"
                 )
-        # copies, so that neither the chunk nor its rotation outlives this
+        # copies, so that the chunk does not outlive this
         return [each[index][..., span, span].copy() for index, span in spans]
 
     widths = [span.stop - span.start for _, span in spans]
@@ -460,7 +467,7 @@ def classical_evolve(model: LindbladModel, rho0, times) -> PopulationTrace:
     for i, (t, ((prop,),)) in enumerate(zip(grid, chain)):
         diag_t = (prop @ v0)[diagonal]
         trace_defect = abs(diag_t.sum() - 1.0)
-        if trace_defect > 1e-8:
+        if not trace_defect <= 1e-8:  # a NaN state fails too
             raise LsvdError(
                 f"propagated state lost trace normalization at t={t} "
                 f"(defect {trace_defect:.3e})"

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import numpy as np
@@ -114,11 +115,37 @@ class TestBuild:
 
     def test_probe_violation_rejected(self, monkeypatch):
         def off_by_1e_6(circuit, state):
-            return apply_circuit(circuit, state) + 1e-6
+            conditioned, success = run_exact(circuit, state)
+            return conditioned + 1e-6, success
 
-        monkeypatch.setattr(lsvd.circuit, "apply_circuit", off_by_1e_6)
+        monkeypatch.setattr(lsvd.circuit, "run_exact", off_by_1e_6)
         with pytest.raises(LsvdError, match="ancilla-0 block"):
             build_svd_circuit(np.diag([0.9, 0.5, 0.3, 0.1]))
+
+    def test_nan_factor_rejected(self, monkeypatch):
+        # a NaN deviation must fail the check, not compare false against it
+        def nan_in_u(run):
+            u, sigma, vdag = lsvd.numerics.svd(run)
+            u = u.copy()
+            u[..., 0, 0] = np.nan
+            return u, sigma, vdag
+
+        monkeypatch.setattr(lsvd.circuit, "svd", nan_in_u)
+        message = "^ancilla-0 block deviates from the scaled propagator by nan$"
+        with pytest.raises(LsvdError, match=message):
+            build_svd_circuit(np.diag([0.9, 0.5, 0.3, 0.1]))
+
+    def test_probes_are_drawn_once_per_register_size(self):
+        probes = lsvd.circuit._probes(16)
+        assert lsvd.circuit._probes(16) is probes
+        assert not probes.flags.writeable
+        # the draw they were taken from, as every run makes it
+        rng = random.Random(lsvd.circuit._PROBE_SEED)
+        draws = np.array([rng.random() for _ in range(2 * 2 * 16)]).reshape(2, 2, 16) * 2 - 1
+        want = draws[:, 0] + 1j * draws[:, 1]
+        want /= np.linalg.norm(want, axis=-1, keepdims=True)
+        np.testing.assert_array_equal(probes, want)
+        assert lsvd.circuit._probes(32).shape == (2, 32)
 
     @pytest.mark.parametrize(
         "other",
@@ -241,11 +268,11 @@ class TestStacked:
 
     def test_probe_violation_at_one_point_rejected(self, rng, monkeypatch):
         def one_point_off(circuit, state):
-            out = apply_circuit(circuit, state)
-            out[..., 2, :] += 1e-6  # point 2 of 4, whatever leads
-            return out
+            conditioned, success = run_exact(circuit, state)
+            conditioned[..., 2, :] += 1e-6  # point 2 of 4, whatever leads
+            return conditioned, success
 
-        monkeypatch.setattr(lsvd.circuit, "apply_circuit", one_point_off)
+        monkeypatch.setattr(lsvd.circuit, "run_exact", one_point_off)
         with pytest.raises(LsvdError, match="ancilla-0 block"):
             build_svd_circuit(*random_stack(rng, 4, self.SIZES))
 
@@ -335,8 +362,36 @@ class TestRunExact:
         register[..., :9] = system
         want = apply_circuit(circuit, register)[..., :16].copy()
         conditioned, success = run_exact(circuit, system)
-        np.testing.assert_array_equal(conditioned, want)
-        np.testing.assert_array_equal(success, np.square(want.view(np.float64)).sum(axis=-1))
+        # the two paths round their products differently, by a few ulps
+        np.testing.assert_allclose(conditioned, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(success, np.sum(np.abs(want) ** 2, axis=-1), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(success, np.square(conditioned.view(np.float64)).sum(axis=-1))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "points, states",
+        [((), ()), ((3,), (3,)), ((3,), (2, 1))],
+        ids=["one-point", "stacked", "probe-axis"],
+    )
+    def test_half_register_run_is_the_full_program(self, rng, field, points, states):
+        # run_exact runs the ancilla-0 half alone; apply_circuit, the full
+        # five-op program on the register padded by hand, is its reference
+        def block(s):
+            m = rng.normal(size=points + (s, s))
+            return m + 1j * rng.normal(size=m.shape) if field == "complex" else m
+
+        circuit = build_svd_circuit(block(5), block(3), block(3), block(1))
+        system = rng.normal(size=states + (12,)) + 1j * rng.normal(size=states + (12,))
+        system /= np.linalg.norm(system, axis=-1, keepdims=True)
+        register = np.zeros(states + (32,), dtype=complex)
+        register[..., :12] = system
+        full = apply_circuit(circuit, register)
+        conditioned, success = run_exact(circuit, system)
+        assert conditioned.shape == full.shape[:-1] + (16,)
+        np.testing.assert_allclose(conditioned, full[..., :16], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            success, 1.0 - np.sum(np.abs(full[..., 16:]) ** 2, axis=-1), rtol=0, atol=1e-14
+        )
 
     def test_dimension_mismatch(self, rng):
         circuit = build_svd_circuit(np.eye(4))

@@ -659,10 +659,10 @@ import lsvd.pipeline as pipeline
 from lsvd.models import builtin_model
 
 states = []
-def recording(circuit, state, apply=lsvd.circuit.apply_circuit):
+def recording(circuit, state, run=lsvd.circuit.run_exact):
     states.append(state)
-    return apply(circuit, state)
-lsvd.circuit.apply_circuit = recording
+    return run(circuit, state)
+lsvd.circuit.run_exact = recording  # the probe check's, not the pipeline's
 model, rho0 = builtin_model("rpm")
 pipeline.quantum_evolve(model, rho0, [1.0])  # the first states are the probes
 generator = pipeline._real_generator(model)

@@ -167,6 +167,20 @@ class TestClassicalEvolve:
         with pytest.raises(LsvdError, match=r"lost trace normalization at t=1\.0 \(defect 6\.32"):
             classical_evolve(model, np.eye(2) / 2, [0.0, 1.0])
 
+    def test_nan_state_rejected(self, monkeypatch, rng):
+        # a NaN trace defect must fail the check, not compare false against it
+        real_propagator = lsvd.pipeline.propagator
+
+        def nan_propagator(generator, t):
+            out = real_propagator(generator, t)
+            out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(lsvd.pipeline, "propagator", nan_propagator)
+        model = random_model(rng, 2)
+        with pytest.raises(LsvdError, match=r"lost trace normalization at t=0\.0 \(defect nan\)"):
+            classical_evolve(model, np.eye(2) / 2, [0.0, 1.0])
+
     def test_unsorted_times_rejected(self, rng):
         model = random_model(rng, 2)
         with pytest.raises(ValueError):

@@ -189,6 +189,33 @@ class TestStackedExpm:
         for matrix, stacked in zip(complex_stack, result):
             np.testing.assert_array_equal(stacked, expm(matrix))
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_pade_is_bitwise_the_one_expression(self, rng, field):
+        # the buffered evaluation against the [13/13] approximant written as
+        # one expression per sum, squarings and all
+        stack = rng.normal(size=(5, 12, 12))
+        if field == "complex":
+            stack = stack + 1j * rng.normal(size=stack.shape)
+        # 1-norms from below theta_13 to 2**6 times it
+        stack *= np.array([0.5, 5.0, 40.0, 200.0, 300.0])[:, None, None] / np.linalg.norm(
+            stack, 1, axis=(-2, -1), keepdims=True
+        )
+        squarings = [documented_squarings(matrix) for matrix in stack]
+        c, eye = lsvd.numerics._PADE_13, np.eye(stack.shape[-1])
+        b = stack / 2.0 ** np.array(squarings)[:, None, None]
+        b2 = b @ b
+        b4 = b2 @ b2
+        b6 = b4 @ b2
+        odd = b6 @ (c[13] * b6 + c[11] * b4 + c[9] * b2) + c[7] * b6 + c[5] * b4 + c[3] * b2
+        u = b @ (odd + c[1] * eye)
+        v = b6 @ (c[12] * b6 + c[10] * b4 + c[8] * b2) + c[6] * b6 + c[4] * b4 + c[2] * b2 + eye
+        want = np.linalg.solve(v - u, v + u)
+        for j, count in enumerate(squarings):
+            for _ in range(count):
+                want[j] = want[j] @ want[j]
+        assert squarings == [0, 0, 3, 6, 6]
+        assert np.array_equal(expm(stack), want)
+
     def test_one_non_finite_slice_rejected(self, rng):
         stack = self.mixed_stack(rng)
         stack[2, 3, 1] = np.inf

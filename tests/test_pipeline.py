@@ -616,6 +616,22 @@ class TestSymmetrySplit:
         }
         np.testing.assert_allclose(whole.populations, reference, atol=1e-10, rtol=0)
 
+    def test_nan_propagator_fails_the_drop_check(self):
+        # a NaN spreads over the rotated component, and must fail the check
+        model, _ = builtin_model("rpm")
+        generator, terms = lsvd.pipeline._real_generator(model), lsvd.pipeline._terms(model)
+        (runs,), (basis, rotate, _) = lsvd.pipeline._working_basis([generator], terms)
+        props = [propagator(run, 0.5) for run in runs]
+        blocks = rotate([p.copy() for p in props])
+        # the split blocks, against the whole propagator in the working basis
+        dense = basis.T @ propagator(generator, 0.5) @ basis
+        np.testing.assert_allclose(
+            scipy.linalg.block_diag(*blocks), dense, rtol=0, atol=1e-12
+        )
+        props[0][0, 3, 5] = np.nan
+        with pytest.raises(LsvdError, match="^symmetry split drops nan of a propagator"):
+            rotate(props)
+
     def test_compass_whose_split_fails_its_propagator_check_still_runs(self):
         # a random symmetric hyperfine tensor: the split drops 2.9e-16 of the
         # terms from G, within the gate, but (numpy 2.4, OpenBLAS 0.3.31)
