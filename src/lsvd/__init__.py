@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .circuit import (
     SVDCircuit,
-    apply_circuit,
     build_svd_circuit,
     estimate_resources,
     run_exact,

@@ -18,14 +18,14 @@ branches of the dilated diagonal and recombine them, leaving
 
 so measuring the ancilla in |0> applies the scaled propagator to the
 system register; the |1> outcome is the discarded branch.
-:func:`apply_circuit` applies the five ops as exact products on the two
-ancilla blocks of the statevector.  :func:`run_exact` starts from ancilla
-|0> and keeps only the ancilla-0 block, so it runs that half alone: V†
+:func:`run_exact` is the one implementation of the program and the only
+code that writes the register layout.  It zero-pads a system state of at
+most n entries, ancilla in |0>, and runs the ancilla-0 half alone: V†
 gives y, the Hadamards and the dilated diagonal leave ((y h) Sigma_+ +
-(y h) Sigma_-) h with h = 1/sqrt(2), the elementwise ops of the full
-program, and U follows.  Elementary gate synthesis is out of scope and
-resource needs are reported by the closed-form counts in
-:func:`estimate_resources` instead.
+(y h) Sigma_-) h with h = 1/sqrt(2), and U follows.  The tests check it
+against the dense five-op operator of ``tests/conftest.py::as_unitary``,
+which shares no code with this module.  Elementary gate synthesis is out
+of scope; :func:`estimate_resources` gives closed-form resource counts.
 
 The propagator is block diagonal (one block for a general matrix), and so
 are U and V†: the direct sums of the blocks' SVD factors, with an identity
@@ -46,11 +46,7 @@ its block factors, with a one for each padding row, divides them by
 max(1, sigma_max) and checks once more, on the assembled circuit, what no
 SVD can vouch for: that :func:`run_exact` sends two probe states, drawn
 once per n, where the scaled input propagator does, a reference built
-from the input blocks alone and not from the factors it checks.
-:func:`run_exact` alone writes the register layout: it zero-pads a system
-state of at most n entries, ancilla in |0>, and returns the n ancilla-0
-amplitudes; :func:`apply_circuit`, on all 2n amplitudes, is its
-reference and is not on the run path.
+from the input blocks alone by code that :func:`run_exact` does not use.
 The circuit stores sigma; each use derives Sigma_+ from it through
 ``_dilate`` and Sigma_- as the conjugate.  A real propagator
 gives real orthogonal factors, which are applied to the real and
@@ -164,38 +160,6 @@ def _dilate(sigma: np.ndarray) -> np.ndarray:
     return sigma + 1j * np.sqrt(1 - sigma**2)
 
 
-def apply_circuit(circuit: SVDCircuit, state) -> np.ndarray:
-    """Apply the five ops in order to 2^d statevectors, shape (..., 2^d).
-
-    The state's leading axes broadcast against the circuit's.  System ops
-    act on both ancilla blocks, the ancilla Hadamard mixes the blocks, and
-    the dilated diagonal, ``_dilate(sigma)`` and its conjugate, scales them
-    elementwise; this is the blockwise form of the full 2^d x 2^d products.
-    """
-    amps = np.asarray(state, dtype=np.complex128)
-    n = circuit.n
-    if amps.shape[-1] != 2 * n:
-        raise ValueError(f"state has length {amps.shape[-1]}, expected {2 * n}")
-    sigma_plus = _dilate(circuit.sigma)
-    halves = np.stack([amps[..., :n], amps[..., n:]], axis=-1)
-    blocks = _on_system(circuit.vdag_blocks, halves)
-    _ancilla_hadamard(blocks)
-    blocks[..., 0] *= sigma_plus
-    blocks[..., 1] *= sigma_plus.conj()
-    _ancilla_hadamard(blocks)
-    out = _on_system(circuit.u_blocks, blocks)
-    return np.concatenate([out[..., 0], out[..., 1]], axis=-1)
-
-
-def _ancilla_hadamard(blocks: np.ndarray) -> None:
-    """H on the ancilla, in place on the ancilla blocks (..., n, 2)."""
-    b0, b1 = blocks[..., 0], blocks[..., 1]
-    total = b0 + b1
-    np.subtract(b0, b1, out=b1)
-    b0[...] = total
-    blocks *= _SQRT_HALF
-
-
 @functools.cache
 def _probes(n: int) -> np.ndarray:
     """The ``_NUM_PROBES`` unit probe states of an n-row register, read-only:
@@ -212,18 +176,29 @@ def _check_block_identity(circuit: SVDCircuit, runs: tuple[np.ndarray, ...]) -> 
     """Verify the ancilla-0 block reproduces the scaled propagator at every
     point.
 
-    ``runs`` are the stacked input blocks the circuit was built from, so
-    the reference ``(propagator ⊕ I) / scale`` shares no factor with what
-    it checks: the ``_probes``, sent together through the circuits of
-    every point in one ``run_exact`` call, exercise the SVD factors, their
-    scaling and the path every run takes, dilation included.  Cost stays
-    O(n²) per point.  A NaN deviation fails.
+    ``runs`` are the stacked input blocks the circuit was built from.  The
+    reference ``(propagator ⊕ I) / scale`` applies each run to the
+    ``_probes`` by one batched matrix-vector product of its own, padding
+    rows left as they are, so it shares no factor and no code (not even
+    ``_on_system``) with what it checks: the probes, sent through the
+    circuits of every point in one ``run_exact`` call, exercise the SVD
+    factors, their scaling and the path every run takes, dilation
+    included.  Cost stays O(n²) per point.  A NaN deviation fails.
     """
     n = circuit.n
     # probes on a leading axis of their own, broadcast against the points
     probes = _probes(n).reshape((_NUM_PROBES,) + (1,) * (circuit.sigma.ndim - 1) + (n,))
     got = run_exact(circuit, probes)[0]
-    want = _on_system(runs, probes[..., None])[..., 0] / np.expand_dims(circuit.scale, -1)
+    want = np.broadcast_to(probes, got.shape) / np.expand_dims(circuit.scale, -1)
+    offset = 0
+    for run in runs:
+        end = offset + run.shape[-3] * run.shape[-1]
+        part = want[..., offset:end].reshape(got.shape[:-1] + run.shape[-3:-1])
+        # a real run takes the real and imaginary parts as two columns, never cast
+        pairs = part.view(np.float64).reshape(part.shape + (2,))
+        applied = run @ (part[..., None] if np.iscomplexobj(run) else pairs)
+        want[..., offset:end] = applied.view(np.complex128).reshape(part.shape[:-2] + (-1,))
+        offset = end
     deviation = float(np.max(np.linalg.norm(got - want, axis=-1)))
     if not deviation <= _BLOCK_TOL:
         raise LsvdError(
@@ -279,10 +254,10 @@ def run_exact(circuit: SVDCircuit, system_state) -> tuple[np.ndarray, np.ndarray
     point.  A state longer than n, not finite, or not normalized to 1e-10
     raises ``ValueError``.
 
-    Only the ancilla-0 half is run (see the module docstring): the same
-    elementwise ops as :func:`apply_circuit`'s, but V† and U act on one
-    column instead of two, so BLAS may round their products differently,
-    by a few ulps.
+    This is the one implementation of the program.  Only the ancilla-0
+    half is run (see the module docstring); the tests compare it with the
+    full 2n x 2n operator that ``tests/conftest.py::as_unitary`` composes
+    densely, which rounds its products differently, by a few ulps.
     """
     amps = np.asarray(system_state, dtype=np.complex128)
     n = circuit.n

@@ -88,8 +88,10 @@ def expm(a) -> Matrix:
     Raises:
         ValueError: if ``a`` is empty, not square or has a non-finite entry.
         LsvdError: if the squarings one matrix needs exceed the hard
-            cap (norm astronomically large); the message gives the
-            estimated achievable residual.
+            cap (norm astronomically large), the message giving the
+            estimated achievable residual; or if the result is not finite
+            (``exp(a)`` overflows float64), the message giving the matrix
+            1-norm.
     """
     m = _square_stack(a)
     stack = m.reshape((-1,) + m.shape[-2:])
@@ -124,12 +126,20 @@ def expm(a) -> Matrix:
     v += eye
     del b2, b4, b6  # released before the solve
     result = np.linalg.solve(np.subtract(v, u, out=odd), np.add(v, u, out=u))
-    for step in range(squarings.max()):
-        if squarings.min() > step:
-            result = result @ result
-        else:
-            squaring = np.flatnonzero(squarings > step)
-            result[squaring] = result[squaring] @ result[squaring]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below by name
+        for step in range(squarings.max()):
+            if squarings.min() > step:
+                result = result @ result
+            else:
+                squaring = np.flatnonzero(squarings > step)
+                result[squaring] = result[squaring] @ result[squaring]
+    finite = np.isfinite(result).all(axis=(-2, -1))
+    if not finite.all():
+        worst = int(np.argmin(finite))
+        raise LsvdError(
+            f"matrix 1-norm {norms[worst]:.3e}: exp overflows float64 after "
+            f"{squarings[worst]} squarings"
+        )
     return result.reshape(m.shape)
 
 
@@ -141,11 +151,13 @@ def _accumulate(out: Matrix, scratch: Matrix, *terms) -> Matrix:
     return out
 
 
-def _squared_defect(product: Matrix, target=0.0) -> np.ndarray:
-    """Squared Frobenius norm of ``product - target`` for each matrix of a
-    stack, computed in place: ``product`` must be a temporary, so that a
-    check holds one extra stack at a time."""
+def _squared_defect(product: Matrix, target=0.0, scale=None) -> np.ndarray:
+    """Squared Frobenius norm of ``(product - target) * scale`` for each
+    matrix of a stack, computed in place: ``product`` must be a temporary,
+    so that a check holds one extra stack at a time."""
     product -= target
+    if scale is not None:
+        product *= scale
     product *= product.conj()
     return np.add.reduce(product, axis=(-2, -1)).real
 
@@ -179,7 +191,8 @@ def svd(a):
     form (``_small_svd``), all others by LAPACK.  For every matrix, the
     reconstruction residual against that matrix's own norm and the
     departures of ``u``/``vdag`` from unitarity (Frobenius norms) are
-    checked against ``DEFAULT_TOL``.
+    checked against ``DEFAULT_TOL``, the first on the matrix scaled by a
+    power of two near its largest entry, so that it holds across float64.
 
     Factor matrices are not unique (degenerate singular values admit
     arbitrary unitary mixing), so callers should only ever compare
@@ -199,10 +212,17 @@ def svd(a):
         raise LsvdError(f"SVD did not converge: {exc}") from exc
 
     eye = np.eye(m.shape[-1])
-    norm_squared = _squared_defect(m.copy())
+    # 2**-e per matrix, e the binary exponent of its largest real or imaginary
+    # part, so that squaring neither overflows nor underflows; exact, so the
+    # ratio below keeps its bits (clipped to keep the factor normal)
+    parts = np.abs(np.ascontiguousarray(m).view(np.float64))
+    scale = np.ldexp(1.0, -np.frexp(parts.max(axis=(-2, -1)))[1].clip(-1021, 1021))[..., None, None]
+    parts *= scale
+    norm_squared = _squared_defect(parts)  # the parts' squares sum to |m|²
+    del parts  # released before the products below
     norm_squared = norm_squared + (norm_squared == 0)  # zero matrix: absolute residual
     worst_squared = np.maximum(
-        _squared_defect((u * sigma[..., None, :]) @ vdag, m) / norm_squared,
+        _squared_defect((u * sigma[..., None, :]) @ vdag, m, scale) / norm_squared,
         np.maximum(
             _squared_defect(np.swapaxes(u, -1, -2).conj() @ u, eye),
             _squared_defect(vdag @ np.swapaxes(vdag, -1, -2).conj(), eye),

@@ -97,18 +97,23 @@ def dilated(sigma):
 
 
 def as_unitary(circuit):
-    """The full 2^d x 2^d operator of a single circuit's five ops, composed
-    densely (small registers only)."""
+    """The full 2^d x 2^d operator of a circuit's five ops, composed densely
+    point by point, shape ``(..., 2^d, 2^d)`` with the circuit's leading
+    axes (small registers only)."""
     n = circuit.n
-    eye_n = np.eye(n, dtype=np.complex128)
-    composite = np.kron(np.eye(2, dtype=np.complex128), dense_vdag(circuit))
-    composite = np.kron(_HADAMARD, eye_n) @ composite
-    sigma_plus = dilated(circuit.sigma)
-    diagonal = np.concatenate([sigma_plus, sigma_plus.conj()])
-    composite = diagonal[:, None] * composite
-    composite = np.kron(_HADAMARD, eye_n) @ composite
-    composite = np.kron(np.eye(2, dtype=np.complex128), dense_u(circuit)) @ composite
-    return composite
+    hadamard = np.kron(_HADAMARD, np.eye(n, dtype=np.complex128))
+    u, vdag = dense_u(circuit), dense_vdag(circuit)
+    batch = circuit.sigma.shape[:-1]
+    out = np.empty(batch + (2 * n, 2 * n), dtype=np.complex128)
+    for point in np.ndindex(batch):
+        composite = np.kron(np.eye(2, dtype=np.complex128), vdag[point])
+        composite = hadamard @ composite
+        sigma_plus = dilated(circuit.sigma[point])
+        diagonal = np.concatenate([sigma_plus, sigma_plus.conj()])
+        composite = diagonal[:, None] * composite
+        composite = hadamard @ composite
+        out[point] = np.kron(np.eye(2, dtype=np.complex128), u[point]) @ composite
+    return out
 
 
 def _forbidden(*args, **kwargs):

@@ -9,7 +9,6 @@ import lsvd
 import lsvd.circuit
 from lsvd.circuit import (
     _dilate,
-    apply_circuit,
     build_svd_circuit,
     estimate_resources,
     run_exact,
@@ -47,11 +46,13 @@ class TestBuild:
 
     def test_single_sigma_amplitudes_by_hand(self):
         circuit = build_svd_circuit(np.diag([0.6, 1.0]))
-        state = np.zeros(4, dtype=complex)
-        state[0] = 1.0
-        final = apply_circuit(circuit, state)
-        assert final[0] == pytest.approx(0.6, abs=1e-12)
-        assert final[1] == pytest.approx(0.0, abs=1e-12)
+        conditioned, success = run_exact(circuit, [1.0, 0.0])
+        assert conditioned[0] == pytest.approx(0.6, abs=1e-12)
+        assert conditioned[1] == pytest.approx(0.0, abs=1e-12)
+        assert success == pytest.approx(0.36, abs=1e-12)
+        # the full program from |0>|0>: the discarded branch holds i sqrt(1 - 0.6²)
+        final = as_unitary(circuit)[:, 0]
+        np.testing.assert_allclose(final[:2], conditioned, rtol=0, atol=1e-12)
         assert final[2] == pytest.approx(0.8j, abs=1e-12)
         assert final[3] == pytest.approx(0.0, abs=1e-12)
 
@@ -77,13 +78,14 @@ class TestBuild:
             for op in ops:
                 np.testing.assert_allclose(op.conj().T @ op, np.eye(2 * n), atol=1e-10)
                 composed = op @ composed
-            applied = np.column_stack(
-                [apply_circuit(circuit, column) for column in np.eye(2 * n)]
-            )
-            np.testing.assert_allclose(applied, composed, atol=1e-12)
-            probe = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+            np.testing.assert_allclose(as_unitary(circuit), composed, atol=1e-12)
+            # run_exact is the ancilla-0 block: on each system basis state, and a probe
+            columns, _ = run_exact(circuit, np.eye(n))
+            np.testing.assert_allclose(columns.T, composed[:n, :n], atol=1e-12)
+            probe = rng.normal(size=n) + 1j * rng.normal(size=n)
+            probe /= np.linalg.norm(probe)
             np.testing.assert_allclose(
-                apply_circuit(circuit, probe), composed @ probe, atol=1e-12
+                run_exact(circuit, probe)[0], composed[:n, :n] @ probe, atol=1e-12
             )
 
     def test_corrupt_factors_rejected(self, monkeypatch):
@@ -255,16 +257,16 @@ class TestStacked:
     def test_per_point_inputs(self, rng):
         blocks = random_stack(rng, 3, self.SIZES)
         circuit = build_svd_circuit(*blocks)
-        states = rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32))
+        states = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
         states /= np.linalg.norm(states, axis=-1, keepdims=True)
-        final = apply_circuit(circuit, states)
+        conditioned, _ = run_exact(circuit, states)
         for j in range(3):
             single = build_svd_circuit(*(block[j] for block in blocks))
-            np.testing.assert_allclose(final[j], as_unitary(single) @ states[j], atol=1e-12)
-        system = states[:, :16] / np.linalg.norm(states[:, :16], axis=-1, keepdims=True)
-        system[1] *= 1.5
+            want = as_unitary(single)[:16, :16] @ states[j]
+            np.testing.assert_allclose(conditioned[j], want, atol=1e-12)
+        states[1] *= 1.5
         with pytest.raises(ValueError, match="normalized, got norm 1.5"):
-            run_exact(circuit, system)
+            run_exact(circuit, states)
 
     def test_probe_violation_at_one_point_rejected(self, rng, monkeypatch):
         def one_point_off(circuit, state):
@@ -273,6 +275,20 @@ class TestStacked:
             return conditioned, success
 
         monkeypatch.setattr(lsvd.circuit, "run_exact", one_point_off)
+        with pytest.raises(LsvdError, match="ancilla-0 block"):
+            build_svd_circuit(*random_stack(rng, 4, self.SIZES))
+
+    def test_real_run_dropping_the_imaginary_part_rejected(self, rng, monkeypatch):
+        # the probes are complex; the in-run reference never calls _on_system,
+        # so a real run that loses their imaginary part cannot agree with it
+        on_system = lsvd.circuit._on_system
+
+        def real_part_only(runs, blocks):
+            if not np.iscomplexobj(runs[0]):
+                blocks = blocks.real.astype(np.complex128)
+            return on_system(runs, blocks)
+
+        monkeypatch.setattr(lsvd.circuit, "_on_system", real_part_only)
         with pytest.raises(LsvdError, match="ancilla-0 block"):
             build_svd_circuit(*random_stack(rng, 4, self.SIZES))
 
@@ -360,9 +376,9 @@ class TestRunExact:
         system /= np.linalg.norm(system, axis=-1, keepdims=True)
         register = np.zeros(points + (32,), dtype=complex)
         register[..., :9] = system
-        want = apply_circuit(circuit, register)[..., :16].copy()
+        want = (as_unitary(circuit) @ register[..., None])[..., :16, 0]
         conditioned, success = run_exact(circuit, system)
-        # the two paths round their products differently, by a few ulps
+        # the dense operator rounds its products differently, by a few ulps
         np.testing.assert_allclose(conditioned, want, rtol=0, atol=1e-15)
         np.testing.assert_allclose(success, np.sum(np.abs(want) ** 2, axis=-1), rtol=0, atol=1e-15)
         np.testing.assert_array_equal(success, np.square(conditioned.view(np.float64)).sum(axis=-1))
@@ -374,8 +390,8 @@ class TestRunExact:
         ids=["one-point", "stacked", "probe-axis"],
     )
     def test_half_register_run_is_the_full_program(self, rng, field, points, states):
-        # run_exact runs the ancilla-0 half alone; apply_circuit, the full
-        # five-op program on the register padded by hand, is its reference
+        # run_exact runs the ancilla-0 half alone; the dense five-op operator,
+        # point by point on the register padded by hand, is its reference
         def block(s):
             m = rng.normal(size=points + (s, s))
             return m + 1j * rng.normal(size=m.shape) if field == "complex" else m
@@ -385,7 +401,7 @@ class TestRunExact:
         system /= np.linalg.norm(system, axis=-1, keepdims=True)
         register = np.zeros(states + (32,), dtype=complex)
         register[..., :12] = system
-        full = apply_circuit(circuit, register)
+        full = (as_unitary(circuit) @ register[..., None])[..., 0]
         conditioned, success = run_exact(circuit, system)
         assert conditioned.shape == full.shape[:-1] + (16,)
         np.testing.assert_allclose(conditioned, full[..., :16], rtol=0, atol=1e-14)
@@ -398,11 +414,6 @@ class TestRunExact:
         message = "^system state has length 8, more than the register's 4$"
         with pytest.raises(ValueError, match=message):
             run_exact(circuit, np.zeros(8))
-
-    def test_apply_circuit_dimension_mismatch(self):
-        circuit = build_svd_circuit(np.eye(4))
-        with pytest.raises(ValueError, match="^state has length 4, expected 8$"):
-            apply_circuit(circuit, np.zeros(4))
 
     def test_unnormalized_input_rejected(self):
         circuit = build_svd_circuit(np.eye(4))

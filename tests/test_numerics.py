@@ -90,6 +90,16 @@ class TestExpm:
             expm(np.eye(2) * 1e30)
 
     @pytest.mark.parametrize(
+        "a", [[[800.0]], [[[1.0]], [[800.0]]], [[400.0, 400.0j], [-400.0j, 400.0]]],
+        ids=["real", "one-slice-of-a-stack", "complex"],
+    )
+    def test_overflow_refused_naming_the_norm(self, a):
+        # exp(800) is past float64: refused by name, and no numpy overflow
+        # warning escapes on the way
+        with pytest.raises(LsvdError, match=r"^matrix 1-norm 8\.000e\+02: exp overflows float64"):
+            expm(a)
+
+    @pytest.mark.parametrize(
         "name, t",
         [
             ("fmo3", FMO_DEFAULT_T_END),
@@ -319,6 +329,31 @@ class TestSvd:
             LsvdError, match=r"residual 1\.000e-09 > tol 1\.000e-12"
         ):
             svd(stack)
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.array([[1.0, 2.0], [3.0, 4.0]]), np.eye(3), np.array([[1.0, 2.0j], [3.0, 4.0]])],
+        ids=["closed-form", "lapack", "complex"],
+    )
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+    def test_checks_hold_at_the_edges_of_float64(self, a, magnitude):
+        # entries whose squares overflow or underflow are checked, and
+        # factored, as the unit-sized matrix would be
+        u, sigma, vdag = svd(magnitude * a)
+        np.testing.assert_allclose(sigma / magnitude, svd(a)[1], rtol=1e-14, atol=0)
+        np.testing.assert_allclose((u * (sigma / magnitude)) @ vdag, a, rtol=0, atol=1e-14)
+
+    def test_tiny_matrix_checked_against_its_own_norm(self, rng, monkeypatch):
+        # its squared norm underflows, so it must not pass as the zero matrix
+        real_svd = np.linalg.svd
+
+        def tripled(m):
+            u, sigma, vdag = real_svd(m)
+            return u, 3.0 * sigma, vdag
+
+        monkeypatch.setattr(np.linalg, "svd", tripled)
+        with pytest.raises(LsvdError, match=r"accuracy contract missed: residual 2\.000e\+00"):
+            svd(1e-170 * rng.normal(size=(3, 3)))
 
     def test_lapack_failure_is_reported(self, rng, monkeypatch):
         def not_converging(a):

@@ -47,7 +47,6 @@ RESOLVING = [
     "lsvd.pipeline.sample",
     "lsvd.pipeline.estimate_populations",
     "lsvd.lindblad.expm",
-    "lsvd.circuit.apply_circuit",
 ]
 
 
